@@ -234,18 +234,17 @@ class SuggestionReport:
 
 
 def build_suggestion_report(model, file_path, k: int) -> SuggestionReport:
-    """Suggest names for every lemma in a file; rows keep document order."""
+    """Suggest names for every lemma in a file, decoded as one batch; rows keep document order."""
     records = load_document(file_path)
     rows = []
-    for record in records:
-        suggestions = tuple(model.suggest(record, k=k))
+    for record, suggestions in zip(records, model.suggest_many(records, k)):
         rows.append(
             SuggestionRow(
                 file=record.source.file,
                 line=record.source.line,
                 name=record.name,
                 conforming=record.name in {s.name for s in suggestions},
-                suggestions=suggestions,
+                suggestions=tuple(suggestions),
             )
         )
     return SuggestionReport(source=str(file_path), rows=tuple(rows))
@@ -323,7 +322,7 @@ def cmd_evaluate(args) -> int:
         )
     else:
         suggester = _load_model(args.model)
-    report = evaluate(suggester, test_records, k=args.k)
+    report = evaluate(suggester, test_records, k=args.k, lexicon=suggester.lexicon)
     sys.stdout.write(report.to_text())
     if args.report:
         Path(args.report).write_text(report.to_jsonl(), encoding="utf-8")

@@ -198,9 +198,6 @@ def ordered_records(documents: dict, doc_ids) -> list:
     return out
 
 
-STREAM_NAMES = ("statement", "syntax_tree", "kernel_tree", "name")
-
-
 def stream_subtoken_texts(
     record: LemmaRecord,
     stream: str,
@@ -273,17 +270,11 @@ class Vocabulary:
         return hash(self._texts)
 
 
-def build_vocabulary(
-    records,
-    stream: str,
-    min_frequency: int = 1,
-    chop_config: ChopConfig | None = None,
-    lexicon: SuffixLexicon = DEFAULT_LEXICON,
-) -> Vocabulary:
-    """Count sub-tokens of one stream and keep those meeting min_frequency."""
+def build_vocabulary(sequences, min_frequency: int = 1) -> Vocabulary:
+    """Count the texts of sub-token sequences and keep those meeting min_frequency."""
     counts = Counter()
-    for record in records:
-        counts.update(stream_subtoken_texts(record, stream, chop_config, lexicon))
+    for sequence in sequences:
+        counts.update(sequence)
     kept = [
         text
         for text, count in counts.items()

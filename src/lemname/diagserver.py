@@ -54,9 +54,13 @@ def read_message(stream) -> bytes | None:
         name, _, value = line.partition(b":")
         if name.strip().lower() == b"content-length":
             try:
-                content_length = int(value.strip())
+                length = int(value.strip())
             except ValueError:
+                length = -1
+            if length < 0:  # read(-1) would wait for the client to close its end
                 log.warning("ignoring unreadable Content-Length header: %r", value)
+            else:
+                content_length = length
     if content_length is None:
         log.warning("message frame without Content-Length; treating as end of input")
         return None

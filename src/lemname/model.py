@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .corpus import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    UNK_ID,
     Vocabulary,
     build_vocabulary,
     ordered_records,
@@ -34,7 +35,6 @@ from .nn import (
     GruParams,
     Parameters,
     Rng,
-    ShapeMismatch,
     Tensor,
     adam_step,
     backward,
@@ -140,17 +140,7 @@ class ModelConfig:
             raise ValueError("the copy mechanism requires attention")
 
     def to_dict(self) -> dict:
-        return {
-            "inputs": list(self.inputs),
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "bidirectional": self.bidirectional,
-            "use_attention": self.use_attention,
-            "use_copy": self.use_copy,
-            "max_input_len": self.max_input_len,
-            "max_output_len": self.max_output_len,
-            "beam_width": self.beam_width,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -191,36 +181,37 @@ class EpochMetrics:
     validation_top1: float
 
 
-@dataclass
-class EncodedSource:
-    """Everything the decoder needs about one record's inputs."""
+@dataclass(frozen=True)
+class PreparedRecord:
+    """One record chopped, sub-tokenized and mapped to this model's ids.
 
-    stream_ids: dict  # stream -> (T,) int ids
-    stream_hidden: dict  # stream -> (1, T, H) Tensor
-    final_states: dict  # stream -> (1, H) Tensor
-    hidden: Tensor  # (1, S, H) concatenation over streams
-    mask: np.ndarray  # (1, S)
-    source_texts: tuple  # length S, concatenated sub-token texts
+    The extended vocabulary is the output vocabulary followed by the
+    record's source texts that it lacks, numbered in order of first use.
+    """
+
+    stream_ids: dict  # stream -> (T,) input-vocabulary ids, truncated to max_input_len
+    source_texts: tuple  # length S, the truncated texts of every stream, concatenated
     oov_texts: tuple  # source texts absent from the output vocabulary
-    source_ext_ids: np.ndarray  # (S,) extended-vocabulary id per position
-
-
-@dataclass
-class DecodedDistribution:
-    """Probabilities over the output vocabulary extended with copyable texts."""
-
-    probabilities: np.ndarray
-    texts: tuple
+    source_ext_ids: np.ndarray  # (S,) extended-vocabulary id per source position
+    target_ext_ids: np.ndarray  # truncated name; -1 where neither generable nor copyable
 
 
 @dataclass
 class _Batch:
-    hidden: Tensor
-    mask: np.ndarray
-    finals: list
-    texts: list  # per example: list of length S with None at padding
-    stream_ids: dict
-    stream_hidden: dict
+    hidden: Tensor  # (B, S, H) encoder states of every stream, concatenated
+    mask: np.ndarray  # (B, S), 1 at real positions
+    source_ext_ids: np.ndarray  # (B, S), PAD_ID at padding
+    state: Tensor  # (B, H) the decoder's initial state
+
+
+def record_texts(record, inputs, chop_config: ChopConfig, lexicon) -> dict:
+    """Untruncated sub-token texts of the enabled streams, and of the name as "output"."""
+    texts = {
+        stream: stream_subtoken_texts(record, CORPUS_STREAM_OF[stream], chop_config, lexicon)
+        for stream in inputs
+    }
+    texts["output"] = stream_subtoken_texts(record, "name", lexicon=lexicon)
+    return texts
 
 
 class LemmaNameModel:
@@ -279,26 +270,41 @@ class LemmaNameModel:
 
     # ------------------------------------------------------------ preprocessing
 
-    def stream_texts(self, record) -> dict:
-        """Truncated sub-token texts for every enabled stream of a record."""
-        out = {}
-        for stream in self.config.inputs:
-            texts = stream_subtoken_texts(
-                record, CORPUS_STREAM_OF[stream], self.chop_config, self.lexicon
-            )[: self.config.max_input_len]
-            if not texts:
-                raise EmptyInput(stream)
-            out[stream] = texts
-        return out
+    def prepare(self, record, texts: dict | None = None) -> PreparedRecord:
+        """Chop, sub-tokenize and encode one record for this model.
 
-    def target_texts(self, record) -> list:
-        return stream_subtoken_texts(record, "name", lexicon=self.lexicon)[
-            : self.config.max_output_len
-        ]
+        `texts` may pass the record's `record_texts` when the caller has
+        them already, so no record is sub-tokenized twice.
+        """
+        cfg = self.config
+        texts = texts or record_texts(record, cfg.inputs, self.chop_config, self.lexicon)
+        out_vocab = self.vocabularies["output"]
+        stream_ids, source = {}, []
+        for stream in cfg.inputs:
+            seq = texts[stream][: cfg.max_input_len]
+            if not seq:
+                raise EmptyInput(stream)
+            vocab = self.vocabularies[stream]
+            stream_ids[stream] = np.array([vocab.encode(t) for t in seq], dtype=np.int64)
+            source.extend(seq)
+        oov_texts = tuple(dict.fromkeys(t for t in source if t not in out_vocab))
+        copy_ids = {t: len(out_vocab) + i for i, t in enumerate(oov_texts)}
+
+        def ext_ids(seq):
+            ids = [out_vocab.encode(t) if t in out_vocab else copy_ids.get(t, -1) for t in seq]
+            return np.array(ids, dtype=np.int64)
+
+        return PreparedRecord(
+            stream_ids=stream_ids,
+            source_texts=tuple(source),
+            oov_texts=oov_texts,
+            source_ext_ids=ext_ids(source),
+            target_ext_ids=ext_ids(texts["output"][: cfg.max_output_len]),
+        )
 
     # ------------------------------------------------------------------ encoder
 
-    def _run_direction(self, emb: Tensor, masks: list, cell: GruParams, reverse: bool):
+    def _run_direction(self, emb: Tensor, masks: list, cell: GruParams, reverse: bool, detach):
         batch, length = emb.shape[0], emb.shape[1]
         width = cell.w_h.shape[0]
         h = Tensor(np.zeros((batch, width)))
@@ -306,63 +312,65 @@ class LemmaNameModel:
         steps = range(length - 1, -1, -1) if reverse else range(length)
         for t in steps:
             stepped = gru_cell(emb[:, t, :], h, cell)
-            h = masks[t] * stepped + (1.0 - masks[t]) * h
+            h = detach(masks[t] * stepped + (1.0 - masks[t]) * h)
             outputs[t] = h
         return outputs, h
 
-    def _encode_batch(self, records) -> _Batch:
+    def _encode(self, prepared, keep_graph: bool) -> _Batch:
+        """Run the encoders over prepared records padded to one batch.
+
+        Without keep_graph the autodiff graph is cut after every step, so
+        inference holds one step's intermediate arrays at a time.
+        """
         cfg = self.config
-        per_record = [self.stream_texts(r) for r in records]
-        batch = len(records)
-        hidden_parts, mask_parts, finals = [], [], []
-        texts: list = [[] for _ in records]
-        stream_ids: dict = {}
-        stream_hidden: dict = {}
+        detach = (lambda t: t) if keep_graph else (lambda t: Tensor(t.data))
+        batch = len(prepared)
+        starts = [0] * batch
+        hidden_parts, mask_parts, ext_parts, finals = [], [], [], []
         for stream in cfg.inputs:
-            vocab = self.vocabularies[stream]
-            seqs = [texts_of[stream] for texts_of in per_record]
-            length = max(len(s) for s in seqs)
+            length = max(len(p.stream_ids[stream]) for p in prepared)
             ids = np.full((batch, length), PAD_ID, dtype=np.int64)
+            ext = np.full((batch, length), PAD_ID, dtype=np.int64)
             mask = np.zeros((batch, length))
-            for b, seq in enumerate(seqs):
-                ids[b, : len(seq)] = [vocab.encode(t) for t in seq]
+            for b, p in enumerate(prepared):
+                seq = p.stream_ids[stream]
+                ids[b, : len(seq)] = seq
+                ext[b, : len(seq)] = p.source_ext_ids[starts[b] : starts[b] + len(seq)]
                 mask[b, : len(seq)] = 1.0
-                texts[b].extend(seq + [None] * (length - len(seq)))
+                starts[b] += len(seq)
             emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
             masks = [Tensor(mask[:, t : t + 1]) for t in range(length)]
             cells = self._encoders[stream]
-            fwd_out, fwd_final = self._run_direction(emb, masks, cells["fwd"], reverse=False)
+            fwd_out, fwd_final = self._run_direction(emb, masks, cells["fwd"], False, detach)
             if cfg.bidirectional:
-                bwd_out, bwd_final = self._run_direction(emb, masks, cells["bwd"], reverse=True)
+                bwd_out, bwd_final = self._run_direction(emb, masks, cells["bwd"], True, detach)
                 positions = [concat([f, b_], axis=1) for f, b_ in zip(fwd_out, bwd_out)]
                 final = concat([fwd_final, bwd_final], axis=1)
             else:
                 positions, final = fwd_out, fwd_final
-            stream_seq = concat(
-                [reshape(p, (batch, 1, cfg.hidden_dim)) for p in positions], axis=1
+            hidden_parts.append(
+                concat([reshape(p, (batch, 1, cfg.hidden_dim)) for p in positions], axis=1)
             )
-            hidden_parts.append(stream_seq)
             mask_parts.append(mask)
+            ext_parts.append(ext)
             finals.append(final)
-            stream_ids[stream] = ids
-            stream_hidden[stream] = stream_seq
+        fused = concat(finals, axis=1)
+        state = tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
         return _Batch(
-            hidden=concat(hidden_parts, axis=1),
+            hidden=detach(concat(hidden_parts, axis=1)),
             mask=np.concatenate(mask_parts, axis=1),
-            finals=finals,
-            texts=texts,
-            stream_ids=stream_ids,
-            stream_hidden=stream_hidden,
+            source_ext_ids=np.concatenate(ext_parts, axis=1),
+            state=detach(state),
         )
-
-    def _initial_state(self, batch: _Batch) -> Tensor:
-        fused = concat(batch.finals, axis=1)
-        return tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
 
     # ------------------------------------------------------------------ decoder
 
     def _step(self, state: Tensor, input_ids: np.ndarray, batch: _Batch):
-        """One decoder step: returns (new_state, vocab dist, attention, p_gen)."""
+        """One decoder step over record-major (records x hypotheses) rows.
+
+        Returns (new_state, vocab dist, attention, p_gen). Attention runs
+        per record over its hypotheses, so encoder states are never tiled.
+        """
         cfg = self.config
         params = self.parameters
         x = embedding_lookup(params["dec.embed"], input_ids)
@@ -370,14 +378,16 @@ class LemmaNameModel:
         attention = None
         p_gen = None
         if cfg.use_attention:
+            records, length = batch.mask.shape
             n = state.shape[0]
-            query = reshape(matmul(state, params["attn.w"]), (n, 1, cfg.hidden_dim))
-            scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (n, -1))
+            width = n // records
+            query = reshape(matmul(state, params["attn.w"]), (records, width, cfg.hidden_dim))
+            scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (n, length))
             shift = Tensor(scores.data.max(axis=1, keepdims=True))
-            weights = exp(scores - shift) * Tensor(batch.mask)
+            weights = exp(scores - shift) * Tensor(np.repeat(batch.mask, width, axis=0))
             attention = div(weights, sum_(weights, axis=1, keepdims=True))
             context = reshape(
-                bmm(reshape(attention, (n, 1, -1)), batch.hidden), (n, cfg.hidden_dim)
+                bmm(reshape(attention, (records, width, length)), batch.hidden), (n, cfg.hidden_dim)
             )
             features = tanh(matmul(concat([state, context], axis=1), params["out.w_c"]))
             if cfg.use_copy:
@@ -388,49 +398,50 @@ class LemmaNameModel:
         logits = matmul(features, params["out.w"]) + params["out.b"]
         return state, softmax(logits, axis=1), attention, p_gen
 
+    def _distribution(self, state: Tensor, input_ids: np.ndarray, batch: _Batch):
+        """One graph-free decoder step for inference.
+
+        Returns the detached new state and, per row, probabilities over the
+        output vocabulary extended with its record's copyable texts (columns
+        past a record's own texts hold zero).
+        """
+        state, vocab_dist, attention, p_gen = self._step(state, input_ids, batch)
+        if not self.config.use_copy:
+            return Tensor(state.data), vocab_dist.data
+        n, base = vocab_dist.shape
+        source = np.repeat(batch.source_ext_ids, n // len(batch.mask), axis=0)
+        probs = np.zeros((n, max(base, int(source.max()) + 1)))
+        probs[:, :base] = p_gen.data * vocab_dist.data
+        np.add.at(probs, (np.arange(n)[:, None], source), (1.0 - p_gen.data) * attention.data)
+        return Tensor(state.data), probs
+
     # -------------------------------------------------------------------- loss
 
-    def _target_arrays(self, records, batch: _Batch):
-        out_vocab = self.vocabularies["output"]
-        names = [self.target_texts(r) for r in records]
-        n = len(records)
-        steps = max(len(t) for t in names) + 1  # final step predicts EOS
-        input_ids = np.full((n, steps), PAD_ID, dtype=np.int64)
-        target_ids = np.full((n, steps), PAD_ID, dtype=np.int64)
-        in_vocab = np.zeros((n, steps))
-        step_mask = np.zeros((n, steps))
-        source_len = len(batch.texts[0])
-        match = np.zeros((n, steps, source_len)) if self.config.use_copy else None
-        for b, texts in enumerate(names):
-            input_ids[b, 0] = BOS_ID
-            for t, text in enumerate(texts):
-                encoded = out_vocab.encode(text)
-                target_ids[b, t] = encoded
-                in_vocab[b, t] = 1.0 if text in out_vocab else 0.0
-                step_mask[b, t] = 1.0
-                if t + 1 < steps:
-                    input_ids[b, t + 1] = encoded
-                if match is not None:
-                    row = [i for i, src in enumerate(batch.texts[b]) if src == text]
-                    match[b, t, row] = 1.0
-            target_ids[b, len(texts)] = EOS_ID
-            in_vocab[b, len(texts)] = 1.0
-            step_mask[b, len(texts)] = 1.0
-        return input_ids, target_ids, in_vocab, step_mask, match
-
-    def _loss_batch(self, records):
-        if not records:
+    def _loss_batch(self, prepared):
+        if not prepared:
             raise EmptyTrainingSet("loss of an empty batch")
-        batch = self._encode_batch(records)
-        state = self._initial_state(batch)
-        input_ids, target_ids, in_vocab, step_mask, match = self._target_arrays(records, batch)
-        steps = input_ids.shape[1]
+        batch = self._encode(prepared, keep_graph=True)
+        n = len(prepared)
+        steps = max(len(p.target_ext_ids) for p in prepared) + 1  # final step predicts EOS
+        targets = np.full((n, steps), PAD_ID, dtype=np.int64)
+        step_mask = np.zeros((n, steps))
+        for b, p in enumerate(prepared):
+            targets[b, : len(p.target_ext_ids)] = p.target_ext_ids
+            targets[b, len(p.target_ext_ids)] = EOS_ID
+            step_mask[b, : len(p.target_ext_ids) + 1] = 1.0
+        generable = (targets >= 0) & (targets < len(self.vocabularies["output"]))
+        in_vocab = generable * step_mask
+        target_ids = np.where(generable, targets, UNK_ID)
+        input_ids = np.full((n, steps), BOS_ID, dtype=np.int64)
+        input_ids[:, 1:] = np.where(step_mask[:, 1:] > 0, target_ids[:, :-1], PAD_ID)
+        match = (targets[:, :, None] == batch.source_ext_ids[:, None, :]) * batch.mask[:, None, :]
+        state = batch.state
         total = None
         for t in range(steps):
             state, vocab_dist, attention, p_gen = self._step(state, input_ids[:, t], batch)
             generated = gather_index(vocab_dist, target_ids[:, t])
             if self.config.use_copy:
-                gate = reshape(p_gen, (len(records),))
+                gate = reshape(p_gen, (n,))
                 copied = sum_(attention * Tensor(match[:, t, :]), axis=1)
                 prob = gate * (generated * Tensor(in_vocab[:, t])) + (1.0 - gate) * copied
             else:
@@ -443,123 +454,84 @@ class LemmaNameModel:
 
     def loss(self, records) -> Tensor:
         """Mean negative log-likelihood per target sub-token (incl. EOS)."""
-        return self._loss_batch(records)[0]
+        return self._loss_batch([self.prepare(r) for r in records])[0]
 
     # ------------------------------------------------------------ public surface
 
-    def encode(self, record) -> EncodedSource:
-        """Run the encoders over one record."""
-        batch = self._encode_batch([record])
-        out_vocab = self.vocabularies["output"]
-        source_texts = tuple(batch.texts[0])
-        oov_texts: list = []
-        ext_ids = np.zeros(len(source_texts), dtype=np.int64)
-        for i, text in enumerate(source_texts):
-            if text in out_vocab:
-                ext_ids[i] = out_vocab.encode(text)
-            else:
-                if text not in oov_texts:
-                    oov_texts.append(text)
-                ext_ids[i] = len(out_vocab) + oov_texts.index(text)
-        return EncodedSource(
-            stream_ids={s: ids[0] for s, ids in batch.stream_ids.items()},
-            stream_hidden=batch.stream_hidden,
-            final_states=dict(zip(self.config.inputs, batch.finals)),
-            hidden=batch.hidden,
-            mask=batch.mask,
-            source_texts=source_texts,
-            oov_texts=tuple(oov_texts),
-            source_ext_ids=ext_ids,
-        )
-
-    def combine(self, source: EncodedSource) -> Tensor:
-        """Fuse per-stream final states into the decoder's initial state."""
-        finals = [source.final_states[s] for s in self.config.inputs]
-        fused = concat(finals, axis=1)
-        return tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
-
-    def _source_as_batch(self, source: EncodedSource) -> _Batch:
-        return _Batch(
-            hidden=source.hidden,
-            mask=source.mask,
-            finals=[source.final_states[s] for s in self.config.inputs],
-            texts=[list(source.source_texts)],
-            stream_ids=source.stream_ids,
-            stream_hidden=source.stream_hidden,
-        )
-
-    def _extended_probs(self, vocab_dist, attention, p_gen, source: EncodedSource) -> np.ndarray:
-        base_size = len(self.vocabularies["output"])
-        ext = np.zeros(base_size + len(source.oov_texts))
-        if self.config.use_copy:
-            gate = float(p_gen.data[0, 0])
-            ext[:base_size] = gate * vocab_dist.data[0]
-            np.add.at(ext, source.source_ext_ids, (1.0 - gate) * attention.data[0])
-        else:
-            ext[:base_size] = vocab_dist.data[0]
-        return ext
-
-    def decode_step(self, state: Tensor, prev_sub_token_id: int, source: EncodedSource):
-        """One decoding step for a single record.
-
-        Returns the new state and the probability distribution over the
-        output vocabulary extended with the record's copyable sub-tokens.
-        """
-        batch = self._source_as_batch(source)
-        input_ids = np.array([prev_sub_token_id], dtype=np.int64)
-        state, vocab_dist, attention, p_gen = self._step(state, input_ids, batch)
-        probs = self._extended_probs(vocab_dist, attention, p_gen, source)
-        texts = self.vocabularies["output"].texts + source.oov_texts
-        return state, DecodedDistribution(probabilities=probs, texts=texts)
-
     def suggest(self, record, k: int | None = None) -> list:
-        """Top-k name suggestions by beam search with length normalization.
+        """Top-k name suggestions for one record; see suggest_many."""
+        return self.suggest_many([record], k)[0]
 
-        Finished hypotheses occupy beam slots, so width 1 degenerates to
-        exact greedy decoding. Scores are mean log-probability per emitted
-        sub-token (end marker included); ties break lexicographically.
+    def suggest_many(self, records, k: int | None = None) -> list:
+        """Top-k names per record by one beam search over (records x k) rows.
+
+        Records may be given already prepared. Finished hypotheses occupy
+        beam slots, so width 1 is exact greedy decoding. The first step
+        cannot end a name, so no name is empty. Scores are mean
+        log-probability per emitted sub-token (end marker included); ties
+        break lexicographically on the sub-tokens; names are deduplicated.
         """
         width = self.config.beam_width if k is None else k
         if width < 1:
             raise ValueError("k must be positive")
-        out_vocab = self.vocabularies["output"]
-        base_size = len(out_vocab)
-        source = self.encode(record)
-        state = self.combine(source)
-
-        # Hypothesis: (token texts, summed logp, decoder state, next input id)
-        alive = [((), 0.0, state, BOS_ID)]
-        done: list = []
-        for _ in range(self.config.max_output_len):
-            budget = width - len(done)
-            if budget <= 0 or not alive:
+        prepared = [r if isinstance(r, PreparedRecord) else self.prepare(r) for r in records]
+        if not prepared:
+            return []
+        out_texts = self.vocabularies["output"].texts
+        base = len(out_texts)
+        ext_texts = [out_texts + p.oov_texts for p in prepared]
+        batch = self._encode(prepared, keep_graph=False)
+        rows = len(prepared) * width
+        ext_sizes = np.repeat([len(texts) for texts in ext_texts], width)
+        state = Tensor(np.repeat(batch.state.data, width, axis=0))
+        input_ids = np.full(rows, BOS_ID, dtype=np.int64)
+        # Row r * width + j holds hypothesis j of record r as (texts, summed
+        # logp); None marks a free slot.
+        beams = [((), 0.0) if row % width == 0 else None for row in range(rows)]
+        done: list = [[] for _ in prepared]  # per record: (texts, summed logp, steps)
+        for step in range(self.config.max_output_len):
+            if not any(beams):
                 break
-            candidates = []
-            for texts, score, h, prev_id in alive:
-                new_h, dist = self.decode_step(h, prev_id, source)
-                logp = np.log(dist.probabilities + _LOG_FLOOR)
-                # +2 slack: the padding and start markers below are skipped
-                order = np.argsort(-logp, kind="stable")[: budget + 2]
-                for ext_id in order:
-                    ext_id = int(ext_id)
-                    if ext_id in (PAD_ID, BOS_ID):
+            state, probs = self._distribution(state, input_ids, batch)
+            logp = np.log(probs + _LOG_FLOOR)
+            logp[:, [PAD_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, BOS_ID]] = -np.inf
+            logp[np.arange(logp.shape[1]) >= ext_sizes[:, None]] = -np.inf
+            order = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+            parents = np.arange(rows)
+            input_ids = np.full(rows, EOS_ID, dtype=np.int64)
+            for r in range(len(prepared)):
+                first = r * width
+                budget = width - len(done[r])
+                candidates = []
+                for row in range(first, first + width):
+                    if beams[row] is None:
                         continue
-                    candidates.append(
-                        (score + float(logp[ext_id]), texts, new_h, ext_id, dist.texts[ext_id])
-                    )
-            candidates.sort(key=lambda c: (-c[0], c[1] + (c[4],)))
-            alive = []
-            for score, texts, new_h, ext_id, text in candidates[:budget]:
-                if ext_id == EOS_ID:
-                    if texts:  # an immediately closed, empty name is useless
-                        done.append((texts, score, len(texts) + 1))
-                    continue
-                next_input = out_vocab.encode(text) if ext_id >= base_size else ext_id
-                alive.append((texts + (text,), score, new_h, next_input))
-        done.extend((texts, score, len(texts)) for texts, score, _h, _p in alive if texts)
+                    texts, score = beams[row]
+                    for ext_id in order[row, :budget]:
+                        if np.isfinite(logp[row, ext_id]):
+                            total = score + float(logp[row, ext_id])
+                            candidates.append((total, texts + (ext_texts[r][ext_id],), row, int(ext_id)))
+                candidates.sort(key=lambda c: (-c[0], c[1]))
+                beams[first : first + width] = [None] * width
+                slot = first
+                for score, texts, row, ext_id in candidates[:budget]:
+                    if ext_id == EOS_ID:  # the end marker counts as a step
+                        done[r].append((texts[:-1], score, len(texts)))
+                        continue
+                    beams[slot] = (texts, score)
+                    parents[slot] = row
+                    input_ids[slot] = ext_id if ext_id < base else UNK_ID
+                    slot += 1
+            state = Tensor(state.data[parents])
+        for row, beam in enumerate(beams):
+            if beam is not None:
+                done[row // width].append((*beam, len(beam[0])))
+        return [self._ranked(finished, width) for finished in done]
 
+    @staticmethod
+    def _ranked(finished, width: int) -> list:
         ranked = sorted(
-            ((score / steps, texts) for texts, score, steps in done),
+            ((score / steps, texts) for texts, score, steps in finished),
             key=lambda pair: (-pair[0], pair[1]),
         )
         suggestions = []
@@ -573,56 +545,6 @@ class LemmaNameModel:
             if len(suggestions) == width:
                 break
         return suggestions
-
-    def greedy_names(self, records) -> list:
-        """Batched greedy decode; used for per-epoch validation accuracy."""
-        if not records:
-            return []
-        out_vocab = self.vocabularies["output"]
-        base_size = len(out_vocab)
-        batch = self._encode_batch(records)
-        state = self._initial_state(batch)
-        n = len(records)
-        finished = [False] * n
-        emitted: list = [[] for _ in range(n)]
-        input_ids = np.full(n, BOS_ID, dtype=np.int64)
-        for _ in range(self.config.max_output_len):
-            state, vocab_dist, attention, p_gen = self._step(state, input_ids, batch)
-            for b in range(n):
-                if finished[b]:
-                    input_ids[b] = EOS_ID
-                    continue
-                if self.config.use_copy:
-                    gate = float(p_gen.data[b, 0])
-                    scores = gate * vocab_dist.data[b].copy()
-                    copy_mass: dict = {}
-                    for i, text in enumerate(batch.texts[b]):
-                        if text is None:
-                            continue
-                        weight = (1.0 - gate) * float(attention.data[b, i])
-                        if text in out_vocab:
-                            scores[out_vocab.encode(text)] += weight
-                        else:
-                            copy_mass[text] = copy_mass.get(text, 0.0) + weight
-                else:
-                    scores = vocab_dist.data[b].copy()
-                    copy_mass = {}
-                scores[PAD_ID] = scores[BOS_ID] = -1.0
-                best_id = int(np.argmax(scores))
-                best_text = out_vocab.decode(best_id)
-                best_prob = float(scores[best_id])
-                for text, mass in sorted(copy_mass.items()):
-                    if mass > best_prob:
-                        best_prob, best_text, best_id = mass, text, out_vocab.encode(text)
-                if best_id == EOS_ID and best_text == "<eos>":
-                    finished[b] = True
-                    input_ids[b] = EOS_ID
-                else:
-                    emitted[b].append(best_text)
-                    input_ids[b] = out_vocab.encode(best_text)
-            if all(finished):
-                break
-        return ["".join(texts) for texts in emitted]
 
 
 # ---------------------------------------------------------------------- train
@@ -650,22 +572,23 @@ def train(
     if not train_records:
         raise EmptyTrainingSet("no training records")
 
-    vocabularies = {
-        stream: build_vocabulary(
-            train_records, CORPUS_STREAM_OF[stream], training.min_frequency, chop_config, lexicon
-        )
-        for stream in config.inputs
-    }
+    texts = [record_texts(r, config.inputs, chop_config, lexicon) for r in train_records]
     output_min = (
         training.output_min_frequency
         if training.output_min_frequency is not None
         else training.min_frequency
     )
-    vocabularies["output"] = build_vocabulary(
-        train_records, "name", output_min, chop_config, lexicon
-    )
+    vocabularies = {
+        stream: build_vocabulary(
+            (t[stream] for t in texts),
+            output_min if stream == "output" else training.min_frequency,
+        )
+        for stream in (*config.inputs, "output")
+    }
 
     model = LemmaNameModel(config, chop_config, lexicon, vocabularies, seed=training.seed)
+    train_prepared = [model.prepare(r, t) for r, t in zip(train_records, texts)]
+    val_prepared = [model.prepare(r) for r in val_records]
     optimizer = AdamState()
     shuffle_rng = Rng(training.seed)
     best_state = model.parameters.state()
@@ -676,7 +599,7 @@ def train(
         total_nll = 0.0
         total_tokens = 0
         for start in range(0, len(order), training.batch_size):
-            chunk = [train_records[i] for i in order[start : start + training.batch_size]]
+            chunk = [train_prepared[i] for i in order[start : start + training.batch_size]]
             loss, token_count = model._loss_batch(chunk)
             backward(loss, model.parameters)
             adam_step(
@@ -690,8 +613,9 @@ def train(
             total_nll += float(loss.data) * token_count
             total_tokens += token_count
         if val_records:
-            predicted = model.greedy_names(val_records)
-            val_top1 = sum(p == r.name for p, r in zip(predicted, val_records)) / len(val_records)
+            predicted = model.suggest_many(val_prepared, 1)
+            hits = sum(s[0].name == r.name for s, r in zip(predicted, val_records))
+            val_top1 = hits / len(val_records)
         else:
             val_top1 = 0.0
         if val_top1 >= best_top1:

@@ -41,7 +41,7 @@ def cli_env(tmp_path_factory):
     checkpoint, _ = train(documents, split, config, hyper)
     model = checkpoint.to_model()
     train_records = ordered_records(documents, split.train)
-    names = model.greedy_names(train_records)
+    names = [best[0].name for best in model.suggest_many(train_records, 1)]
     top1 = sum(n == r.name for n, r in zip(names, train_records)) / len(train_records)
     assert top1 == 1.0, f"fixture model failed to memorize its training set (top1={top1})"
 

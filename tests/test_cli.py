@@ -12,6 +12,10 @@ from lemname.cli import (
     load_config,
     main,
 )
+from lemname.baseline import RetrievalBaseline
+from lemname.corpus import ordered_records, split_corpus
+from lemname.metrics import evaluate
+from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS
 from lemname.subtok import DEFAULT_LEXICON
 
 
@@ -242,6 +246,28 @@ def test_evaluate_k1_top5_equals_top1(cli_env, tmp_path):
     assert code == 0
     aggregate = json.loads(report_path.read_text().strip().split("\n")[-1])
     assert aggregate["top5"] == aggregate["top1"]
+
+
+def test_evaluate_splits_references_with_the_suggesters_lexicon(cli_env, tmp_path):
+    write_config(tmp_path, "suffix_peeling: false\n")
+    lexicon = load_config(tmp_path).lexicon
+    split = split_corpus(sorted(cli_env.documents), seed=0)
+    baseline = RetrievalBaseline(
+        ordered_records(cli_env.documents, split.train),
+        inputs=INPUT_CONFIGS[DEFAULT_INPUT_CONFIG],
+        lexicon=lexicon,
+    )
+    test_records = ordered_records(cli_env.documents, split.test)
+    expected = evaluate(baseline, test_records, k=5, lexicon=lexicon).bleu4
+    assert expected != evaluate(baseline, test_records, k=5).bleu4, "fixture should need peeling"
+    report_path = tmp_path / "eval.jsonl"
+    code = main(
+        ["evaluate", "--data", str(cli_env.data_dir), "--baseline", "--project", str(tmp_path),
+         "--report", str(report_path)]
+    )
+    assert code == 0
+    aggregate = json.loads(report_path.read_text().strip().split("\n")[-1])
+    assert aggregate["bleu4"] == expected
 
 
 def test_evaluate_requires_model_or_baseline(cli_env):

@@ -176,7 +176,7 @@ class TestVocabulary:
             GOOD_RECORD.replace("addgA", name) for name in ["mul", "mul", "add", "zz", "aa"]
         )
         records = load_document(write_doc(tmp_path, body))
-        vocab = build_vocabulary(records, "name")
+        vocab = build_vocabulary(stream_subtoken_texts(r, "name") for r in records)
         ordered = vocab.texts[len(RESERVED_TOKENS) :]
         assert ordered == ("mul", "aa", "add", "zz")
 
@@ -185,7 +185,9 @@ class TestVocabulary:
             GOOD_RECORD.replace("addgA", name) for name in ["mul", "mul", "add"]
         )
         records = load_document(write_doc(tmp_path, body))
-        vocab = build_vocabulary(records, "name", min_frequency=2)
+        vocab = build_vocabulary(
+            (stream_subtoken_texts(r, "name") for r in records), min_frequency=2
+        )
         assert "mul" in vocab
         assert "add" not in vocab
         assert vocab.encode("add") == UNK_ID
@@ -203,8 +205,8 @@ class TestVocabulary:
     def test_same_corpus_same_vocabulary(self):
         documents = load_directory(bundled_corpus_dir())
         records = ordered_records(documents, documents.keys())
-        v1 = build_vocabulary(records, "statement")
-        v2 = build_vocabulary(records, "statement")
+        v1 = build_vocabulary(stream_subtoken_texts(r, "statement") for r in records)
+        v2 = build_vocabulary(stream_subtoken_texts(r, "statement") for r in records)
         assert v1 == v2
 
 

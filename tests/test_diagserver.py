@@ -2,6 +2,7 @@
 
 import io
 import json
+import logging
 
 import pytest
 
@@ -81,6 +82,21 @@ def test_read_message_ignores_extra_headers():
 
 def test_read_message_without_length_is_end_of_input():
     assert read_message(io.BytesIO(b"Content-Type: text/plain\r\n\r\nxx")) is None
+
+
+class PipeWithWriterOpen(io.BytesIO):
+    """Stands in for a pipe whose client keeps its end open: read(-1) would block."""
+
+    def read(self, size=-1):
+        assert size is not None and size >= 0, "read to the end of input"
+        return super().read(size)
+
+
+def test_read_message_negative_length_is_never_read(caplog):
+    stream = PipeWithWriterOpen(b"Content-Length: -1\r\n\r\n" + frame(request("exit")))
+    with caplog.at_level(logging.WARNING, logger="lemname.diagserver"):
+        assert read_message(stream) is None
+    assert "Content-Length" in caplog.text
 
 
 def test_read_message_truncated_body():

@@ -6,13 +6,19 @@ import struct
 import numpy as np
 import pytest
 
+import lemname.corpus
+import lemname.model
 from lemname.chop import ChopConfig
 from lemname.corpus import (
     BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    UNK_ID,
     DatasetSplit,
     generate_synthetic_corpus,
     load_directory,
     ordered_records,
+    stream_subtoken_texts,
 )
 from lemname.model import (
     ALL_STREAMS,
@@ -146,6 +152,24 @@ def test_training_is_deterministic(tiny_corpus):
         assert np.array_equal(value, second.parameter_state[name])
 
 
+def test_training_subtokenizes_each_record_stream_once(tiny_corpus, monkeypatch):
+    documents, split = tiny_corpus
+    calls = {}
+    original = lemname.corpus.stream_subtoken_texts
+
+    def counting(record, stream, *args, **kwargs):
+        calls[(id(record), stream)] = calls.get((id(record), stream), 0) + 1
+        return original(record, stream, *args, **kwargs)
+
+    monkeypatch.setattr(lemname.corpus, "stream_subtoken_texts", counting)
+    monkeypatch.setattr(lemname.model, "stream_subtoken_texts", counting)
+    config = small_config()
+    train(documents, split, config, TrainingConfig(epochs=3, batch_size=8, seed=0))
+    records = ordered_records(documents, split.train + split.validation)
+    assert len(calls) == len(records) * (len(config.inputs) + 1)
+    assert set(calls.values()) == {1}
+
+
 def test_training_seed_changes_parameters(tiny_corpus):
     documents, split = tiny_corpus
     first, _ = train(documents, split, small_config(), TrainingConfig(epochs=1, seed=0))
@@ -197,8 +221,9 @@ def test_stream_texts_respects_max_input_len(trained):
     record = ordered_records(documents, split.train)[0]
     config = dataclasses.replace(checkpoint.config, max_input_len=5)
     model = LemmaNameModel(config, checkpoint.chop_config, checkpoint.lexicon, checkpoint.vocabularies)
-    texts = model.stream_texts(record)
-    assert all(len(seq) <= 5 for seq in texts.values())
+    prepared = model.prepare(record)
+    assert all(len(ids) <= 5 for ids in prepared.stream_ids.values())
+    assert len(prepared.source_texts) == sum(len(ids) for ids in prepared.stream_ids.values())
 
 
 def test_empty_stream_raises(trained):
@@ -207,7 +232,7 @@ def test_empty_stream_raises(trained):
     record = ordered_records(documents, split.train)[0]
     gutted = dataclasses.replace(record, statement_tokens=())
     with pytest.raises(EmptyInput) as err:
-        model.stream_texts(gutted)
+        model.prepare(gutted)
     assert err.value.stream == "statement"
 
 
@@ -237,17 +262,17 @@ def test_batch_padding_matches_single_encoding(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()
     records = ordered_records(documents, split.train)
-    lengths = {len(model.stream_texts(r)["statement"]) for r in records[:4]}
+    prepared = [model.prepare(r) for r in records[:4]]
+    lengths = {len(p.stream_ids["statement"]) for p in prepared}
     assert len(lengths) > 1, "fixture should mix statement lengths"
-    batched = model._encode_batch(records[:4])
-    for i, record in enumerate(records[:4]):
-        single = model._encode_batch([record])
-        for stream_index in range(len(model.config.inputs)):
-            np.testing.assert_allclose(
-                batched.finals[stream_index].data[i],
-                single.finals[stream_index].data[0],
-                atol=1e-12,
-            )
+    batched = model._encode(prepared, keep_graph=False)
+    for i, one in enumerate(prepared):
+        single = model._encode([one], keep_graph=True)
+        np.testing.assert_allclose(batched.state.data[i], single.state.data[0], atol=1e-12)
+        real = batched.mask[i] > 0
+        assert real.sum() == single.mask.size
+        np.testing.assert_allclose(batched.hidden.data[i][real], single.hidden.data[0], atol=1e-12)
+        assert np.array_equal(batched.source_ext_ids[i][real], one.source_ext_ids)
 
 
 # ------------------------------------------------------------------- decoding
@@ -256,45 +281,109 @@ def test_batch_padding_matches_single_encoding(trained):
 def test_decode_distribution_sums_to_one(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()
-    for record in ordered_records(documents, split.validation)[:3]:
-        source = model.encode(record)
-        state = model.combine(source)
-        previous = BOS_ID
-        for _ in range(4):
-            state, dist = model.decode_step(state, previous, source)
-            assert dist.probabilities.shape == (len(dist.texts),)
-            assert np.all(dist.probabilities >= 0.0)
-            assert abs(dist.probabilities.sum() - 1.0) < 1e-10
-            previous = int(np.argmax(dist.probabilities[: len(model.vocabularies["output"])]))
+    base = len(model.vocabularies["output"])
+    prepared = [model.prepare(r) for r in ordered_records(documents, split.validation)[:3]]
+    batch = model._encode(prepared, keep_graph=False)
+    state = batch.state
+    previous = np.full(len(prepared), BOS_ID)
+    for _ in range(4):
+        state, probs = model._distribution(state, previous, batch)
+        for row, record in enumerate(prepared):
+            own = base + len(record.oov_texts)
+            assert np.all(probs[row, :own] >= 0.0)
+            assert abs(probs[row, :own].sum() - 1.0) < 1e-10
+            assert not probs[row, own:].any()
+        previous = np.argmax(probs[:, :base], axis=1)
 
 
 def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()
     record = ordered_records(documents, split.test)[0]
-    source = model.encode(record)
+    prepared = model.prepare(record)
     out_vocab = model.vocabularies["output"]
     base = len(out_vocab)
-    assert source.oov_texts == tuple(
-        dict.fromkeys(t for t in source.source_texts if t not in out_vocab)
+    assert prepared.oov_texts == tuple(
+        dict.fromkeys(t for t in prepared.source_texts if t not in out_vocab)
     )
-    for position, text in enumerate(source.source_texts):
-        ext_id = source.source_ext_ids[position]
-        if text in out_vocab:
-            assert out_vocab.decode(int(ext_id)) == text
+    assert prepared.oov_texts, "fixture should have out-of-vocabulary sources"
+
+    def ext_text(ext_id):
+        return out_vocab.decode(int(ext_id)) if ext_id < base else prepared.oov_texts[ext_id - base]
+
+    for position, text in enumerate(prepared.source_texts):
+        assert ext_text(prepared.source_ext_ids[position]) == text
+    name = stream_subtoken_texts(record, "name")
+    assert len(prepared.target_ext_ids) == len(name)
+    for text, ext_id in zip(name, prepared.target_ext_ids):
+        if text in out_vocab or text in prepared.oov_texts:
+            assert ext_text(ext_id) == text
         else:
-            assert source.oov_texts[ext_id - base] == text
+            assert ext_id == -1
 
 
-def test_beam_width_one_matches_greedy(trained):
+def reference_greedy(model, records) -> list:
+    """Argmax decoding, one sub-token per step, independent of the beam search."""
+    prepared = [model.prepare(r) for r in records]
+    base = len(model.vocabularies["output"])
+    batch = model._encode(prepared, keep_graph=False)
+    state = batch.state
+    previous = np.full(len(prepared), BOS_ID)
+    names = [[] for _ in prepared]
+    finished = [False] * len(prepared)
+    for step in range(model.config.max_output_len):
+        state, probs = model._distribution(state, previous, batch)
+        for row, record in enumerate(prepared):
+            if finished[row]:
+                continue
+            own = probs[row, : base + len(record.oov_texts)].copy()
+            own[[PAD_ID, BOS_ID] + ([EOS_ID] if step == 0 else [])] = -1.0
+            best = int(np.argmax(own))
+            if best == EOS_ID:
+                finished[row] = True
+                continue
+            text = model.vocabularies["output"].decode(best) if best < base else record.oov_texts[best - base]
+            names[row].append(text)
+            previous[row] = best if best < base else UNK_ID
+    return ["".join(texts) for texts in names]
+
+
+def test_beam_width_one_matches_reference_greedy(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()
-    records = ordered_records(documents, split.train)[:6]
-    greedy = model.greedy_names(records)
-    for record, expected in zip(records, greedy):
-        suggestions = model.suggest(record, k=1)
-        assert suggestions, "beam search returned nothing"
-        assert suggestions[0].name == expected
+    records = ordered_records(documents, split.train + split.validation)
+    expected = reference_greedy(model, records)
+    found = model.suggest_many(records, 1)
+    assert [len(s) for s in found] == [1] * len(records)
+    assert [s[0].name for s in found] == expected
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_suggest_many_matches_per_record_suggest(trained, k):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    records = ordered_records(documents, split.validation + split.test)
+    batched = model.suggest_many(records, k)
+    assert len(batched) == len(records)
+    for record, together in zip(records, batched):
+        alone = model.suggest(record, k)
+        assert [(s.name, s.sub_tokens) for s in together] == [(s.name, s.sub_tokens) for s in alone]
+        np.testing.assert_allclose(
+            [s.score for s in together], [s.score for s in alone], rtol=0, atol=1e-9
+        )
+
+
+def test_eos_biased_model_never_suggests_empty_name(trained):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    # End the name at once: EOS dominates the output layer, and the gate generates.
+    model.parameters["out.b"].data[EOS_ID] = 30.0
+    model.parameters["copy.b"].data[:] = 30.0
+    record = ordered_records(documents, split.train)[0]
+    best = model.suggest(record, 1)
+    assert len(best) == 1 and best[0].name
+    wider = model.suggest(record, 3)
+    assert wider and all(s.name for s in wider)
 
 
 def test_suggestions_are_ranked_and_unique(trained):
@@ -321,16 +410,16 @@ def test_suggest_rejects_nonpositive_k(trained):
         model.suggest(record, k=0)
 
 
-def test_greedy_names_empty_input(trained):
+def test_suggest_many_empty_input(trained):
     checkpoint, _, _, _ = trained
-    assert checkpoint.to_model().greedy_names([]) == []
+    assert checkpoint.to_model().suggest_many([]) == []
 
 
 def test_trained_model_overfits_training_set(trained):
     checkpoint, metrics, documents, split = trained
     model = checkpoint.to_model()
     records = ordered_records(documents, split.train)
-    names = model.greedy_names(records)
+    names = [best[0].name for best in model.suggest_many(records, 1)]
     top1 = sum(n == r.name for n, r in zip(names, records)) / len(records)
     assert top1 >= 0.75
     assert metrics[-1].train_loss < metrics[0].train_loss / 2
@@ -379,7 +468,7 @@ def test_checkpoint_restores_model_behaviour(trained, tmp_path):
     restored = load_checkpoint(path).to_model()
     original = checkpoint.to_model()
     records = ordered_records(documents, split.validation)[:3]
-    assert restored.greedy_names(records) == original.greedy_names(records)
+    assert restored.suggest_many(records) == original.suggest_many(records)
     assert float(restored.loss(records).data) == float(original.loss(records).data)
     assert restored.vocabularies == checkpoint.vocabularies
     assert restored.config == checkpoint.config
