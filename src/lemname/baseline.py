@@ -20,7 +20,7 @@ from .model import (
     CORPUS_STREAM_OF,
     STREAM_KERNEL,
     STREAM_STATEMENT,
-    EmptyInput,
+    EmptyStream,
     EmptyTrainingSet,
     Suggestion,
 )
@@ -70,7 +70,7 @@ class RetrievalBaseline:
                 record, CORPUS_STREAM_OF[stream], self.chop_config, self.lexicon
             )
             if not texts:
-                raise EmptyInput(stream)
+                raise EmptyStream(stream)
             bag.update(texts)
         return bag
 
@@ -108,3 +108,7 @@ class RetrievalBaseline:
             if len(suggestions) == k:
                 break
         return suggestions
+
+    def suggest_many(self, records, k: int = 5) -> list:
+        """suggest(record, k) for each record, in order."""
+        return [self.suggest(record, k) for record in records]

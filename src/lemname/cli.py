@@ -33,7 +33,7 @@ from .metrics import EmptyTestSet, evaluate
 from .model import (
     CorruptCheckpoint,
     DEFAULT_INPUT_CONFIG,
-    EmptyInput,
+    EmptyStream,
     EmptyTrainingSet,
     INPUT_CONFIGS,
     ModelConfig,
@@ -443,7 +443,7 @@ _DOMAIN_ERRORS = (
     TooFewDocuments,
     EmptyTrainingSet,
     EmptyTestSet,
-    EmptyInput,
+    EmptyStream,
     VersionMismatch,
     CorruptCheckpoint,
     ValueError,

@@ -32,7 +32,6 @@ from .corpus import (
 from .subtok import DEFAULT_LEXICON, SuffixLexicon
 from .nn import (
     AdamState,
-    GruParams,
     Parameters,
     Rng,
     Tensor,
@@ -47,6 +46,7 @@ from .nn import (
     gather_index,
     gru_cell,
     gru_params,
+    gru_sequence,
     linear_init,
     log,
     matmul,
@@ -85,9 +85,12 @@ CHECKPOINT_MAGIC = b"LNCK"
 CHECKPOINT_VERSION = 1
 
 _LOG_FLOOR = 1e-12  # keeps -log finite when a target is neither generable nor copyable
+# Records per beam search. A search holds every record's encoder states,
+# so larger inputs (a whole test set) decode in groups of this size.
+_DECODE_GROUP = 32
 
 
-class EmptyInput(Exception):
+class EmptyStream(Exception):
     """A record produced zero sub-tokens for an enabled stream."""
 
     def __init__(self, stream: str):
@@ -283,7 +286,7 @@ class LemmaNameModel:
         for stream in cfg.inputs:
             seq = texts[stream][: cfg.max_input_len]
             if not seq:
-                raise EmptyInput(stream)
+                raise EmptyStream(stream)
             vocab = self.vocabularies[stream]
             stream_ids[stream] = np.array([vocab.encode(t) for t in seq], dtype=np.int64)
             source.extend(seq)
@@ -304,26 +307,14 @@ class LemmaNameModel:
 
     # ------------------------------------------------------------------ encoder
 
-    def _run_direction(self, emb: Tensor, masks: list, cell: GruParams, reverse: bool, detach):
-        batch, length = emb.shape[0], emb.shape[1]
-        width = cell.w_h.shape[0]
-        h = Tensor(np.zeros((batch, width)))
-        outputs = [None] * length
-        steps = range(length - 1, -1, -1) if reverse else range(length)
-        for t in steps:
-            stepped = gru_cell(emb[:, t, :], h, cell)
-            h = detach(masks[t] * stepped + (1.0 - masks[t]) * h)
-            outputs[t] = h
-        return outputs, h
-
     def _encode(self, prepared, keep_graph: bool) -> _Batch:
         """Run the encoders over prepared records padded to one batch.
 
-        Without keep_graph the autodiff graph is cut after every step, so
-        inference holds one step's intermediate arrays at a time.
+        Each direction of each stream is one gru_sequence call. Without
+        keep_graph no activations are kept for backward, and the batch
+        holds graph-free tensors.
         """
         cfg = self.config
-        detach = (lambda t: t) if keep_graph else (lambda t: Tensor(t.data))
         batch = len(prepared)
         starts = [0] * batch
         hidden_parts, mask_parts, ext_parts, finals = [], [], [], []
@@ -339,28 +330,29 @@ class LemmaNameModel:
                 mask[b, : len(seq)] = 1.0
                 starts[b] += len(seq)
             emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
-            masks = [Tensor(mask[:, t : t + 1]) for t in range(length)]
             cells = self._encoders[stream]
-            fwd_out, fwd_final = self._run_direction(emb, masks, cells["fwd"], False, detach)
+            # Padding carries the state, so the last (forward) and first
+            # (backward) positions hold each record's final state.
+            states = gru_sequence(emb, mask, cells["fwd"], reverse=False, keep_graph=keep_graph)
+            final = states[:, -1]
             if cfg.bidirectional:
-                bwd_out, bwd_final = self._run_direction(emb, masks, cells["bwd"], True, detach)
-                positions = [concat([f, b_], axis=1) for f, b_ in zip(fwd_out, bwd_out)]
-                final = concat([fwd_final, bwd_final], axis=1)
-            else:
-                positions, final = fwd_out, fwd_final
-            hidden_parts.append(
-                concat([reshape(p, (batch, 1, cfg.hidden_dim)) for p in positions], axis=1)
-            )
+                backward_states = gru_sequence(emb, mask, cells["bwd"], reverse=True, keep_graph=keep_graph)
+                states = concat([states, backward_states], axis=2)
+                final = concat([final, backward_states[:, 0]], axis=1)
+            hidden_parts.append(states)
             mask_parts.append(mask)
             ext_parts.append(ext)
             finals.append(final)
         fused = concat(finals, axis=1)
         state = tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
+        hidden = concat(hidden_parts, axis=1)
+        if not keep_graph:
+            hidden, state = Tensor(hidden.data), Tensor(state.data)
         return _Batch(
-            hidden=detach(concat(hidden_parts, axis=1)),
+            hidden=hidden,
             mask=np.concatenate(mask_parts, axis=1),
             source_ext_ids=np.concatenate(ext_parts, axis=1),
-            state=detach(state),
+            state=state,
         )
 
     # ------------------------------------------------------------------ decoder
@@ -465,11 +457,13 @@ class LemmaNameModel:
     def suggest_many(self, records, k: int | None = None) -> list:
         """Top-k names per record by one beam search over (records x k) rows.
 
-        Records may be given already prepared. Finished hypotheses occupy
-        beam slots, so width 1 is exact greedy decoding. The first step
-        cannot end a name, so no name is empty. Scores are mean
-        log-probability per emitted sub-token (end marker included); ties
-        break lexicographically on the sub-tokens; names are deduplicated.
+        More than _DECODE_GROUP records decode as one search per group of
+        that many, so memory stays bounded. Records may be given already
+        prepared. Finished hypotheses occupy beam slots, so width 1 is
+        exact greedy decoding. The first step cannot end a name, so no
+        name is empty. Scores are mean log-probability per emitted
+        sub-token (end marker included); ties break lexicographically on
+        the sub-tokens; names are deduplicated.
         """
         width = self.config.beam_width if k is None else k
         if width < 1:
@@ -477,6 +471,12 @@ class LemmaNameModel:
         prepared = [r if isinstance(r, PreparedRecord) else self.prepare(r) for r in records]
         if not prepared:
             return []
+        if len(prepared) > _DECODE_GROUP:
+            return [
+                suggestions
+                for start in range(0, len(prepared), _DECODE_GROUP)
+                for suggestions in self.suggest_many(prepared[start : start + _DECODE_GROUP], width)
+            ]
         out_texts = self.vocabularies["output"].texts
         base = len(out_texts)
         ext_texts = [out_texts + p.oov_texts for p in prepared]

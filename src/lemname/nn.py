@@ -2,9 +2,12 @@
 
 A Tensor wraps a numpy array and remembers how it was computed; backward
 walks the recorded graph once, iteratively, and accumulates gradients
-into .grad. Every operation checks its output for NaN/inf so numerical
-trouble surfaces at the op that caused it, and everything downstream of
-a fixed seed is bit-reproducible.
+into .grad. Numerical checks are per op: each op that can produce
+NaN/inf checks its own output, so trouble surfaces at the op that caused
+it, and backward checks every gradient it passes on. gru_sequence, which
+runs a whole recurrent direction as one op, checks its output sequence
+once rather than per step. Everything downstream of a fixed seed is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -154,8 +157,12 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def _sigmoid(data: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(data, -709.0, 709.0)))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-np.clip(a.data, -709.0, 709.0)))
+    out = _sigmoid(a.data)
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -449,6 +456,85 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     update = sigmoid(gates_x[:, hidden : 2 * hidden] + gates_h[:, hidden : 2 * hidden])
     candidate = tanh(gates_x[:, 2 * hidden :] + reset * gates_h[:, 2 * hidden :])
     return update * h + (1.0 - update) * candidate
+
+
+def gru_sequence(x: Tensor, mask, params: GruParams, reverse: bool = False, keep_graph: bool = True) -> Tensor:
+    """One GRU direction over a padded batch: x is (B, T, in), mask is (B, T).
+
+    Returns every position's state as one (B, T, hidden) tensor, starting
+    from a zero state. Where the mask is 0 the state is carried unchanged,
+    so out[:, -1] (forward) or out[:, 0] (reverse) is each row's state
+    after its last real position. The values equal a chain of gru_cell
+    steps with that carry, but x @ w_x + b is one GEMM outside the time
+    loop, and backward is hand-written BPTT that leaves dx, dw_x and db to
+    one GEMM or reduction each after the loop. Without keep_graph no
+    per-step activations are kept and the result has no gradient.
+    """
+    mask = np.asarray(mask)
+    hidden = params.w_h.shape[0]
+    if (
+        x.data.ndim != 3
+        or mask.shape != x.shape[:2]
+        or params.w_x.shape != (x.shape[2], 3 * hidden)
+        or params.w_h.shape != (hidden, 3 * hidden)
+        or params.b.shape != (3 * hidden,)
+    ):
+        raise ShapeMismatch(
+            f"gru_sequence: x {x.shape}, mask {mask.shape}, w_x {params.w_x.shape}, "
+            f"w_h {params.w_h.shape}, b {params.b.shape}"
+        )
+    batch, length, width = x.shape
+    w_x, w_h = params.w_x.data, params.w_h.data
+    flat_x = x.data.reshape(batch * length, width)
+    gates_x = flat_x @ w_x
+    gates_x += params.b.data  # in place: no second (B*T, 3*hidden) array at peak memory
+    gates_x = gates_x.reshape(batch, length, 3 * hidden)
+    real = (mask > 0)[:, :, None]
+    steps = range(length - 1, -1, -1) if reverse else range(length)
+    out = np.empty((batch, length, hidden))
+    saved = []  # per step: previous state, reset|update gates, candidate, h @ w_h candidate block
+    h = np.zeros((batch, hidden))
+    for t in steps:
+        gx = gates_x[:, t]
+        gh = h @ w_h
+        gates = _sigmoid(gx[:, : 2 * hidden] + gh[:, : 2 * hidden])
+        reset, update = gates[:, :hidden], gates[:, hidden:]
+        candidate = np.tanh(gx[:, 2 * hidden :] + reset * gh[:, 2 * hidden :])
+        if keep_graph:
+            saved.append((h, gates, candidate, gh[:, 2 * hidden :]))
+        h = np.where(real[:, t], update * h + (1.0 - update) * candidate, h)
+        out[:, t] = h
+    _finite(out, "gru_sequence")
+    if not keep_graph:
+        return Tensor(out)
+
+    def backward(g):
+        d_gates_x = np.zeros((batch, length, 3 * hidden))
+        d_w_h = np.zeros_like(w_h)
+        carry = np.zeros((batch, hidden))
+        for t, (h_prev, gates, candidate, gh_candidate) in zip(reversed(steps), reversed(saved)):
+            reset, update = gates[:, :hidden], gates[:, hidden:]
+            d_h = g[:, t] + carry
+            d_out = np.where(real[:, t], d_h, 0.0)
+            d_step = d_gates_x[:, t]
+            d_candidate = d_out * (1.0 - update) * (1.0 - candidate * candidate)
+            d_step[:, :hidden] = d_candidate * gh_candidate
+            d_step[:, hidden : 2 * hidden] = d_out * (h_prev - candidate)
+            d_step[:, : 2 * hidden] *= gates * (1.0 - gates)
+            d_step[:, 2 * hidden :] = d_candidate
+            d_gates_h = d_step.copy()
+            d_gates_h[:, 2 * hidden :] *= reset
+            d_w_h += h_prev.T @ d_gates_h
+            carry = np.where(real[:, t], d_out * update + d_gates_h @ w_h.T, d_h)
+        d_flat = d_gates_x.reshape(batch * length, 3 * hidden)
+        return (
+            (d_flat @ w_x.T).reshape(batch, length, width),
+            flat_x.T @ d_flat,
+            d_w_h,
+            d_flat.sum(axis=0),
+        )
+
+    return Tensor(out, (x, params.w_x, params.w_h, params.b), backward)
 
 
 class AdamState:

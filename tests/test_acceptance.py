@@ -213,6 +213,28 @@ def test_criterion_01_gradient_correctness(tmp_path):
     finite_difference_check(params, gru_loss, rng, n_coords=24, step=1e-5, rtol=1e-4)
     checked.append("gru_cell")
 
+    # GRU sequence: both directions over a ragged mask, gradients through
+    # the inputs and every weight.
+    params = nn.Parameters()
+    forward = nn.gru_params(params, "fwd", init, input_dim=5, hidden_dim=6)
+    reverse = nn.gru_params(params, "bwd", init, input_dim=5, hidden_dim=6)
+    params.add("x", draw.normal(size=(3, 6, 5)))
+    mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in (6, 3, 1)])
+    weights = nn.Tensor(draw.normal(size=(3, 6, 12)))
+
+    def sequence_loss():
+        states = nn.concat(
+            [
+                nn.gru_sequence(params["x"], mask, forward, reverse=False),
+                nn.gru_sequence(params["x"], mask, reverse, reverse=True),
+            ],
+            axis=2,
+        )
+        return nn.sum_(nn.tanh(nn.mul(states, weights)))
+
+    finite_difference_check(params, sequence_loss, rng, n_coords=24, step=1e-5, rtol=1e-4)
+    checked.append("gru_sequence")
+
     # Full pipeline loss on a 2-example batch with the complete architecture.
     generate_synthetic_corpus(tmp_path / "data", seed=7, n_docs=5, lemmas_per_doc=4)
     documents = load_directory(tmp_path / "data")

@@ -13,7 +13,7 @@ from lemname.corpus import (
     ordered_records,
     split_corpus,
 )
-from lemname.model import EmptyInput, EmptyTrainingSet, Suggestion
+from lemname.model import EmptyStream, EmptyTrainingSet, Suggestion
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_rejects_nonpositive_k(baseline, corpus):
 def test_empty_stream_raises(baseline, corpus):
     _, test = corpus
     gutted = dataclasses.replace(test[0], statement_tokens=())
-    with pytest.raises(EmptyInput):
+    with pytest.raises(EmptyStream):
         baseline.suggest(gutted, k=1)
 
 

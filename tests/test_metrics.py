@@ -9,7 +9,6 @@ import pytest
 
 from lemname import metrics
 from lemname.metrics import (
-    EmptyName,
     EmptyReference,
     EmptyTestSet,
     EvalReport,
@@ -19,7 +18,7 @@ from lemname.metrics import (
     topk_accuracy,
 )
 from lemname.model import Suggestion
-from lemname.subtok import subtokenize_name
+from lemname.subtok import EmptyName, subtokenize_name
 
 # Hand evaluation of candidate [mg,_,eq] vs reference [mg,_,eq,_,nerode]:
 # every 1/2/3-gram of the candidate occurs in the reference, the candidate
@@ -220,6 +219,9 @@ class FixedSuggester:
             for i, n in enumerate(names)
         ]
 
+    def suggest_many(self, records, k=5):
+        return [self.suggest(r, k) for r in records]
+
 
 def record(name):
     return SimpleNamespace(name=name)
@@ -297,6 +299,16 @@ def test_report_text_rendering():
     assert "top-1 accuracy:    0.5000" in text
     assert "join_gA" in text and "mul_comm" in text
     assert text.endswith("\n")
+
+
+def test_report_labels_top_k_below_five():
+    records = [record("join_gA"), record("mul_comm")]
+    suggester = FixedSuggester({"join_gA": ["x", "y", "join_gA"], "mul_comm": ["nope"]})
+    text = evaluate(suggester, records, k=3).to_text()
+    assert "top-3 accuracy:    0.5000" in text
+    assert "top1  top3  bleu4" in text
+    assert "top-5" not in text and "top5" not in text
+    assert "top-5 accuracy:" in evaluate(suggester, records, k=7).to_text()
 
 
 def test_report_jsonl_rendering():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from lemname.corpus import (
     ordered_records,
     stream_subtoken_texts,
 )
+from lemname.metrics import evaluate
 from lemname.model import (
     ALL_STREAMS,
     INPUT_CONFIGS,
     CorruptCheckpoint,
-    EmptyInput,
+    EmptyStream,
     EmptyTrainingSet,
     LemmaNameModel,
     ModelConfig,
@@ -231,7 +233,7 @@ def test_empty_stream_raises(trained):
     model = checkpoint.to_model()
     record = ordered_records(documents, split.train)[0]
     gutted = dataclasses.replace(record, statement_tokens=())
-    with pytest.raises(EmptyInput) as err:
+    with pytest.raises(EmptyStream) as err:
         model.prepare(gutted)
     assert err.value.stream == "statement"
 
@@ -266,6 +268,10 @@ def test_batch_padding_matches_single_encoding(trained):
     lengths = {len(p.stream_ids["statement"]) for p in prepared}
     assert len(lengths) > 1, "fixture should mix statement lengths"
     batched = model._encode(prepared, keep_graph=False)
+    # Inference and training run the same encoder loop.
+    graphed = model._encode(prepared, keep_graph=True)
+    assert np.array_equal(batched.hidden.data, graphed.hidden.data)
+    assert np.array_equal(batched.state.data, graphed.state.data)
     for i, one in enumerate(prepared):
         single = model._encode([one], keep_graph=True)
         np.testing.assert_allclose(batched.state.data[i], single.state.data[0], atol=1e-12)
@@ -370,6 +376,44 @@ def test_suggest_many_matches_per_record_suggest(trained, k):
         assert [(s.name, s.sub_tokens) for s in together] == [(s.name, s.sub_tokens) for s in alone]
         np.testing.assert_allclose(
             [s.score for s in together], [s.score for s in alone], rtol=0, atol=1e-9
+        )
+
+
+def test_suggest_many_decodes_large_inputs_in_groups(trained, monkeypatch):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    records = ordered_records(documents, split.train + split.validation + split.test)
+    whole = model.suggest_many(records, 3)
+    monkeypatch.setattr(lemname.model, "_DECODE_GROUP", 3)
+    searches = []
+    encode = model._encode
+    monkeypatch.setattr(model, "_encode", lambda p, keep_graph: searches.append(len(p)) or encode(p, keep_graph))
+    grouped = model.suggest_many(records, 3)
+    assert sum(searches) == len(records) and max(searches) == 3
+    assert [[s.name for s in row] for row in grouped] == [[s.name for s in row] for row in whole]
+    for together, apart in zip(whole, grouped):
+        np.testing.assert_allclose([s.score for s in apart], [s.score for s in together], rtol=0, atol=1e-9)
+
+
+def test_evaluate_makes_one_suggest_many_call_like_per_record_suggest(trained, monkeypatch):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    records = ordered_records(documents, split.validation + split.test)
+    one_by_one = SimpleNamespace(suggest_many=lambda rs, k: [model.suggest(r, k) for r in rs])
+    expected = evaluate(one_by_one, records, k=3)
+    calls = []
+    batched = model.suggest_many
+    monkeypatch.setattr(model, "suggest_many", lambda rs, k: calls.append(len(rs)) or batched(rs, k))
+    report = evaluate(model, records, k=3)
+    assert calls == [len(records)]
+    assert len(report.rows) == len(expected.rows) == len(records)
+    for row, want in zip(report.rows, expected.rows):
+        assert (row.name, row.bleu4, row.fragment_accuracy, row.top1, row.top5) == (
+            want.name, want.bleu4, want.fragment_accuracy, want.top1, want.top5
+        )
+        assert [s.name for s in row.suggestions] == [s.name for s in want.suggestions]
+        np.testing.assert_allclose(
+            [s.score for s in row.suggestions], [s.score for s in want.suggestions], rtol=0, atol=1e-9
         )
 
 

@@ -22,6 +22,7 @@ from lemname.nn import (
     gather_index,
     gru_cell,
     gru_params,
+    gru_sequence,
     linear_init,
     log,
     matmul,
@@ -245,6 +246,63 @@ class TestGru:
             return sum_(h * h)
 
         finite_difference_check(params, loss, np_rng, n_coords=20)
+
+
+def _chained_gru(x, mask, cell, reverse):
+    """Reference: gru_cell per position, padding carries the state."""
+    batch, length, _ = x.shape
+    h = Tensor(np.zeros((batch, cell.w_h.shape[0])))
+    states = [None] * length
+    for t in range(length - 1, -1, -1) if reverse else range(length):
+        keep = Tensor(mask[:, t : t + 1])
+        h = keep * gru_cell(x[:, t, :], h, cell) + (1.0 - keep) * h
+        states[t] = reshape(h, (batch, 1, h.shape[1]))
+    return concat(states, axis=1)
+
+
+class TestGruSequence:
+    def make(self):
+        rng = np.random.default_rng(12)
+        params = Parameters()
+        cell = gru_params(params, "g", Rng(4), input_dim=5, hidden_dim=6)
+        cell.b.data = rng.normal(size=18)
+        x = params.add("x", rng.normal(size=(4, 7, 5)))
+        mask = np.array([[1.0] * n + [0.0] * (7 - n) for n in (7, 2, 5, 1)])
+        weights = Tensor(rng.normal(size=(4, 7, 6)))
+        return params, cell, x, mask, weights
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    def test_matches_chained_cells(self, reverse):
+        params, cell, x, mask, weights = self.make()
+        reference = _chained_gru(x, mask, cell, reverse)
+        backward(sum_(reference * weights), params)
+        expected = {name: t.grad.copy() for name, t in params.items()}
+        out = gru_sequence(x, mask, cell, reverse)
+        assert np.array_equal(out.data, reference.data)
+        backward(sum_(out * weights), params)
+        for name in ("x", "g.w_x", "g.w_h", "g.b"):
+            np.testing.assert_allclose(params[name].grad, expected[name], rtol=0, atol=1e-10)
+
+    def test_without_graph_same_values_no_parents(self):
+        _, cell, x, mask, _ = self.make()
+        free = gru_sequence(x, mask, cell, keep_graph=False)
+        assert free._parents == () and free._backward is None
+        assert np.array_equal(free.data, gru_sequence(x, mask, cell).data)
+
+    def test_shape_validation(self):
+        _, cell, x, mask, _ = self.make()
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(x, mask[:, :5], cell)
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(x[:, 0, :], mask, cell)
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(x[:, :, :4], mask, cell)
+
+    def test_non_finite_output_raises(self):
+        _, cell, x, mask, _ = self.make()
+        x.data[1, 0, 0] = np.nan
+        with pytest.raises(NonFiniteValue, match="gru_sequence"):
+            gru_sequence(x, mask, cell)
 
 
 class TestAdam:
