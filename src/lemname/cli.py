@@ -322,7 +322,7 @@ def cmd_evaluate(args) -> int:
         )
     else:
         suggester = _load_model(args.model)
-    report = evaluate(suggester, test_records, k=args.k, lexicon=suggester.lexicon)
+    report = evaluate(suggester, test_records, k=args.k)
     sys.stdout.write(report.to_text())
     if args.report:
         Path(args.report).write_text(report.to_jsonl(), encoding="utf-8")

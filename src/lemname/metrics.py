@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .subtok import DEFAULT_LEXICON, EmptyName, subtokenize_name
+from .subtok import EmptyName, subtokenize_name
 
 
 # Hand-derived golden values. The BLEU case is a correct 3-sub-token
@@ -181,12 +181,13 @@ def _canonical(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def evaluate(suggester, records, k: int = 5, lexicon=DEFAULT_LEXICON) -> EvalReport:
+def evaluate(suggester, records, k: int = 5) -> EvalReport:
     """Score a suggester (model or baseline) over a test set.
 
     The suggester must expose suggest_many(records, k) returning ranked
-    suggestions per record; it is called once, so a model decodes the
-    whole set as one batch. BLEU-4 and fragment accuracy judge the top
+    suggestions per record, and the lexicon that splits names into its
+    sub-tokens, which splits the references too. suggest_many is called
+    once, so a model decodes the whole set as one batch. BLEU-4 and fragment accuracy judge the top
     suggestion; top-1/top-5 look for the reference among the first 1/5
     names. Rows keep test-set order; averages are arithmetic means.
     """
@@ -196,7 +197,7 @@ def evaluate(suggester, records, k: int = 5, lexicon=DEFAULT_LEXICON) -> EvalRep
     rows = []
     for record, suggestions in zip(records, suggester.suggest_many(records, k)):
         suggestions = tuple(suggestions)
-        reference_subtokens = [t.text for t in subtokenize_name(record.name, lexicon)]
+        reference_subtokens = [t.text for t in subtokenize_name(record.name, suggester.lexicon)]
         if suggestions:
             best = suggestions[0]
             row_bleu = bleu4(best.sub_tokens, reference_subtokens)

@@ -6,7 +6,10 @@ states are fused by one affine+tanh layer into the decoder's initial
 state. The GRU decoder emits name sub-tokens with multiplicative
 attention over every encoder position and a pointer-generator gate that
 mixes generating from the output vocabulary with copying source
-sub-tokens, so rare identifiers can be produced verbatim.
+sub-tokens, so rare identifiers can be produced verbatim. Every GRU runs
+through nn.gru_sequence: the decoder GRU never reads the attention
+context, so the teacher-forced loss is one decoder pass over all target
+steps, and beam search runs the same decoder one graph-free step at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .nn import (
     AdamState,
     Parameters,
     Rng,
+    ShapeMismatch,
     Tensor,
     adam_step,
     backward,
@@ -44,7 +48,6 @@ from .nn import (
     embedding_lookup,
     exp,
     gather_index,
-    gru_cell,
     gru_params,
     gru_sequence,
     linear_init,
@@ -331,12 +334,13 @@ class LemmaNameModel:
                 starts[b] += len(seq)
             emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
             cells = self._encoders[stream]
+            zero = Tensor(np.zeros((batch, cells["fwd"].w_h.shape[0])))
             # Padding carries the state, so the last (forward) and first
             # (backward) positions hold each record's final state.
-            states = gru_sequence(emb, mask, cells["fwd"], reverse=False, keep_graph=keep_graph)
+            states = gru_sequence(emb, mask, zero, cells["fwd"], reverse=False, keep_graph=keep_graph)
             final = states[:, -1]
             if cfg.bidirectional:
-                backward_states = gru_sequence(emb, mask, cells["bwd"], reverse=True, keep_graph=keep_graph)
+                backward_states = gru_sequence(emb, mask, zero, cells["bwd"], reverse=True, keep_graph=keep_graph)
                 states = concat([states, backward_states], axis=2)
                 final = concat([final, backward_states[:, 0]], axis=1)
             hidden_parts.append(states)
@@ -357,59 +361,65 @@ class LemmaNameModel:
 
     # ------------------------------------------------------------------ decoder
 
-    def _step(self, state: Tensor, input_ids: np.ndarray, batch: _Batch):
-        """One decoder step over record-major (records x hypotheses) rows.
+    def _decode(self, state: Tensor, input_ids: np.ndarray, batch: _Batch, keep_graph: bool):
+        """Decode (N, T) input ids from (N, H) states; N rows are record-major.
 
-        Returns (new_state, vocab dist, attention, p_gen). Attention runs
-        per record over its hypotheses, so encoder states are never tiled.
+        One gru_sequence call runs all T steps (every target step for the
+        loss, 1 for a beam step), then the attention/output/copy head runs
+        over the N * T rows in row-then-step order, attending per record so
+        encoder states are never tiled. Returns (states (N, T, H), vocab
+        dist, attention, p_gen), the last three over the N * T rows.
         """
         cfg = self.config
         params = self.parameters
+        n, steps = input_ids.shape
+        rows = n * steps
         x = embedding_lookup(params["dec.embed"], input_ids)
-        state = gru_cell(x, state, self._decoder_cell)
-        attention = None
-        p_gen = None
+        states = gru_sequence(x, np.ones((n, steps)), state, self._decoder_cell, keep_graph=keep_graph)
+        flat = reshape(states, (rows, cfg.hidden_dim))
+        attention = p_gen = None
         if cfg.use_attention:
             records, length = batch.mask.shape
-            n = state.shape[0]
-            width = n // records
-            query = reshape(matmul(state, params["attn.w"]), (records, width, cfg.hidden_dim))
-            scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (n, length))
+            width = rows // records
+            query = reshape(matmul(flat, params["attn.w"]), (records, width, cfg.hidden_dim))
+            scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
             shift = Tensor(scores.data.max(axis=1, keepdims=True))
             weights = exp(scores - shift) * Tensor(np.repeat(batch.mask, width, axis=0))
             attention = div(weights, sum_(weights, axis=1, keepdims=True))
             context = reshape(
-                bmm(reshape(attention, (records, width, length)), batch.hidden), (n, cfg.hidden_dim)
+                bmm(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
             )
-            features = tanh(matmul(concat([state, context], axis=1), params["out.w_c"]))
+            features = tanh(matmul(concat([flat, context], axis=1), params["out.w_c"]))
             if cfg.use_copy:
-                gate_in = concat([context, state, x], axis=1)
+                gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
                 p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
         else:
-            features = tanh(matmul(state, params["out.w_c"]))
+            features = tanh(matmul(flat, params["out.w_c"]))
         logits = matmul(features, params["out.w"]) + params["out.b"]
-        return state, softmax(logits, axis=1), attention, p_gen
+        return states, softmax(logits, axis=1), attention, p_gen
 
     def _distribution(self, state: Tensor, input_ids: np.ndarray, batch: _Batch):
         """One graph-free decoder step for inference.
 
-        Returns the detached new state and, per row, probabilities over the
-        output vocabulary extended with its record's copyable texts (columns
-        past a record's own texts hold zero).
+        Returns the new state and, per row, probabilities over the output
+        vocabulary extended with its record's copyable texts (columns past
+        a record's own texts hold zero).
         """
-        state, vocab_dist, attention, p_gen = self._step(state, input_ids, batch)
+        states, vocab_dist, attention, p_gen = self._decode(state, input_ids[:, None], batch, keep_graph=False)
+        state = Tensor(states.data[:, 0])
         if not self.config.use_copy:
-            return Tensor(state.data), vocab_dist.data
+            return state, vocab_dist.data
         n, base = vocab_dist.shape
         source = np.repeat(batch.source_ext_ids, n // len(batch.mask), axis=0)
         probs = np.zeros((n, max(base, int(source.max()) + 1)))
         probs[:, :base] = p_gen.data * vocab_dist.data
         np.add.at(probs, (np.arange(n)[:, None], source), (1.0 - p_gen.data) * attention.data)
-        return Tensor(state.data), probs
+        return state, probs
 
     # -------------------------------------------------------------------- loss
 
     def _loss_batch(self, prepared):
+        """Teacher-forced loss: one decoder pass over (records x steps) rows."""
         if not prepared:
             raise EmptyTrainingSet("loss of an empty batch")
         batch = self._encode(prepared, keep_graph=True)
@@ -422,27 +432,20 @@ class LemmaNameModel:
             targets[b, len(p.target_ext_ids)] = EOS_ID
             step_mask[b, : len(p.target_ext_ids) + 1] = 1.0
         generable = (targets >= 0) & (targets < len(self.vocabularies["output"]))
-        in_vocab = generable * step_mask
         target_ids = np.where(generable, targets, UNK_ID)
         input_ids = np.full((n, steps), BOS_ID, dtype=np.int64)
         input_ids[:, 1:] = np.where(step_mask[:, 1:] > 0, target_ids[:, :-1], PAD_ID)
-        match = (targets[:, :, None] == batch.source_ext_ids[:, None, :]) * batch.mask[:, None, :]
-        state = batch.state
-        total = None
-        for t in range(steps):
-            state, vocab_dist, attention, p_gen = self._step(state, input_ids[:, t], batch)
-            generated = gather_index(vocab_dist, target_ids[:, t])
-            if self.config.use_copy:
-                gate = reshape(p_gen, (n,))
-                copied = sum_(attention * Tensor(match[:, t, :]), axis=1)
-                prob = gate * (generated * Tensor(in_vocab[:, t])) + (1.0 - gate) * copied
-            else:
-                prob = generated
-            step_loss = neg(log(prob + _LOG_FLOOR)) * Tensor(step_mask[:, t])
-            total = step_loss if total is None else total + step_loss
+        _, vocab_dist, attention, p_gen = self._decode(batch.state, input_ids, batch, keep_graph=True)
+        prob = gather_index(vocab_dist, target_ids.reshape(-1))
+        if self.config.use_copy:
+            gate = reshape(p_gen, (n * steps,))
+            match = (targets[:, :, None] == batch.source_ext_ids[:, None, :]) * batch.mask[:, None, :]
+            copied = sum_(attention * Tensor(match.reshape(n * steps, -1)), axis=1)
+            in_vocab = (generable * step_mask).reshape(-1)
+            prob = gate * (prob * Tensor(in_vocab)) + (1.0 - gate) * copied
         token_count = int(step_mask.sum())
-        mean = sum_(total) * (1.0 / token_count)
-        return mean, token_count
+        nll = neg(log(prob + _LOG_FLOOR)) * Tensor(step_mask.reshape(-1))
+        return sum_(nll) * (1.0 / token_count), token_count
 
     def loss(self, records) -> Tensor:
         """Mean negative log-likelihood per target sub-token (incl. EOS)."""
@@ -647,13 +650,12 @@ class ModelCheckpoint:
     format_version: int = CHECKPOINT_VERSION
 
     def to_model(self) -> LemmaNameModel:
-        return LemmaNameModel(
-            self.config,
-            self.chop_config,
-            self.lexicon,
-            self.vocabularies,
-            parameter_state=self.parameter_state,
-        )
+        try:
+            return LemmaNameModel(
+                self.config, self.chop_config, self.lexicon, self.vocabularies, parameter_state=self.parameter_state
+            )
+        except (ShapeMismatch, ValueError) as err:
+            raise CorruptCheckpoint(f"parameters do not fit the model: {err}") from err
 
 
 def _config_digest(header: dict) -> str:

@@ -6,8 +6,9 @@ into .grad. Numerical checks are per op: each op that can produce
 NaN/inf checks its own output, so trouble surfaces at the op that caused
 it, and backward checks every gradient it passes on. gru_sequence, which
 runs a whole recurrent direction as one op, checks its output sequence
-once rather than per step. Everything downstream of a fixed seed is
-bit-reproducible.
+once rather than per step. It is the only GRU the model runs (encoder
+directions and the decoder); gru_cell is the single-step reference it is
+tested against. Everything downstream of a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -277,29 +278,6 @@ def gather_index(a: Tensor, ids) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
-    targets = np.asarray(targets)
-    if logits.data.ndim == 1:
-        logits = reshape(logits, (1, logits.shape[0]))
-        targets = targets.reshape(1)
-    if logits.data.ndim != 2 or targets.shape != (logits.shape[0],):
-        raise ShapeMismatch(f"cross_entropy on {logits.shape} with targets {targets.shape}")
-    batch = logits.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(batch)
-    out = _finite((logsumexp - shifted[rows, targets]).mean(), "cross_entropy")
-
-    def backward(g):
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        probs[rows, targets] -= 1.0
-        return (g * probs / batch,)
-
-    return Tensor(out, (logits,), backward)
-
-
 def _topological_order(root: Tensor) -> list:
     """Parents-before-children order, built iteratively (graphs get deep)."""
     order: list = []
@@ -390,6 +368,9 @@ class Parameters:
         return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def load_state(self, state: dict) -> None:
+        missing, extra = set(self._tensors) - set(state), set(state) - set(self._tensors)
+        if missing or extra:
+            raise ValueError(f"parameter names differ: missing {sorted(missing)}, unexpected {sorted(extra)}")
         for name, tensor in self._tensors.items():
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != tensor.data.shape:
@@ -458,30 +439,35 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     return update * h + (1.0 - update) * candidate
 
 
-def gru_sequence(x: Tensor, mask, params: GruParams, reverse: bool = False, keep_graph: bool = True) -> Tensor:
+def gru_sequence(
+    x: Tensor, mask, initial: Tensor, params: GruParams, reverse: bool = False, keep_graph: bool = True
+) -> Tensor:
     """One GRU direction over a padded batch: x is (B, T, in), mask is (B, T).
 
     Returns every position's state as one (B, T, hidden) tensor, starting
-    from a zero state. Where the mask is 0 the state is carried unchanged,
-    so out[:, -1] (forward) or out[:, 0] (reverse) is each row's state
-    after its last real position. The values equal a chain of gru_cell
-    steps with that carry, but x @ w_x + b is one GEMM outside the time
-    loop, and backward is hand-written BPTT that leaves dx, dw_x and db to
-    one GEMM or reduction each after the loop. Without keep_graph no
-    per-step activations are kept and the result has no gradient.
+    from the (B, hidden) initial state. Where the mask is 0 the state is
+    carried unchanged, so out[:, -1] (forward) or out[:, 0] (reverse) is
+    each row's state after its last real position. The values equal a
+    chain of gru_cell steps with that carry, but x @ w_x + b is one GEMM
+    outside the time loop, and backward is hand-written BPTT that leaves
+    dx, dw_x and db to one GEMM or reduction each after the loop; the
+    initial state's gradient is what the loop carries out of its first
+    step. Without keep_graph no per-step activations are kept and the
+    result has no gradient.
     """
     mask = np.asarray(mask)
     hidden = params.w_h.shape[0]
     if (
         x.data.ndim != 3
         or mask.shape != x.shape[:2]
+        or initial.shape != (x.shape[0], hidden)
         or params.w_x.shape != (x.shape[2], 3 * hidden)
         or params.w_h.shape != (hidden, 3 * hidden)
         or params.b.shape != (3 * hidden,)
     ):
         raise ShapeMismatch(
-            f"gru_sequence: x {x.shape}, mask {mask.shape}, w_x {params.w_x.shape}, "
-            f"w_h {params.w_h.shape}, b {params.b.shape}"
+            f"gru_sequence: x {x.shape}, mask {mask.shape}, initial {initial.shape}, "
+            f"w_x {params.w_x.shape}, w_h {params.w_h.shape}, b {params.b.shape}"
         )
     batch, length, width = x.shape
     w_x, w_h = params.w_x.data, params.w_h.data
@@ -493,7 +479,7 @@ def gru_sequence(x: Tensor, mask, params: GruParams, reverse: bool = False, keep
     steps = range(length - 1, -1, -1) if reverse else range(length)
     out = np.empty((batch, length, hidden))
     saved = []  # per step: previous state, reset|update gates, candidate, h @ w_h candidate block
-    h = np.zeros((batch, hidden))
+    h = initial.data
     for t in steps:
         gx = gates_x[:, t]
         gh = h @ w_h
@@ -529,12 +515,13 @@ def gru_sequence(x: Tensor, mask, params: GruParams, reverse: bool = False, keep
         d_flat = d_gates_x.reshape(batch * length, 3 * hidden)
         return (
             (d_flat @ w_x.T).reshape(batch, length, width),
+            carry,
             flat_x.T @ d_flat,
             d_w_h,
             d_flat.sum(axis=0),
         )
 
-    return Tensor(out, (x, params.w_x, params.w_h, params.b), backward)
+    return Tensor(out, (x, initial, params.w_x, params.w_h, params.b), backward)
 
 
 class AdamState:

@@ -178,10 +178,6 @@ def _primitive_checks():
                 )
             ),
         ),
-        "cross_entropy": build(
-            {"logits": (6, 7)},
-            lambda p: nn.cross_entropy(p["logits"], np.array([2, 0, 4, 6, 1, 5])),
-        ),
     }
     return checks
 
@@ -214,19 +210,20 @@ def test_criterion_01_gradient_correctness(tmp_path):
     checked.append("gru_cell")
 
     # GRU sequence: both directions over a ragged mask, gradients through
-    # the inputs and every weight.
+    # the inputs, the initial state and every weight.
     params = nn.Parameters()
     forward = nn.gru_params(params, "fwd", init, input_dim=5, hidden_dim=6)
     reverse = nn.gru_params(params, "bwd", init, input_dim=5, hidden_dim=6)
     params.add("x", draw.normal(size=(3, 6, 5)))
     mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in (6, 3, 1)])
     weights = nn.Tensor(draw.normal(size=(3, 6, 12)))
+    params.add("h0", draw.normal(size=(3, 6)))
 
     def sequence_loss():
         states = nn.concat(
             [
-                nn.gru_sequence(params["x"], mask, forward, reverse=False),
-                nn.gru_sequence(params["x"], mask, reverse, reverse=True),
+                nn.gru_sequence(params["x"], mask, params["h0"], forward, reverse=False),
+                nn.gru_sequence(params["x"], mask, params["h0"], reverse, reverse=True),
             ],
             axis=2,
         )

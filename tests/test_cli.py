@@ -1,6 +1,10 @@
 """Tests for the command-line interface and configuration file handling."""
 
+import io
 import json
+import struct
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -258,8 +262,9 @@ def test_evaluate_splits_references_with_the_suggesters_lexicon(cli_env, tmp_pat
         lexicon=lexicon,
     )
     test_records = ordered_records(cli_env.documents, split.test)
-    expected = evaluate(baseline, test_records, k=5, lexicon=lexicon).bleu4
-    assert expected != evaluate(baseline, test_records, k=5).bleu4, "fixture should need peeling"
+    expected = evaluate(baseline, test_records, k=5).bleu4
+    default_split = SimpleNamespace(lexicon=DEFAULT_LEXICON, suggest_many=baseline.suggest_many)
+    assert expected != evaluate(default_split, test_records, k=5).bleu4, "fixture should need peeling"
     report_path = tmp_path / "eval.jsonl"
     code = main(
         ["evaluate", "--data", str(cli_env.data_dir), "--baseline", "--project", str(tmp_path),
@@ -390,6 +395,32 @@ def test_corrupt_checkpoint_exits_two(cli_env, tmp_path, capsys):
     code = main(["suggest_naming", "--file", str(cli_env.clean_file), "--model", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def tampered_checkpoint(cli_env, tmp_path):
+    """The fixture checkpoint with one output token added to its header.
+
+    The digest does not cover the vocabularies, so the file still loads,
+    but its parameters no longer fit the output vocabulary.
+    """
+    data = cli_env.checkpoint_path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + header_len])
+    header["vocabularies"]["output"]["tokens"].append("zzz_extra")
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "tampered.ckpt"
+    path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + header_len :])
+    return path
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_checkpoint_that_does_not_fit_its_vocabulary_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+    args = [command, "--model", str(tampered_checkpoint(cli_env, tmp_path))]
+    if command == "suggest_naming":
+        args += ["--file", str(cli_env.clean_file)]
+    assert main(args) == 2
+    assert "dec.embed" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- report object

@@ -18,7 +18,7 @@ from lemname.metrics import (
     topk_accuracy,
 )
 from lemname.model import Suggestion
-from lemname.subtok import EmptyName, subtokenize_name
+from lemname.subtok import DEFAULT_LEXICON, EmptyName, subtokenize_name
 
 # Hand evaluation of candidate [mg,_,eq] vs reference [mg,_,eq,_,nerode]:
 # every 1/2/3-gram of the candidate occurs in the reference, the candidate
@@ -208,6 +208,8 @@ def test_topk_rejects_nonpositive_k():
 
 class FixedSuggester:
     """Maps each record name to a fixed ranked list of suggested names."""
+
+    lexicon = DEFAULT_LEXICON
 
     def __init__(self, table):
         self.table = table

@@ -364,6 +364,51 @@ def test_beam_width_one_matches_reference_greedy(trained):
     assert [s[0].name for s in found] == expected
 
 
+def stepwise_loss(model, prepared) -> float:
+    """Mean -log p over one record's targets, each p read from one inference step.
+
+    The inputs are the teacher-forced ones, and targets map to ids as the
+    loss maps them: without copy, a target the output vocabulary lacks
+    counts as UNK.
+    """
+    base = len(model.vocabularies["output"])
+    batch = model._encode([prepared], keep_graph=False)
+    state = batch.state
+    previous = np.array([BOS_ID])
+    nll = []
+    for target in [*prepared.target_ext_ids, EOS_ID]:
+        generable = 0 <= target < base
+        state, probs = model._distribution(state, previous, batch)
+        if model.config.use_copy:
+            p = probs[0, target] if target >= 0 else 0.0
+        else:
+            p = probs[0, target if generable else UNK_ID]
+        nll.append(-np.log(p + 1e-12))
+        previous = np.array([target if generable else UNK_ID])
+    return float(np.mean(nll))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"use_copy": False}, {"use_copy": False, "use_attention": False}],
+    ids=["copy", "no_copy", "no_attention"],
+)
+def test_loss_agrees_with_stepwise_inference(trained, overrides):
+    checkpoint, _, documents, split = trained
+    config = dataclasses.replace(checkpoint.config, **overrides)
+    model = LemmaNameModel(config, checkpoint.chop_config, checkpoint.lexicon, checkpoint.vocabularies)
+    for name, tensor in model.parameters.items():  # trained values wherever they fit
+        value = checkpoint.parameter_state[name]
+        if value.shape == tensor.shape:
+            tensor.data = value.copy()
+    records = ordered_records(documents, split.train + split.validation + split.test)
+    prepared = [model.prepare(r) for r in records]
+    base = len(model.vocabularies["output"])
+    assert any((p.target_ext_ids >= base).any() for p in prepared), "fixture should have copy-only targets"
+    for record, one in zip(records, prepared):
+        assert abs(float(model.loss([record]).data) - stepwise_loss(model, one)) < 1e-12
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_suggest_many_matches_per_record_suggest(trained, k):
     checkpoint, _, documents, split = trained
@@ -399,7 +444,9 @@ def test_evaluate_makes_one_suggest_many_call_like_per_record_suggest(trained, m
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()
     records = ordered_records(documents, split.validation + split.test)
-    one_by_one = SimpleNamespace(suggest_many=lambda rs, k: [model.suggest(r, k) for r in rs])
+    one_by_one = SimpleNamespace(
+        lexicon=model.lexicon, suggest_many=lambda rs, k: [model.suggest(r, k) for r in rs]
+    )
     expected = evaluate(one_by_one, records, k=3)
     calls = []
     batched = model.suggest_many
