@@ -43,6 +43,7 @@ from .model import (
     save_checkpoint,
     train,
 )
+from .nn import NonFiniteValue
 from .subtok import SuffixLexicon
 
 CONFIG_FILE_NAME = ".roosterizerc"
@@ -446,6 +447,7 @@ _DOMAIN_ERRORS = (
     EmptyStream,
     VersionMismatch,
     CorruptCheckpoint,
+    NonFiniteValue,
     ValueError,
     OSError,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -42,6 +43,7 @@ from .nn import (
     adam_step,
     backward,
     bmm,
+    checked,
     concat,
     div,
     embedding_init,
@@ -157,8 +159,6 @@ class ModelConfig:
 class TrainingConfig:
     epochs: int
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 32
     seed: int = 0
     min_frequency: int = 1
@@ -169,6 +169,8 @@ class TrainingConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -418,6 +420,7 @@ class LemmaNameModel:
 
     # -------------------------------------------------------------------- loss
 
+    @checked()
     def _loss_batch(self, prepared):
         """Teacher-forced loss: one decoder pass over (records x steps) rows."""
         if not prepared:
@@ -457,6 +460,7 @@ class LemmaNameModel:
         """Top-k name suggestions for one record; see suggest_many."""
         return self.suggest_many([record], k)[0]
 
+    @checked()
     def suggest_many(self, records, k: int | None = None) -> list:
         """Top-k names per record by one beam search over (records x k) rows.
 
@@ -605,14 +609,7 @@ def train(
             chunk = [train_prepared[i] for i in order[start : start + training.batch_size]]
             loss, token_count = model._loss_batch(chunk)
             backward(loss, model.parameters)
-            adam_step(
-                model.parameters,
-                model.parameters.gradients(),
-                optimizer,
-                lr=training.learning_rate,
-                beta1=training.beta1,
-                beta2=training.beta2,
-            )
+            adam_step(model.parameters, model.parameters.gradients(), optimizer, lr=training.learning_rate)
             total_nll += float(loss.data) * token_count
             total_tokens += token_count
         if val_records:
@@ -655,7 +652,7 @@ class ModelCheckpoint:
                 self.config, self.chop_config, self.lexicon, self.vocabularies, parameter_state=self.parameter_state
             )
         except (ShapeMismatch, ValueError) as err:
-            raise CorruptCheckpoint(f"parameters do not fit the model: {err}") from err
+            raise CorruptCheckpoint(f"unusable parameters: {err}") from err
 
 
 def _config_digest(header: dict) -> str:

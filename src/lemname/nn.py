@@ -2,18 +2,22 @@
 
 A Tensor wraps a numpy array and remembers how it was computed; backward
 walks the recorded graph once, iteratively, and accumulates gradients
-into .grad. Numerical checks are per op: each op that can produce
-NaN/inf checks its own output, so trouble surfaces at the op that caused
-it, and backward checks every gradient it passes on. gru_sequence, which
-runs a whole recurrent direction as one op, checks its output sequence
-once rather than per step. It is the only GRU the model runs (encoder
-directions and the decoder); gru_cell is the single-step reference it is
-tested against. Everything downstream of a fixed seed is bit-reproducible.
+into .grad. Numerical checks happen in one place, `checked`: under it
+numpy raises at the first operation that overflows, divides by zero or
+makes a NaN, and the NonFiniteValue it becomes names that operation
+("overflow encountered in matmul"). No op scans its output; backward,
+adam_step and the model's loss and decoder run checked. A NaN that comes
+in from outside sets no flag, so Parameters.load_state rejects
+non-finite values. gru_sequence runs a whole recurrent direction as one
+op. It is the only GRU the model runs (encoder directions and the
+decoder); gru_cell is the single-step reference it is tested against.
+Everything downstream of a fixed seed is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +31,17 @@ class NonFiniteValue(Exception):
     pass
 
 
-def _finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(data).all():
-        raise NonFiniteValue(f"{op} produced non-finite values")
-    return data
+@contextmanager
+def checked():
+    """Turn the first overflow, division by zero or NaN into NonFiniteValue.
+
+    Also a decorator (@checked()). numpy's message names the operation.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as err:
+            raise NonFiniteValue(str(err)) from err
 
 
 class Tensor:
@@ -96,17 +107,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _finite(a.data + b.data, "add")
+    out = a.data + b.data
     return Tensor(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _finite(a.data - b.data, "sub")
+    out = a.data - b.data
     return Tensor(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _finite(a.data * b.data, "mul")
+    out = a.data * b.data
     return Tensor(
         out,
         (a, b),
@@ -115,8 +126,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _finite(a.data / b.data, "div")
+    out = a.data / b.data
     return Tensor(
         out,
         (a, b),
@@ -134,7 +144,7 @@ def neg(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    out = _finite(a.data @ b.data, "matmul")
+    out = a.data @ b.data
     return Tensor(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
@@ -142,7 +152,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul over stacks of matrices: (B,m,k) @ (B,k,n)."""
     if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeMismatch(f"bmm {a.shape} @ {b.shape}")
-    out = _finite(np.matmul(a.data, b.data), "bmm")
+    out = np.matmul(a.data, b.data)
     return Tensor(
         out,
         (a, b),
@@ -168,17 +178,12 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = _finite(np.exp(a.data), "exp")
+    out = np.exp(a.data)
     return Tensor(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            out = np.log(a.data)
-        except FloatingPointError as err:
-            raise NonFiniteValue(f"log of a non-positive value: {err}") from err
+    out = np.log(a.data)
     return Tensor(out, (a,), lambda g: (g / a.data,))
 
 
@@ -197,7 +202,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeMismatch("concat of no tensors")
     sizes = [t.shape[axis] for t in tensors]
-    out = _finite(np.concatenate([t.data for t in tensors], axis=axis), "concat")
+    out = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
@@ -242,7 +247,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
-    return Tensor(_finite(out, "softmax"), (a,), backward)
+    return Tensor(out, (a,), backward)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -298,6 +303,7 @@ def _topological_order(root: Tensor) -> list:
     return order
 
 
+@checked()
 def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
     """Populate .grad on every tensor the loss depends on.
 
@@ -317,7 +323,6 @@ def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
         for parent, grad in zip(node._parents, node._backward(node.grad)):
             if grad is None:
                 continue
-            _finite(grad, "backward")
             if grad.shape != parent.data.shape:
                 raise ShapeMismatch(
                     f"gradient shape {grad.shape} for parameter of shape {parent.data.shape}"
@@ -368,14 +373,19 @@ class Parameters:
         return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def load_state(self, state: dict) -> None:
+        """All or nothing; rejects non-finite values, which would set no flag in `checked`."""
         missing, extra = set(self._tensors) - set(state), set(state) - set(self._tensors)
         if missing or extra:
             raise ValueError(f"parameter names differ: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        for name, tensor in self._tensors.items():
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != tensor.data.shape:
-                raise ShapeMismatch(f"parameter {name}: {value.shape} != {tensor.data.shape}")
-            tensor.data = value.copy()
+        values = {name: np.array(state[name], dtype=np.float64) for name in self._tensors}
+        for name, value in values.items():
+            shape = self._tensors[name].data.shape
+            if value.shape != shape:
+                raise ShapeMismatch(f"parameter {name}: {value.shape} != {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"parameter {name} holds non-finite values")
+        for name, value in values.items():
+            self._tensors[name].data = value
 
 
 class Rng:
@@ -490,7 +500,6 @@ def gru_sequence(
             saved.append((h, gates, candidate, gh[:, 2 * hidden :]))
         h = np.where(real[:, t], update * h + (1.0 - update) * candidate, h)
         out[:, t] = h
-    _finite(out, "gru_sequence")
     if not keep_graph:
         return Tensor(out)
 
@@ -533,6 +542,7 @@ class AdamState:
         self.v: dict = {}
 
 
+@checked()
 def adam_step(
     parameters: Parameters,
     gradients: dict,
@@ -560,4 +570,4 @@ def adam_step(
         state.v[name] = v
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
-        tensor.data = _finite(tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps), "adam_step")
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)

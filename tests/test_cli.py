@@ -212,6 +212,16 @@ def test_train_same_seed_identical_checkpoints(cli_env, tmp_path):
     assert (a / "m.ckpt").read_bytes() == (b / "m.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1", "1e300"])
+def test_train_with_unusable_learning_rate_exits_two(rate, cli_env, tmp_path, capsys):
+    assert main(train_args(cli_env, tmp_path, learning_rate=rate)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if rate == "1e300":  # accepted, then the first step overflows
+        assert "overflow" in err
+
+
 def test_train_missing_data_dir(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nowhere"), "--epochs", "1"]) == 2
 
@@ -421,6 +431,21 @@ def test_checkpoint_that_does_not_fit_its_vocabulary_exits_two(command, cli_env,
         args += ["--file", str(cli_env.clean_file)]
     assert main(args) == 2
     assert "dec.embed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_checkpoint_with_non_finite_parameters_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+    data = bytearray(cli_env.checkpoint_path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    struct.pack_into("<d", data, 16 + header_len, float("nan"))  # first value of the first parameter
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(bytes(data))
+    args = [command, "--model", str(path)]
+    if command == "suggest_naming":
+        args += ["--file", str(cli_env.clean_file)]
+    assert main(args) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- report object

@@ -37,6 +37,7 @@ from lemname.model import (
     save_checkpoint,
     train,
 )
+from lemname.nn import NonFiniteValue, backward
 from lemname.subtok import DEFAULT_LEXICON
 
 from gradcheck import finite_difference_check
@@ -246,6 +247,22 @@ def test_loss_is_finite_scalar(trained):
     assert loss.shape == ()
     assert np.isfinite(loss.data)
     assert float(loss.data) >= 0.0
+
+
+def test_numeric_entry_points_check_without_help_from_the_caller(trained):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    records = ordered_records(documents, split.train)[:4]
+    loss = model.loss(records)  # a graph built while the model is sound
+    # out.w as if it had overflowed: the logits and backward's g @ out.w.T
+    # then add inf to -inf or take inf - inf, which makes a NaN.
+    model.parameters["out.w"].data[:] = np.inf
+    with pytest.raises(NonFiniteValue, match="invalid value"):
+        model.loss(records)
+    with pytest.raises(NonFiniteValue, match="invalid value"):
+        model.suggest_many(records, 2)
+    with pytest.raises(NonFiniteValue, match="invalid value encountered in matmul"):
+        backward(loss, model.parameters)
 
 
 def test_statement_only_model_ignores_trees(tiny_corpus):

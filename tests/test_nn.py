@@ -80,16 +80,18 @@ class TestShapeErrors:
 
 
 class TestNonFinite:
+    """Inside nn.checked() numpy raises at the op, and the message names it."""
+
     def test_log_of_zero(self):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="divide by zero encountered in log"), nn.checked():
             log(Tensor([0.0]))
 
     def test_exp_overflow(self):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="overflow encountered in exp"), nn.checked():
             nn.exp(Tensor([1000.0]))
 
     def test_div_by_zero(self):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="divide by zero encountered in divide"), nn.checked():
             nn.div(Tensor([1.0]), Tensor([0.0]))
 
 
@@ -293,8 +295,9 @@ class TestGruSequence:
 
     def test_non_finite_output_raises(self):
         _, cell, x, h0, mask, _ = self.make()
-        x.data[1, 0, 0] = np.nan
-        with pytest.raises(NonFiniteValue, match="gru_sequence"):
+        cell.w_x.data *= 1e300
+        x.data *= 1e10  # x @ w_x now exceeds the largest float64
+        with pytest.raises(NonFiniteValue, match="overflow encountered in matmul"), nn.checked():
             gru_sequence(x, mask, h0, cell)
 
 
@@ -375,3 +378,13 @@ class TestParameters:
         with pytest.raises(ValueError, match="unexpected"):
             params.load_state({"a": np.zeros(3), "b": np.zeros(1)})
         assert np.array_equal(params["a"].data, np.zeros(3))
+
+    def test_load_state_rejects_non_finite_values(self):
+        params = Parameters()
+        params.add("a", np.zeros(3))
+        params.add("b", np.zeros(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="b holds non-finite values"):
+                params.load_state({"a": np.ones(3), "b": np.array([1.0, bad])})
+        assert np.array_equal(params["a"].data, np.zeros(3))
+        assert np.array_equal(params["b"].data, np.zeros(2))
