@@ -1,10 +1,14 @@
-"""Tree-shrinking passes applied to serialized syntax and kernel trees.
+"""Tree chopping: one post-order rewrite of serialized syntax and kernel trees.
 
 Serialized Coq trees carry fully qualified names and source locations that
-are useless for naming and blow up the token stream. Chopping rewrites a
-tree in three passes: collapse qualified-name nodes to their last
-component, drop location nodes, and splice out single-child list nodes.
-Each pass only ever shrinks the tree, and the composition is idempotent.
+are useless for naming and blow up the token stream. Chopping applies three
+rewrites, each of which ChopConfig can switch off: collapse a
+qualified-name node to its last component, drop a location node, and
+splice out a single-child list node. All three run in one post-order walk
+of the tree. Tags are recognized in head position only: a node is a
+qualified-name or location node when its first element is an atom in the
+configured tag set; a tag atom anywhere else is an ordinary atom. Every
+rewrite only ever shrinks the tree, and chopping is idempotent.
 """
 
 from __future__ import annotations
@@ -87,89 +91,52 @@ def _last_component(node: tuple) -> SExp:
     return last
 
 
-def collapse_qualified_names(tree: SExp, config: ChopConfig) -> SExp:
-    """Replace every qualified-name subtree with its last component.
-
-    Replacements are re-examined, so a component that is itself a
-    qualified-name node keeps collapsing. Rewriting a child can hand its
-    parent a tagged head (degenerate trees only), so the pass repeats
-    until the tree stops changing; each round shrinks the tree, hence
-    termination and idempotence.
-    """
-    tags = config.qualified_name_tags
-
-    def walk(node: SExp) -> SExp:
-        while _head_tag(node) in tags:
-            node = _last_component(node)
-        if isinstance(node, str):
-            return node
-        return tuple(walk(child) for child in node)
-
-    while True:
-        rewritten = walk(tree)
-        if rewritten == tree:
-            return rewritten
-        tree = rewritten
-
-
-def strip_locations(tree: SExp, config: ChopConfig) -> SExp:
-    """Drop every subtree whose head atom is a location tag.
-
-    A tree that is itself a location node becomes the empty list. Run to
-    a fixpoint for the same reason as the collapse pass: dropping a head
-    child can expose a location tag one level up.
-    """
-    tags = config.location_tags
-
-    def walk(node: SExp) -> SExp:
-        if isinstance(node, str):
-            return node
-        return tuple(walk(child) for child in node if _head_tag(child) not in tags)
-
-    while True:
-        if _head_tag(tree) in tags:
-            return ()
-        rewritten = walk(tree)
-        if rewritten == tree:
-            return rewritten
-        tree = rewritten
-
-
-def extract_singletons(tree: SExp) -> SExp:
-    """Splice out list nodes with exactly one child, bottom-up."""
-
-    def walk(node: SExp) -> SExp:
-        if isinstance(node, str):
-            return node
-        children = tuple(walk(child) for child in node)
-        if len(children) == 1:
-            return children[0]
-        return children
-
-    return walk(tree)
+_DONE = object()
 
 
 def chop(tree: SExp, config: ChopConfig | None = None) -> SExp:
-    """Apply the enabled passes in their fixed order, to a fixpoint.
+    """Rewrite a tree to its chopped normal form in one post-order walk.
 
-    Order within a round is collapse, strip, extract: collapsing first
-    lets a location node hiding inside a qualified name surface for
-    stripping, and extraction last cleans up singletons the first two
-    passes expose. A round can in turn uncover work for an earlier pass
-    (splicing a singleton may expose a qualified-name head), so rounds
-    repeat until the tree stops changing. Every rewrite shrinks the
-    tree, so this terminates; on ordinary serialized trees the second
-    round is already a no-op.
+    A child is rewritten when the walk reaches it: while its head is a
+    qualified-name tag it collapses to its last component, so a location
+    node hiding inside a qualified name surfaces; then a location child
+    is dropped unvisited. Once a node's children are rebuilt, the node is
+    examined again, because losing or splicing its first child can expose
+    a new head: a qualified-name head collapses (the components are
+    already chopped), a location head drops the node, and a singleton is
+    spliced into its parent. A dropped root becomes the empty list. The
+    result holds nothing an enabled rewrite applies to, so chopping it
+    again returns it unchanged. The walk keeps its own stack, so a deep
+    tree costs no recursion.
     """
     config = config or ChopConfig()
+    qualified = config.qualified_name_tags if config.enable_qualid_collapse else frozenset()
+    locations = config.location_tags if config.enable_location_strip else frozenset()
+    splice = config.enable_singleton_extract
+
+    # One frame per open node: an iterator over its children and the
+    # rewritten children kept so far. The bottom frame holds the root.
+    stack = [(iter((tree,)), [])]
     while True:
-        rewritten = tree
-        if config.enable_qualid_collapse:
-            rewritten = collapse_qualified_names(rewritten, config)
-        if config.enable_location_strip:
-            rewritten = strip_locations(rewritten, config)
-        if config.enable_singleton_extract:
-            rewritten = extract_singletons(rewritten)
-        if rewritten == tree:
-            return rewritten
-        tree = rewritten
+        children, kept = stack[-1]
+        child = next(children, _DONE)
+        if child is not _DONE:
+            while _head_tag(child) in qualified:
+                child = _last_component(child)
+            if isinstance(child, str):
+                kept.append(child)
+            elif _head_tag(child) not in locations:
+                stack.append((iter(child), []))
+            continue
+        stack.pop()
+        if not stack:
+            return kept[0] if kept else ()
+        node = tuple(kept)
+        head = _head_tag(node)
+        if head in qualified:
+            node = _last_component(node)
+        elif head in locations:
+            continue
+        elif splice and len(node) == 1:
+            node = node[0]
+        stack[-1][1].append(node)

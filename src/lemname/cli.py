@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .baseline import RetrievalBaseline
-from .chop import ChopConfig
+from .chop import ChopConfig, MalformedQualifiedName
 from .corpus import (
     FormatError,
     TooFewDocuments,
@@ -445,6 +445,7 @@ _DOMAIN_ERRORS = (
     EmptyTrainingSet,
     EmptyTestSet,
     EmptyStream,
+    MalformedQualifiedName,
     VersionMismatch,
     CorruptCheckpoint,
     NonFiniteValue,

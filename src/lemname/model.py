@@ -570,7 +570,10 @@ def train(
     Builds vocabularies from the training documents only, then optimizes
     mean sub-token cross-entropy. After each epoch the greedy top-1
     accuracy on the validation documents decides the checkpoint to keep;
-    ties keep the later epoch. Returns (checkpoint, per-epoch metrics).
+    ties keep the later epoch. With no validation documents the last
+    epoch's parameters are kept, and they must first score the training
+    records without a numerical fault. Returns (checkpoint, per-epoch
+    metrics).
     """
     chop_config = chop_config or ChopConfig()
     lexicon = lexicon or DEFAULT_LEXICON
@@ -624,6 +627,11 @@ def train(
         metrics.append(
             EpochMetrics(epoch=epoch, train_loss=total_nll / total_tokens, validation_top1=val_top1)
         )
+    if not val_records:
+        # No validation pass ran the kept (last) parameters forward: score
+        # the training records with them, under the same numerical check.
+        for start in range(0, len(train_prepared), training.batch_size):
+            model._loss_batch(train_prepared[start : start + training.batch_size])
     checkpoint = ModelCheckpoint(
         config=config,
         chop_config=chop_config,

@@ -9,6 +9,12 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so tier-1 stays deterministic and its duration bounded.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +75,26 @@ def cli_env(tmp_path_factory):
         planted_name=planted_name,
         replaced_name=original_name,
     )
+
+
+@pytest.fixture
+def lemma_file(tmp_path):
+    """Write a one-lemma document whose kernel tree is the given text."""
+
+    def write(kernel_tree: str):
+        path = tmp_path / "one.lemmas.sexp"
+        path.write_text(
+            "(lemma (name one_lemma) (path (synth one)) (line 1)"
+            f" (stmt (forall x , x = x)) (cst (Id x)) (ckt {kernel_tree}))\n",
+            encoding="utf-8",
+        )
+        return path
+
+    return write
+
+
+@pytest.fixture
+def deep_lemma_file(lemma_file):
+    """A lemma whose kernel tree is nested 100,000 levels deep."""
+    depth = 100_000
+    return lemma_file("(App " * depth + "(Rel 1)" + " (Rel 1))" * depth)

@@ -222,6 +222,17 @@ def test_train_with_unusable_learning_rate_exits_two(rate, cli_env, tmp_path, ca
         assert "overflow" in err
 
 
+def test_train_without_validation_checks_kept_parameters(cli_env, tmp_path, capsys):
+    # One batch per epoch, and a 5-document corpus splits into no
+    # validation documents: nothing in the epoch loop overflows, but the
+    # kept parameters do as soon as they run forward.
+    assert main(train_args(cli_env, tmp_path, learning_rate="1e300", batch_size=64)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_train_missing_data_dir(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nowhere"), "--epochs", "1"]) == 2
 
@@ -358,6 +369,22 @@ def test_suggest_naming_missing_file_no_partial_report(cli_env, tmp_path, capsys
     assert code == 2
     assert not report_path.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_suggest_naming_malformed_qualified_name_exits_two(cli_env, lemma_file, capsys):
+    path = lemma_file("(App (Qualid) (Rel 1))")
+    code = main(["suggest_naming", "--file", str(path), "--model", str(cli_env.checkpoint_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: qualified-name node has no components: (Qualid)\n"
+
+
+def test_suggest_naming_deep_kernel_tree_ends_normally(cli_env, deep_lemma_file, capsys):
+    code = main(
+        ["suggest_naming", "--file", str(deep_lemma_file), "--model", str(cli_env.checkpoint_path)]
+    )
+    assert code in (0, 1)
+    assert "one_lemma" in capsys.readouterr().out
 
 
 def test_suggest_naming_requires_model(cli_env, tmp_path, capsys):

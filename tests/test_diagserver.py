@@ -240,6 +240,16 @@ def test_planted_file_yields_one_diagnostic(cli_env):
     assert len(diagnostic["data"]) == 5
 
 
+def test_deep_kernel_tree_is_answered(cli_env, deep_lemma_file):
+    responses = run_server(
+        cli_env,
+        request(SUGGEST_METHOD, request_id=13, params={"uri": str(deep_lemma_file)}),
+        request("exit"),
+    )
+    assert responses[0]["id"] == 13
+    assert isinstance(responses[0]["result"], list)
+
+
 def test_diagnostics_match_cli_report(cli_env):
     responses = run_server(
         cli_env,
