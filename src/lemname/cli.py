@@ -3,10 +3,11 @@
 Commands: suggest_naming (conformance report for one lemma-dataset
 file), train (fit a model on a dataset directory), evaluate (score a
 model or the retrieval baseline on the test split), gen_corpus (emit a
-synthetic dataset), and serve (the stdio diagnostic server). Settings
-come from a `.roosterizerc` file at the project root; command-line flags
-override file values. Exit codes: 0 success/all conforming, 1 at least
-one non-conforming lemma, 2 any error.
+synthetic dataset), and serve (the stdio diagnostic server). Every command
+but gen_corpus takes one `ToolConfig` that `main` resolves from the
+`.roosterizerc` under `--project` and the flags given, which win over the
+file. Exit codes: 0 success/all conforming, 1 at least one non-conforming
+lemma, 2 any error.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ class IoError(Exception):
 @dataclass
 class ToolConfig:
     model_path: str | None = None
-    data_dir: str | None = None
     k: int = 5
-    compile_cmd: str | None = None  # parsed for compatibility, never executed
     chop: ChopConfig = field(default_factory=ChopConfig)
     lexicon: SuffixLexicon = field(default_factory=SuffixLexicon)
 
@@ -86,9 +85,7 @@ def _parse_list(value: str) -> tuple:
 
 _CONFIG_KEYS = (
     "model_path",
-    "data_dir",
     "k",
-    "compile_cmd",
     "qualid_collapse",
     "location_strip",
     "singleton_extract",
@@ -124,10 +121,6 @@ def load_config(project_root) -> ToolConfig:
     config = ToolConfig()
     if "model_path" in values:
         config.model_path = values["model_path"][1]
-    if "data_dir" in values:
-        config.data_dir = values["data_dir"][1]
-    if "compile_cmd" in values:
-        config.compile_cmd = values["compile_cmd"][1]
     if "k" in values:
         number, value = values["k"]
         try:
@@ -171,6 +164,18 @@ def load_config(project_root) -> ToolConfig:
             config.lexicon = SuffixLexicon(**lexicon_kwargs)
         except ValueError as err:
             raise ConfigSyntaxError(number, str(err)) from None
+    return config
+
+
+def resolve_settings(args) -> ToolConfig:
+    """The `.roosterizerc` under `--project`, with the given flags winning over it.
+
+    gen_corpus has no `--project` and reads no settings.
+    """
+    config = load_config(args.project) if "project" in args else ToolConfig()
+    for key in ("model_path", "k"):
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
     return config
 
 
@@ -264,24 +269,21 @@ def _load_model(path):
     return load_checkpoint(path).to_model()
 
 
-def cmd_suggest_naming(args) -> int:
-    config = load_config(args.project)
-    model_path = args.model if args.model is not None else config.model_path
-    k = args.k if args.k is not None else config.k
+def cmd_suggest_naming(args, config: ToolConfig) -> int:
     if not Path(args.file).is_file():
         raise IoError(f"no such lemma-dataset file: {args.file}")
-    model = _load_model(model_path)
-    report = build_suggestion_report(model, args.file, k)
+    model = _load_model(config.model_path)
+    report = build_suggestion_report(model, args.file, config.k)
     sys.stdout.write(report.to_text())
     if args.report:
         Path(args.report).write_text(report.to_jsonl(), encoding="utf-8")
     return 0 if not report.nonconforming else 1
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, config: ToolConfig) -> int:
     documents = load_directory(args.data)
     split = split_corpus(sorted(documents), seed=args.split_seed)
-    config = ModelConfig(
+    model_config = ModelConfig(
         inputs=INPUT_CONFIGS[args.config_name],
         embed_dim=args.embed_dim,
         hidden_dim=args.hidden_dim,
@@ -296,7 +298,7 @@ def cmd_train(args) -> int:
         min_frequency=args.min_frequency,
         output_min_frequency=args.output_min_frequency,
     )
-    checkpoint, metrics = train(documents, split, config, training)
+    checkpoint, metrics = train(documents, split, model_config, training, config.chop, config.lexicon)
     save_checkpoint(args.out, checkpoint)
     log_path = args.log if args.log else f"{args.out}.log"
     log_lines = [
@@ -308,8 +310,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config(args.project)
+def cmd_evaluate(args, config: ToolConfig) -> int:
     documents = load_directory(args.data)
     split = split_corpus(sorted(documents), seed=args.split_seed)
     test_records = ordered_records(documents, split.test)
@@ -322,15 +323,15 @@ def cmd_evaluate(args) -> int:
             lexicon=config.lexicon,
         )
     else:
-        suggester = _load_model(args.model)
-    report = evaluate(suggester, test_records, k=args.k)
+        suggester = _load_model(config.model_path)
+    report = evaluate(suggester, test_records, k=config.k)
     sys.stdout.write(report.to_text())
     if args.report:
         Path(args.report).write_text(report.to_jsonl(), encoding="utf-8")
     return 0
 
 
-def cmd_gen_corpus(args) -> int:
+def cmd_gen_corpus(args, config: ToolConfig) -> int:
     written = generate_synthetic_corpus(
         args.out, seed=args.seed, n_docs=args.docs, lemmas_per_doc=args.lemmas_per_doc
     )
@@ -338,14 +339,9 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, config: ToolConfig) -> int:
     from .diagserver import serve
 
-    config = load_config(args.project)
-    if args.model is not None:
-        config.model_path = args.model
-    if args.k is not None:
-        config.k = args.k
     return serve(sys.stdin.buffer, sys.stdout.buffer, config)
 
 
@@ -370,18 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--project", default=".", help="directory holding .roosterizerc")
 
     suggest = commands.add_parser(
-        "suggest_naming", help="report lemmas whose names do not conform"
+        "suggest_naming", parents=[settings], help="report lemmas whose names do not conform"
     )
     suggest.add_argument("--file", required=True, help="lemma-dataset file to check")
-    suggest.add_argument("--model", help="model checkpoint path (overrides config)")
+    suggest.add_argument("--model", dest="model_path", help="model checkpoint path (overrides config)")
     suggest.add_argument("-k", "--k", type=_positive_int, help="suggestions per lemma")
-    suggest.add_argument("--project", default=".", help="directory holding .roosterizerc")
     suggest.add_argument("--report", help="write the structured JSONL report here")
     suggest.set_defaults(func=cmd_suggest_naming)
 
-    fit = commands.add_parser("train", help="train a naming model on a dataset directory")
+    fit = commands.add_parser("train", parents=[settings], help="train a naming model on a dataset directory")
     fit.add_argument("--data", required=True, help="directory of *.lemmas.sexp documents")
     fit.add_argument(
         "--config-name",
@@ -404,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--output-min-frequency", type=_positive_int, default=None)
     fit.set_defaults(func=cmd_train)
 
-    score = commands.add_parser("evaluate", help="score a model or the retrieval baseline")
+    score = commands.add_parser("evaluate", parents=[settings], help="score a model or the retrieval baseline")
     score.add_argument("--data", required=True, help="directory of *.lemmas.sexp documents")
     chooser = score.add_mutually_exclusive_group(required=True)
-    chooser.add_argument("--model", help="model checkpoint to evaluate")
+    chooser.add_argument("--model", dest="model_path", help="model checkpoint to evaluate")
     chooser.add_argument("--baseline", action="store_true", help="evaluate TF-IDF retrieval")
-    score.add_argument("-k", "--k", type=_positive_int, default=5)
+    score.add_argument("-k", "--k", type=_positive_int, help="suggestions per lemma")
     score.add_argument(
         "--config-name",
         default=DEFAULT_INPUT_CONFIG,
@@ -417,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="input streams for the baseline",
     )
     score.add_argument("--split-seed", type=_nonnegative_int, default=0)
-    score.add_argument("--project", default=".", help="directory holding .roosterizerc")
     score.add_argument("--report", help="write the structured JSONL report here")
     score.set_defaults(func=cmd_evaluate)
 
@@ -428,10 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--lemmas-per-doc", type=_positive_int, default=10)
     gen.set_defaults(func=cmd_gen_corpus)
 
-    server = commands.add_parser("serve", help="run the stdio diagnostic server")
-    server.add_argument("--model", help="model checkpoint path (overrides config)")
+    server = commands.add_parser("serve", parents=[settings], help="run the stdio diagnostic server")
+    server.add_argument("--model", dest="model_path", help="model checkpoint path (overrides config)")
     server.add_argument("-k", "--k", type=_positive_int, help="suggestions per lemma")
-    server.add_argument("--project", default=".", help="directory holding .roosterizerc")
     server.set_defaults(func=cmd_serve)
     return parser
 
@@ -461,7 +456,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return args.func(args, resolve_settings(args))
     except _DOMAIN_ERRORS as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

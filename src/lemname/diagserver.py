@@ -7,7 +7,8 @@ diagnostics through the custom request `roosterize/suggestNaming`
 or end of input. Diagnostics are produced by the same report builder as
 the command line, so both surfaces always agree. Only framed protocol
 messages touch the output stream; diagnostics of the transport itself
-go to the logging system (stderr).
+go to the logging system (stderr). A frame longer than `MAX_FRAME_BYTES`
+is read past and answered with a parse error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import logging
 from urllib.parse import unquote, urlparse
 
 from . import __version__
-from .cli import MissingModel, build_suggestion_report
-from .model import load_checkpoint
+from .cli import _load_model, build_suggestion_report
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +29,12 @@ SERVER_ERROR = -32000
 
 SUGGEST_METHOD = "roosterize/suggestNaming"
 SEVERITY_INFORMATION = 3
+
+MAX_FRAME_BYTES = 1 << 22  # requests carry a uri, not a document
+
+
+class OversizedFrame(Exception):
+    pass
 
 
 def uri_to_path(uri: str) -> str:
@@ -42,7 +48,10 @@ def uri_to_path(uri: str) -> str:
 
 
 def read_message(stream) -> bytes | None:
-    """Read one Content-Length framed body; None on end of input."""
+    """Read one Content-Length framed body; None on end of input.
+
+    A body over `MAX_FRAME_BYTES` is skipped in reads of at most that size.
+    """
     content_length = None
     while True:
         line = stream.readline()
@@ -64,6 +73,14 @@ def read_message(stream) -> bytes | None:
     if content_length is None:
         log.warning("message frame without Content-Length; treating as end of input")
         return None
+    if content_length > MAX_FRAME_BYTES:
+        remaining = content_length
+        while remaining:
+            skipped = stream.read(min(remaining, MAX_FRAME_BYTES))
+            if not skipped:
+                return None
+            remaining -= len(skipped)
+        raise OversizedFrame(f"frame of {content_length} bytes is over the {MAX_FRAME_BYTES}-byte limit")
     body = stream.read(content_length)
     if body is None or len(body) != content_length:
         return None
@@ -154,20 +171,15 @@ class DiagnosticServer:
 
 def serve(stdin, stdout, config) -> int:
     """Run the server loop over binary streams until exit or end of input."""
-    if config.model_path is None:
-        raise MissingModel(
-            "no model checkpoint configured; pass --model or set model_path in .roosterizerc"
-        )
-    model = load_checkpoint(config.model_path).to_model()
-    server = DiagnosticServer(model, config.k)
+    server = DiagnosticServer(_load_model(config.model_path), config.k)
     log.info("serving naming diagnostics (k=%d)", config.k)
     while not server.exit_requested:
-        body = read_message(stdin)
-        if body is None:
-            break
         try:
+            body = read_message(stdin)
+            if body is None:
+                break
             message = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (OversizedFrame, UnicodeDecodeError, json.JSONDecodeError) as err:
             write_message(stdout, _error(None, PARSE_ERROR, f"parse error: {err}"))
             continue
         response = server.handle(message)

@@ -7,8 +7,12 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from lemname import cli
 from lemname.cli import (
+    _CONFIG_KEYS,
     CONFIG_FILE_NAME,
     ConfigSyntaxError,
     ToolConfig,
@@ -17,9 +21,11 @@ from lemname.cli import (
     main,
 )
 from lemname.baseline import RetrievalBaseline
+from lemname.chop import ChopConfig
 from lemname.corpus import ordered_records, split_corpus
+from lemname.diagserver import SUGGEST_METHOD, read_message, write_message
 from lemname.metrics import evaluate
-from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS
+from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, load_checkpoint
 from lemname.subtok import DEFAULT_LEXICON
 
 
@@ -42,16 +48,12 @@ def test_config_parses_values(tmp_path):
         tmp_path,
         "# project settings\n"
         "\n"
-        "compile_cmd: make -j8\n"
         "k: 3\n"
-        "model_path: models/best.ckpt\n"
-        "data_dir: dataset\n",
+        "model_path: models/best.ckpt\n",
     )
     config = load_config(tmp_path)
-    assert config.compile_cmd == "make -j8"
     assert config.k == 3
     assert config.model_path == "models/best.ckpt"
-    assert config.data_dir == "dataset"
 
 
 def test_config_parses_chop_and_lexicon_overrides(tmp_path):
@@ -120,6 +122,33 @@ def test_config_bad_suffix_letters_reported(tmp_path):
 def test_config_last_value_wins(tmp_path):
     write_config(tmp_path, "k: 3\nk: 7\n")
     assert load_config(tmp_path).k == 7
+
+
+CONFIG_KEYS = st.sampled_from(_CONFIG_KEYS + ("data_dir", "compile_cmd")) | st.text(max_size=8)
+CONFIG_VALUES = st.sampled_from(
+    ["", "true", "False", "maybe", "0", "-3", "7", "1_0", "A, C", "A, CC", ",", "loc, v_loc"]
+) | st.text(max_size=12)
+CONFIG_LINES = st.one_of(
+    st.builds("{}: {}".format, CONFIG_KEYS, CONFIG_VALUES),
+    st.builds("{}{}".format, CONFIG_KEYS, CONFIG_VALUES),  # no colon
+    st.text(max_size=20),  # comments, blank lines, non-ASCII text
+)
+
+
+@given(lines=st.lists(CONFIG_LINES, max_size=8))
+def test_odd_config_files_load_or_raise_config_syntax_error(lines, tmp_path_factory):
+    root = tmp_path_factory.mktemp("rc")
+    write_config(root, "\n".join(lines))
+    try:
+        assert isinstance(load_config(root), ToolConfig)
+    except ConfigSyntaxError:
+        pass
+
+
+def test_odd_config_file_exits_two_with_one_error_line(tmp_path, capsys):
+    write_config(tmp_path, "k: 2\ndata_dir: data\n")
+    assert main(["train", "--data", str(tmp_path), "--project", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {CONFIG_FILE_NAME}:2: unknown key 'data_dir'\n"
 
 
 # -------------------------------------------------------------------- help/usage
@@ -235,6 +264,30 @@ def test_train_without_validation_checks_kept_parameters(cli_env, tmp_path, caps
 
 def test_train_missing_data_dir(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nowhere"), "--epochs", "1"]) == 2
+
+
+def test_train_and_baseline_use_the_project_preprocessing(cli_env, tmp_path, monkeypatch):
+    write_config(tmp_path, "suffix_peeling: false\nlocation_strip: false\n")
+    project = load_config(tmp_path)
+    assert project.chop != ChopConfig() and project.lexicon != DEFAULT_LEXICON
+    assert main(train_args(cli_env, tmp_path, project=tmp_path)) == 0
+    checkpoint = load_checkpoint(tmp_path / "m.ckpt")
+    assert checkpoint.chop_config == project.chop
+    assert checkpoint.lexicon == project.lexicon
+
+    baselines = []
+
+    def recording_baseline(*args, **kwargs):
+        baselines.append(RetrievalBaseline(*args, **kwargs))
+        return baselines[-1]
+
+    monkeypatch.setattr(cli, "RetrievalBaseline", recording_baseline)
+    code = main(
+        ["evaluate", "--data", str(cli_env.data_dir), "--baseline", "--project", str(tmp_path)]
+    )
+    assert code == 0
+    assert baselines[0].chop_config == checkpoint.chop_config
+    assert baselines[0].lexicon == checkpoint.lexicon
 
 
 # --------------------------------------------------------------------- evaluate
@@ -395,26 +448,48 @@ def test_suggest_naming_requires_model(cli_env, tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
-def test_suggest_naming_uses_config_file_model(cli_env, tmp_path, capsys):
-    write_config(tmp_path, f"model_path: {cli_env.checkpoint_path}\nk: 5\n")
-    code = main(
-        ["suggest_naming", "--file", str(cli_env.clean_file), "--project", str(tmp_path)]
-    )
-    assert code == 0
-    assert "conform" in capsys.readouterr().out
+def most_suggestions(command, cli_env, project, monkeypatch, *flags) -> int:
+    """Run a command under `project`; the most suggestions any lemma received.
+
+    suggest_naming and serve check the planted file; evaluate, which needs
+    --model or --baseline, scores the fixture checkpoint unless given a model.
+    """
+    argv = [command, "--project", str(project), *flags]
+    if command == "serve":
+        requests = io.BytesIO()
+        params = {"uri": str(cli_env.planted_file)}
+        write_message(requests, {"jsonrpc": "2.0", "id": 1, "method": SUGGEST_METHOD, "params": params})
+        write_message(requests, {"jsonrpc": "2.0", "method": "exit"})
+        responses = io.BytesIO()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(requests.getvalue())))
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(responses))
+        assert main(argv) == 0
+        responses.seek(0)
+        return max(len(d["data"]) for d in json.loads(read_message(responses))["result"])
+    report_path = project / "report.jsonl"
+    if command == "evaluate":
+        argv += ["--data", str(cli_env.data_dir)]
+        if "--model" not in flags:
+            argv += ["--model", str(cli_env.checkpoint_path)]
+    else:
+        argv += ["--file", str(cli_env.planted_file)]
+    assert main(argv + ["--report", str(report_path)]) in (0, 1)
+    rows = [json.loads(line) for line in report_path.read_text().splitlines()]
+    return max(len(row.get("suggestions", ())) for row in rows)
 
 
-def test_flag_overrides_config_k(cli_env, tmp_path):
-    write_config(tmp_path, f"model_path: {cli_env.checkpoint_path}\nk: 1\n")
-    report_path = tmp_path / "report.jsonl"
-    code = main(
-        ["suggest_naming", "--file", str(cli_env.planted_file), "--project", str(tmp_path),
-         "--k", "3", "--report", str(report_path)]
-    )
-    assert code == 1
-    rows = [json.loads(line) for line in report_path.read_text().strip().split("\n")]
-    assert all(len(row["suggestions"]) <= 3 for row in rows)
-    assert any(len(row["suggestions"]) == 3 for row in rows)
+@pytest.mark.parametrize("command", ["suggest_naming", "serve", "evaluate"])
+def test_suggest_naming_uses_config_file_model(command, cli_env, tmp_path, monkeypatch):
+    # No -k flag, and no --model flag for suggest_naming and serve.
+    write_config(tmp_path, f"model_path: {cli_env.checkpoint_path}\nk: 2\n")
+    assert most_suggestions(command, cli_env, tmp_path, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve", "evaluate"])
+def test_flag_overrides_config_k(command, cli_env, tmp_path, monkeypatch):
+    write_config(tmp_path, f"model_path: {tmp_path / 'ghost.ckpt'}\nk: 2\n")
+    flags = ["--model", str(cli_env.checkpoint_path), "-k", "3"]
+    assert most_suggestions(command, cli_env, tmp_path, monkeypatch, *flags) == 3
 
 
 def test_config_syntax_error_exits_two(cli_env, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from lemname.cli import MissingModel, ToolConfig, build_suggestion_report
 from lemname.diagserver import (
     INVALID_REQUEST,
+    MAX_FRAME_BYTES,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
     SERVER_ERROR,
@@ -29,9 +30,9 @@ def raw_frame(body: bytes) -> bytes:
     return f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
 
 
-def run_server(env, *messages) -> list:
+def run_server(env, *messages, stream=io.BytesIO) -> list:
     """Feed framed messages to serve() and decode every framed response."""
-    stdin = io.BytesIO(b"".join(frame(m) if isinstance(m, dict) else m for m in messages))
+    stdin = stream(b"".join(frame(m) if isinstance(m, dict) else m for m in messages))
     stdout = io.BytesIO()
     config = ToolConfig(model_path=str(env.checkpoint_path))
     assert serve(stdin, stdout, config) == 0
@@ -97,6 +98,32 @@ def test_read_message_negative_length_is_never_read(caplog):
     with caplog.at_level(logging.WARNING, logger="lemname.diagserver"):
         assert read_message(stream) is None
     assert "Content-Length" in caplog.text
+
+
+class PipeCappedAtOneFrame(PipeWithWriterOpen):
+    """A pipe that also fails any read larger than the frame cap."""
+
+    def read(self, size=-1):
+        assert size <= MAX_FRAME_BYTES, f"read of {size} bytes"
+        return super().read(size)
+
+
+def test_read_message_oversized_truncated_frame_is_end_of_input():
+    stream = PipeCappedAtOneFrame(b"Content-Length: 99999999999\r\n\r\n" + frame(request("exit")))
+    assert read_message(stream) is None
+
+
+def test_oversized_frame_answers_parse_error_and_stays_alive(cli_env):
+    responses = run_server(
+        cli_env,
+        raw_frame(b" " * (MAX_FRAME_BYTES + 1)),
+        request("initialize", request_id=1),
+        request("exit"),
+        stream=PipeCappedAtOneFrame,
+    )
+    assert responses[0]["error"]["code"] == PARSE_ERROR
+    assert responses[0]["id"] is None
+    assert responses[1]["id"] == 1 and "capabilities" in responses[1]["result"]
 
 
 def test_read_message_truncated_body():
