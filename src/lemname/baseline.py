@@ -103,7 +103,7 @@ class RetrievalBaseline:
             if name in seen:
                 continue
             seen.add(name)
-            sub_tokens = tuple(t.text for t in subtokenize_name(name, self.lexicon))
+            sub_tokens = tuple(subtokenize_name(name, self.lexicon))
             suggestions.append(Suggestion(name=name, score=float(sims[row]), sub_tokens=sub_tokens))
             if len(suggestions) == k:
                 break

@@ -217,10 +217,10 @@ def stream_subtoken_texts(
     elif stream == "kernel_tree":
         tokens = linearize(chop(record.kernel_tree, chop_config or ChopConfig()))
     elif stream == "name":
-        return [s.text for s in subtokenize_name(record.name, lexicon)]
+        return subtokenize_name(record.name, lexicon)
     else:
         raise ValueError(f"unknown stream: {stream!r}")
-    return [s.text for token in tokens for s in subtokenize_statement_token(token)]
+    return [s for token in tokens for s in subtokenize_statement_token(token)]
 
 
 class Vocabulary:

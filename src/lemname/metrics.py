@@ -197,7 +197,7 @@ def evaluate(suggester, records, k: int = 5) -> EvalReport:
     rows = []
     for record, suggestions in zip(records, suggester.suggest_many(records, k)):
         suggestions = tuple(suggestions)
-        reference_subtokens = [t.text for t in subtokenize_name(record.name, suggester.lexicon)]
+        reference_subtokens = subtokenize_name(record.name, suggester.lexicon)
         if suggestions:
             best = suggestions[0]
             row_bleu = bleu4(best.sub_tokens, reference_subtokens)

@@ -87,7 +87,7 @@ INPUT_CONFIGS = {
 DEFAULT_INPUT_CONFIG = "stmt+ckt"
 
 CHECKPOINT_MAGIC = b"LNCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _LOG_FLOOR = 1e-12  # keeps -log finite when a target is neither generable nor copyable
 # Records per beam search. A search holds every record's encoder states,
@@ -123,12 +123,9 @@ class ModelConfig:
     inputs: tuple = (STREAM_STATEMENT, STREAM_KERNEL)
     embed_dim: int = 64
     hidden_dim: int = 128
-    bidirectional: bool = True
-    use_attention: bool = True
     use_copy: bool = True
     max_input_len: int = 512
     max_output_len: int = 16
-    beam_width: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -139,13 +136,14 @@ class ModelConfig:
         for stream in self.inputs:
             if stream not in ALL_STREAMS:
                 raise ValueError(f"unknown input stream: {stream!r}")
-        for name in ("embed_dim", "hidden_dim", "max_input_len", "max_output_len", "beam_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.bidirectional and self.hidden_dim % 2:
+        for name in ("embed_dim", "hidden_dim", "max_input_len", "max_output_len"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # a bool is no dimension
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.use_copy, bool):
+            raise ValueError(f"use_copy must be a bool, got {self.use_copy!r}")
+        if self.hidden_dim % 2:
             raise ValueError("bidirectional encoders need an even hidden_dim")
-        if self.use_copy and not self.use_attention:
-            raise ValueError("the copy mechanism requires attention")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -198,9 +196,8 @@ class PreparedRecord:
     """
 
     stream_ids: dict  # stream -> (T,) input-vocabulary ids, truncated to max_input_len
-    source_texts: tuple  # length S, the truncated texts of every stream, concatenated
     oov_texts: tuple  # source texts absent from the output vocabulary
-    source_ext_ids: np.ndarray  # (S,) extended-vocabulary id per source position
+    source_ext_ids: np.ndarray  # (S,) extended-vocabulary id per source position, streams concatenated
     target_ext_ids: np.ndarray  # truncated name; -1 where neither generable nor copyable
 
 
@@ -252,24 +249,20 @@ class LemmaNameModel:
     def _build_parameters(self, rng: Rng) -> None:
         cfg = self.config
         hidden = cfg.hidden_dim
-        direction_dim = hidden // 2 if cfg.bidirectional else hidden
         for stream in cfg.inputs:
             vocab = self.vocabularies[stream]
             self.parameters.add(f"enc.{stream}.embed", embedding_init(rng, len(vocab), cfg.embed_dim))
-            cells = {"fwd": gru_params(self.parameters, f"enc.{stream}.fwd", rng, cfg.embed_dim, direction_dim)}
-            if cfg.bidirectional:
-                cells["bwd"] = gru_params(self.parameters, f"enc.{stream}.bwd", rng, cfg.embed_dim, direction_dim)
-            self._encoders[stream] = cells
+            self._encoders[stream] = [
+                gru_params(self.parameters, f"enc.{stream}.{direction}", rng, cfg.embed_dim, hidden // 2)
+                for direction in ("fwd", "bwd")
+            ]
         self.parameters.add("comb.w", linear_init(rng, len(cfg.inputs) * hidden, hidden))
         self.parameters.add("comb.b", np.zeros(hidden))
         out_vocab = self.vocabularies["output"]
         self.parameters.add("dec.embed", embedding_init(rng, len(out_vocab), cfg.embed_dim))
         self._decoder_cell = gru_params(self.parameters, "dec.gru", rng, cfg.embed_dim, hidden)
-        if cfg.use_attention:
-            self.parameters.add("attn.w", linear_init(rng, hidden, hidden))
-            self.parameters.add("out.w_c", linear_init(rng, 2 * hidden, hidden))
-        else:
-            self.parameters.add("out.w_c", linear_init(rng, hidden, hidden))
+        self.parameters.add("attn.w", linear_init(rng, hidden, hidden))
+        self.parameters.add("out.w_c", linear_init(rng, 2 * hidden, hidden))
         self.parameters.add("out.w", linear_init(rng, hidden, len(out_vocab)))
         self.parameters.add("out.b", np.zeros(len(out_vocab)))
         if cfg.use_copy:
@@ -304,7 +297,6 @@ class LemmaNameModel:
 
         return PreparedRecord(
             stream_ids=stream_ids,
-            source_texts=tuple(source),
             oov_texts=oov_texts,
             source_ext_ids=ext_ids(source),
             target_ext_ids=ext_ids(texts["output"][: cfg.max_output_len]),
@@ -335,20 +327,16 @@ class LemmaNameModel:
                 mask[b, : len(seq)] = 1.0
                 starts[b] += len(seq)
             emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
-            cells = self._encoders[stream]
-            zero = Tensor(np.zeros((batch, cells["fwd"].w_h.shape[0])))
+            forward_cell, backward_cell = self._encoders[stream]
+            zero = Tensor(np.zeros((batch, cfg.hidden_dim // 2)))
             # Padding carries the state, so the last (forward) and first
             # (backward) positions hold each record's final state.
-            states = gru_sequence(emb, mask, zero, cells["fwd"], reverse=False, keep_graph=keep_graph)
-            final = states[:, -1]
-            if cfg.bidirectional:
-                backward_states = gru_sequence(emb, mask, zero, cells["bwd"], reverse=True, keep_graph=keep_graph)
-                states = concat([states, backward_states], axis=2)
-                final = concat([final, backward_states[:, 0]], axis=1)
-            hidden_parts.append(states)
+            forward_states = gru_sequence(emb, mask, zero, forward_cell, reverse=False, keep_graph=keep_graph)
+            backward_states = gru_sequence(emb, mask, zero, backward_cell, reverse=True, keep_graph=keep_graph)
+            hidden_parts.append(concat([forward_states, backward_states], axis=2))
             mask_parts.append(mask)
             ext_parts.append(ext)
-            finals.append(final)
+            finals.append(concat([forward_states[:, -1], backward_states[:, 0]], axis=1))
         fused = concat(finals, axis=1)
         state = tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
         hidden = concat(hidden_parts, axis=1)
@@ -379,24 +367,21 @@ class LemmaNameModel:
         x = embedding_lookup(params["dec.embed"], input_ids)
         states = gru_sequence(x, np.ones((n, steps)), state, self._decoder_cell, keep_graph=keep_graph)
         flat = reshape(states, (rows, cfg.hidden_dim))
-        attention = p_gen = None
-        if cfg.use_attention:
-            records, length = batch.mask.shape
-            width = rows // records
-            query = reshape(matmul(flat, params["attn.w"]), (records, width, cfg.hidden_dim))
-            scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
-            shift = Tensor(scores.data.max(axis=1, keepdims=True))
-            weights = exp(scores - shift) * Tensor(np.repeat(batch.mask, width, axis=0))
-            attention = div(weights, sum_(weights, axis=1, keepdims=True))
-            context = reshape(
-                bmm(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
-            )
-            features = tanh(matmul(concat([flat, context], axis=1), params["out.w_c"]))
-            if cfg.use_copy:
-                gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
-                p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
-        else:
-            features = tanh(matmul(flat, params["out.w_c"]))
+        records, length = batch.mask.shape
+        width = rows // records
+        query = reshape(matmul(flat, params["attn.w"]), (records, width, cfg.hidden_dim))
+        scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
+        shift = Tensor(scores.data.max(axis=1, keepdims=True))
+        weights = exp(scores - shift) * Tensor(np.repeat(batch.mask, width, axis=0))
+        attention = div(weights, sum_(weights, axis=1, keepdims=True))
+        context = reshape(
+            bmm(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
+        )
+        features = tanh(matmul(concat([flat, context], axis=1), params["out.w_c"]))
+        p_gen = None
+        if cfg.use_copy:
+            gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
+            p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
         logits = matmul(features, params["out.w"]) + params["out.b"]
         return states, softmax(logits, axis=1), attention, p_gen
 
@@ -456,24 +441,23 @@ class LemmaNameModel:
 
     # ------------------------------------------------------------ public surface
 
-    def suggest(self, record, k: int | None = None) -> list:
+    def suggest(self, record, k: int) -> list:
         """Top-k name suggestions for one record; see suggest_many."""
         return self.suggest_many([record], k)[0]
 
     @checked()
-    def suggest_many(self, records, k: int | None = None) -> list:
+    def suggest_many(self, records, k: int) -> list:
         """Top-k names per record by one beam search over (records x k) rows.
 
         More than _DECODE_GROUP records decode as one search per group of
         that many, so memory stays bounded. Records may be given already
-        prepared. Finished hypotheses occupy beam slots, so width 1 is
+        prepared. Finished hypotheses occupy beam slots, so k = 1 is
         exact greedy decoding. The first step cannot end a name, so no
         name is empty. Scores are mean log-probability per emitted
         sub-token (end marker included); ties break lexicographically on
         the sub-tokens; names are deduplicated.
         """
-        width = self.config.beam_width if k is None else k
-        if width < 1:
+        if k < 1:
             raise ValueError("k must be positive")
         prepared = [r if isinstance(r, PreparedRecord) else self.prepare(r) for r in records]
         if not prepared:
@@ -482,19 +466,19 @@ class LemmaNameModel:
             return [
                 suggestions
                 for start in range(0, len(prepared), _DECODE_GROUP)
-                for suggestions in self.suggest_many(prepared[start : start + _DECODE_GROUP], width)
+                for suggestions in self.suggest_many(prepared[start : start + _DECODE_GROUP], k)
             ]
         out_texts = self.vocabularies["output"].texts
         base = len(out_texts)
         ext_texts = [out_texts + p.oov_texts for p in prepared]
         batch = self._encode(prepared, keep_graph=False)
-        rows = len(prepared) * width
-        ext_sizes = np.repeat([len(texts) for texts in ext_texts], width)
-        state = Tensor(np.repeat(batch.state.data, width, axis=0))
+        rows = len(prepared) * k
+        ext_sizes = np.repeat([len(texts) for texts in ext_texts], k)
+        state = Tensor(np.repeat(batch.state.data, k, axis=0))
         input_ids = np.full(rows, BOS_ID, dtype=np.int64)
-        # Row r * width + j holds hypothesis j of record r as (texts, summed
+        # Row r * k + j holds hypothesis j of record r as (texts, summed
         # logp); None marks a free slot.
-        beams = [((), 0.0) if row % width == 0 else None for row in range(rows)]
+        beams = [((), 0.0) if row % k == 0 else None for row in range(rows)]
         done: list = [[] for _ in prepared]  # per record: (texts, summed logp, steps)
         for step in range(self.config.max_output_len):
             if not any(beams):
@@ -503,14 +487,14 @@ class LemmaNameModel:
             logp = np.log(probs + _LOG_FLOOR)
             logp[:, [PAD_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, BOS_ID]] = -np.inf
             logp[np.arange(logp.shape[1]) >= ext_sizes[:, None]] = -np.inf
-            order = np.argsort(-logp, axis=1, kind="stable")[:, :width]
+            order = np.argsort(-logp, axis=1, kind="stable")[:, :k]
             parents = np.arange(rows)
             input_ids = np.full(rows, EOS_ID, dtype=np.int64)
             for r in range(len(prepared)):
-                first = r * width
-                budget = width - len(done[r])
+                first = r * k
+                budget = k - len(done[r])
                 candidates = []
-                for row in range(first, first + width):
+                for row in range(first, first + k):
                     if beams[row] is None:
                         continue
                     texts, score = beams[row]
@@ -519,7 +503,7 @@ class LemmaNameModel:
                             total = score + float(logp[row, ext_id])
                             candidates.append((total, texts + (ext_texts[r][ext_id],), row, int(ext_id)))
                 candidates.sort(key=lambda c: (-c[0], c[1]))
-                beams[first : first + width] = [None] * width
+                beams[first : first + k] = [None] * k
                 slot = first
                 for score, texts, row, ext_id in candidates[:budget]:
                     if ext_id == EOS_ID:  # the end marker counts as a step
@@ -532,8 +516,8 @@ class LemmaNameModel:
             state = Tensor(state.data[parents])
         for row, beam in enumerate(beams):
             if beam is not None:
-                done[row // width].append((*beam, len(beam[0])))
-        return [self._ranked(finished, width) for finished in done]
+                done[row // k].append((*beam, len(beam[0])))
+        return [self._ranked(finished, k) for finished in done]
 
     @staticmethod
     def _ranked(finished, width: int) -> list:
@@ -652,7 +636,6 @@ class ModelCheckpoint:
     lexicon: object
     vocabularies: dict
     parameter_state: dict
-    format_version: int = CHECKPOINT_VERSION
 
     def to_model(self) -> LemmaNameModel:
         try:
@@ -663,13 +646,14 @@ class ModelCheckpoint:
             raise CorruptCheckpoint(f"unusable parameters: {err}") from err
 
 
-def _config_digest(header: dict) -> str:
-    blob = json.dumps(
-        {k: header[k] for k in ("config", "chop_config", "lexicon")},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _canonical_json(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _header_digest(header: dict) -> str:
+    """sha256 of the canonical JSON header without its own digest entry."""
+    rest = {k: v for k, v in header.items() if k != "header_digest"}
+    return hashlib.sha256(_canonical_json(rest)).hexdigest()
 
 
 def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
@@ -678,11 +662,10 @@ def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
     Layout: magic "LNCK", little-endian uint32 format version, uint64
     header length, canonical JSON header (sorted keys, no whitespace),
     then the parameter blocks as little-endian float64 in C order, in the
-    header's listed order (sorted by name). Identical checkpoints are
-    byte-identical.
+    header's listed order (sorted by name). The header's digest covers
+    every other header entry. Identical checkpoints are byte-identical.
     """
     header = {
-        "format_version": checkpoint.format_version,
         "config": checkpoint.config.to_dict(),
         "chop_config": checkpoint.chop_config.to_dict(),
         "lexicon": checkpoint.lexicon.to_dict(),
@@ -692,11 +675,11 @@ def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
             for name in sorted(checkpoint.parameter_state)
         ],
     }
-    header["config_digest"] = _config_digest(header)
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header["header_digest"] = _header_digest(header)
+    blob = _canonical_json(header)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", checkpoint.format_version))
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in sorted(checkpoint.parameter_state):
@@ -719,25 +702,30 @@ def load_checkpoint(path) -> ModelCheckpoint:
         raise CorruptCheckpoint("truncated header")
     try:
         header = json.loads(data[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, or nested too deep
         raise CorruptCheckpoint(f"unreadable header: {err}") from err
+    if not isinstance(header, dict) or header.get("header_digest") != _header_digest(header):
+        raise CorruptCheckpoint("header digest mismatch")
     try:
-        if header["config_digest"] != _config_digest(header):
-            raise CorruptCheckpoint("configuration digest mismatch")
         config = ModelConfig.from_dict(header["config"])
         chop_config = ChopConfig.from_dict(header["chop_config"])
         lexicon = SuffixLexicon.from_dict(header["lexicon"])
         vocabularies = {
             name: Vocabulary.from_dict(v) for name, v in header["vocabularies"].items()
         }
-        entries = [(e["name"], tuple(e["shape"])) for e in header["parameters"]]
-    except (KeyError, TypeError, ValueError) as err:
+        entries = [(e["name"], e["shape"]) for e in header["parameters"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CorruptCheckpoint(f"malformed header: {err}") from err
     offset = header_end
     state = {}
     for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+        if not (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)  # a bool is no dimension
+        ):
+            raise CorruptCheckpoint(f"malformed parameter entry: name {name!r}, shape {shape!r}")
+        end = offset + 8 * math.prod(shape)
         if end > len(data):
             raise CorruptCheckpoint(f"truncated parameter block: {name}")
         state[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
@@ -750,5 +738,4 @@ def load_checkpoint(path) -> ModelCheckpoint:
         lexicon=lexicon,
         vocabularies=vocabularies,
         parameter_state=state,
-        format_version=version,
     )

@@ -4,19 +4,13 @@ A name like ``extprod_mulgA`` decomposes into the pieces a naming
 convention actually manipulates: words, underscores, digit runs, symbol
 runs, and single-letter suffixes drawn from a lexicon of conventional
 markers (by default A, C, g). Splitting is lossless: concatenating the
-sub-token texts reproduces the input exactly.
+sub-tokens reproduces the input exactly.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-
-WORD = "word"
-UNDERSCORE = "underscore"
-SUFFIX_LETTER = "suffix_letter"
-DIGIT_RUN = "digit_run"
-SYMBOL = "symbol"
 
 # Boundaries inside a letter run: lowercase-to-uppercase, and the end of an
 # uppercase run before an Upper+lower word (CLocalAssum -> C, Local, Assum).
@@ -27,12 +21,6 @@ _CLASS_RUNS = re.compile(r"_|[A-Za-z]+|[0-9]+|[^A-Za-z0-9_]+")
 
 class EmptyName(Exception):
     """Raised when asked to sub-tokenize an empty name."""
-
-
-@dataclass(frozen=True)
-class SubToken:
-    text: str
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -61,43 +49,32 @@ class SuffixLexicon:
 DEFAULT_LEXICON = SuffixLexicon()
 
 
-def subtokenize_name(name: str, lexicon: SuffixLexicon = DEFAULT_LEXICON) -> list[SubToken]:
+def subtokenize_name(name: str, lexicon: SuffixLexicon = DEFAULT_LEXICON) -> list[str]:
     """Split a lemma name into sub-tokens, peeling lexicon suffix letters."""
     if not name:
         raise EmptyName("cannot sub-tokenize an empty name")
     return _split(name, lexicon if lexicon.enabled else None)
 
 
-def subtokenize_statement_token(token: str) -> list[SubToken]:
+def subtokenize_statement_token(token: str) -> list[str]:
     """Split a statement or tree token; suffix peeling never applies here."""
     return _split(token, None)
 
 
-def detokenize(subtokens) -> str:
-    """Concatenate sub-tokens (or plain strings) back into a name."""
-    return "".join(s.text if isinstance(s, SubToken) else s for s in subtokens)
-
-
-def _split(text: str, lexicon: SuffixLexicon | None) -> list[SubToken]:
-    out: list[SubToken] = []
+def _split(text: str, lexicon: SuffixLexicon | None) -> list[str]:
+    out: list[str] = []
     for run in _CLASS_RUNS.findall(text):
-        if run == "_":
-            out.append(SubToken("_", UNDERSCORE))
-        elif run[0].isdigit():
-            out.append(SubToken(run, DIGIT_RUN))
-        elif run[0].isascii() and run[0].isalpha():
-            for index, word in enumerate(_CAMEL.findall(run)):
-                _append_word(out, word, lexicon, at_run_start=index == 0)
-        else:
-            out.append(SubToken(run, SYMBOL))
+        if run[0].isascii() and run[0].isalpha():
+            for word in _CAMEL.findall(run):
+                _append_word(out, word, lexicon)
+        else:  # an underscore, a digit run or a symbol run
+            out.append(run)
     return out
 
 
-def _append_word(
-    out: list[SubToken], word: str, lexicon: SuffixLexicon | None, at_run_start: bool
-) -> None:
+def _append_word(out: list[str], word: str, lexicon: SuffixLexicon | None) -> None:
     if lexicon is None:
-        out.append(SubToken(word, WORD))
+        out.append(word)
         return
     # Peel suffix letters right to left, one per step. Stop rather than
     # leave a head that is empty or a lone letter outside the lexicon:
@@ -110,10 +87,5 @@ def _append_word(
     ):
         suffixes.append(word[-1])
         word = word[:-1]
-    # A lone lexicon letter split off by the camel-case rule (the A of
-    # mulgA) is a suffix in its own right unless it opens the run.
-    if not at_run_start and len(word) == 1 and word in lexicon.letters:
-        out.append(SubToken(word, SUFFIX_LETTER))
-    else:
-        out.append(SubToken(word, WORD))
-    out.extend(SubToken(s, SUFFIX_LETTER) for s in reversed(suffixes))
+    out.append(word)
+    out.extend(reversed(suffixes))

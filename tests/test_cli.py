@@ -1,5 +1,6 @@
 """Tests for the command-line interface and configuration file handling."""
 
+import hashlib
 import io
 import json
 import struct
@@ -25,7 +26,7 @@ from lemname.chop import ChopConfig
 from lemname.corpus import ordered_records, split_corpus
 from lemname.diagserver import SUGGEST_METHOD, read_message, write_message
 from lemname.metrics import evaluate
-from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, load_checkpoint
+from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, CorruptCheckpoint, load_checkpoint
 from lemname.subtok import DEFAULT_LEXICON
 
 
@@ -509,45 +510,113 @@ def test_corrupt_checkpoint_exits_two(cli_env, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def tampered_checkpoint(cli_env, tmp_path):
-    """The fixture checkpoint with one output token added to its header.
+def canonical_json(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    The digest does not cover the vocabularies, so the file still loads,
-    but its parameters no longer fit the output vocabulary.
+
+def sha256_of(value) -> str:
+    return hashlib.sha256(canonical_json(value)).hexdigest()
+
+
+def rewritten_checkpoint(cli_env, path, edit, version=2, digest=True):
+    """The fixture checkpoint with its header edited and, by default, a matching digest.
+
+    `edit` changes the parsed header, whose digest entry is removed first.
+    With `digest`, the format-2 digest over every other entry is added back.
     """
     data = cli_env.checkpoint_path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", data, 8)
     header = json.loads(data[16 : 16 + header_len])
-    header["vocabularies"]["output"]["tokens"].append("zzz_extra")
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = tmp_path / "tampered.ckpt"
-    path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + header_len :])
+    del header["header_digest"]
+    edit(header)
+    if digest:
+        header["header_digest"] = sha256_of(header)
+    blob = canonical_json(header)
+    path.write_bytes(b"LNCK" + struct.pack("<IQ", version, len(blob)) + blob + data[16 + header_len :])
     return path
+
+
+def exit_code_and_error(command, checkpoint, cli_env, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+    args = [command, "--model", str(checkpoint)]
+    if command == "suggest_naming":
+        args += ["--file", str(cli_env.clean_file)]
+    return main(args), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])
 def test_checkpoint_that_does_not_fit_its_vocabulary_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
-    args = [command, "--model", str(tampered_checkpoint(cli_env, tmp_path))]
-    if command == "suggest_naming":
-        args += ["--file", str(cli_env.clean_file)]
-    assert main(args) == 2
-    assert "dec.embed" in capsys.readouterr().err
+    # A digest-consistent header whose output vocabulary has one token more
+    # than the parameters have rows.
+    def add_token(header):
+        header["vocabularies"]["output"]["tokens"].append("zzz_extra")
+
+    path = rewritten_checkpoint(cli_env, tmp_path / "tampered.ckpt", add_token)
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert "dec.embed" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"shape": ["a"]}, {"shape": "xy"}, {"shape": [2.5]}, {"shape": [-1, -1]}, {"name": 7}],
+    ids=["letter", "string", "float", "negative", "name"],
+)
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_checkpoint_with_malformed_parameter_entry_exits_two(
+    command, entry, cli_env, tmp_path, capsys, monkeypatch
+):
+    def edit_first_entry(header):
+        header["parameters"][0].update(entry)
+
+    path = rewritten_checkpoint(cli_env, tmp_path / "entry.ckpt", edit_first_entry)
+    with pytest.raises(CorruptCheckpoint, match="malformed parameter entry"):
+        load_checkpoint(path)
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("error: malformed parameter entry") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("embed_dim", 24.0), ("max_input_len", 1.5), ("use_copy", "yes")],
+    ids=["float", "fraction", "str"],
+)
+def test_checkpoint_with_mistyped_config_exits_two(field, value, cli_env, tmp_path, capsys, monkeypatch):
+    def set_field(header):
+        header["config"][field] = value
+
+    path = rewritten_checkpoint(cli_env, tmp_path / "config.ckpt", set_field)
+    code, err = exit_code_and_error("suggest_naming", path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith(f"error: malformed header: {field} must be") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_format_one_checkpoint_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
+    # Format 1: the version also in the header, the three architecture
+    # switches in the config, and a digest of config, chop config and lexicon.
+    def to_format_one(header):
+        header["format_version"] = 1
+        header["config"].update(bidirectional=True, use_attention=True, beam_width=5)
+        header["config_digest"] = sha256_of({k: header[k] for k in ("config", "chop_config", "lexicon")})
+
+    path = rewritten_checkpoint(cli_env, tmp_path / "v1.ckpt", to_format_one, version=1, digest=False)
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert "checkpoint format version 1, supported 2" in err
 
 
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])
 def test_checkpoint_with_non_finite_parameters_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
     data = bytearray(cli_env.checkpoint_path.read_bytes())
     (header_len,) = struct.unpack_from("<Q", data, 8)
     struct.pack_into("<d", data, 16 + header_len, float("nan"))  # first value of the first parameter
     path = tmp_path / "nan.ckpt"
     path.write_bytes(bytes(data))
-    args = [command, "--model", str(path)]
-    if command == "suggest_naming":
-        args += ["--file", str(cli_env.clean_file)]
-    assert main(args) == 2
-    assert "non-finite" in capsys.readouterr().err
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert "non-finite" in err
 
 
 # ----------------------------------------------------------------- report object

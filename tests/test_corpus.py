@@ -26,7 +26,7 @@ from lemname.corpus import (
     split_corpus,
     stream_subtoken_texts,
 )
-from lemname.subtok import detokenize, subtokenize_name
+from lemname.subtok import subtokenize_name
 
 # Statement parenthesis tokens are quoted atoms so they stay tokens.
 GOOD_RECORD = (
@@ -247,7 +247,7 @@ class TestGenerator:
         records = ordered_records(documents, documents.keys())
         assert len(records) == 20
         for record in records:
-            assert detokenize(subtokenize_name(record.name)) == record.name
+            assert "".join(subtokenize_name(record.name)) == record.name
             assert record.statement_tokens
             # Every word fragment of the name is visible in the statement.
             for fragment in record.name.split("_"):

@@ -27,15 +27,11 @@ from lemname.subtok import DEFAULT_LEXICON, EmptyName, subtokenize_name
 GOLDEN_SHORT_PREFIX_BLEU = 0.5134171190325922
 
 
-def name_tokens(name):
-    return [t.text for t in subtokenize_name(name)]
-
-
 # ---------------------------------------------------------------------- bleu4
 
 
 def test_bleu_identity():
-    tokens = name_tokens("mg_eq_nerode")
+    tokens = subtokenize_name("mg_eq_nerode")
     assert bleu4(tokens, tokens) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -217,7 +213,7 @@ class FixedSuggester:
     def suggest(self, record, k=5):
         names = self.table[record.name][:k]
         return [
-            Suggestion(name=n, score=-float(i), sub_tokens=tuple(name_tokens(n)))
+            Suggestion(name=n, score=-float(i), sub_tokens=tuple(subtokenize_name(n)))
             for i, n in enumerate(names)
         ]
 

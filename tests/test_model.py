@@ -1,11 +1,14 @@
 """Tests for the multi-input encoder-decoder, training loop, and checkpoints."""
 
 import dataclasses
+import json
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lemname.corpus
 import lemname.model
@@ -16,6 +19,7 @@ from lemname.corpus import (
     PAD_ID,
     UNK_ID,
     DatasetSplit,
+    Vocabulary,
     generate_synthetic_corpus,
     load_directory,
     ordered_records,
@@ -29,11 +33,13 @@ from lemname.model import (
     EmptyStream,
     EmptyTrainingSet,
     LemmaNameModel,
+    ModelCheckpoint,
     ModelConfig,
     Suggestion,
     TrainingConfig,
     VersionMismatch,
     load_checkpoint,
+    record_texts,
     save_checkpoint,
     train,
 )
@@ -61,7 +67,6 @@ def small_config(**overrides):
         hidden_dim=12,
         max_input_len=96,
         max_output_len=8,
-        beam_width=3,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -94,29 +99,24 @@ def test_config_rejects_empty_inputs():
         ModelConfig(inputs=())
 
 
-def test_config_rejects_copy_without_attention():
-    with pytest.raises(ValueError):
-        ModelConfig(use_attention=False, use_copy=True)
-
-
 def test_config_allows_plain_decoder():
-    config = ModelConfig(use_attention=False, use_copy=False)
-    assert not config.use_attention
+    config = ModelConfig(use_copy=False)
+    assert not config.use_copy
 
 
 def test_config_rejects_odd_hidden_for_bidirectional():
     with pytest.raises(ValueError):
-        ModelConfig(hidden_dim=13, bidirectional=True)
+        ModelConfig(hidden_dim=13)
 
 
-@pytest.mark.parametrize("field_name", ["embed_dim", "hidden_dim", "max_input_len", "max_output_len", "beam_width"])
+@pytest.mark.parametrize("field_name", ["embed_dim", "hidden_dim", "max_input_len", "max_output_len"])
 def test_config_rejects_nonpositive_dims(field_name):
     with pytest.raises(ValueError):
         ModelConfig(**{field_name: 0})
 
 
 def test_config_round_trips_through_dict():
-    config = small_config(bidirectional=False, use_copy=False, use_attention=False)
+    config = small_config(use_copy=False)
     assert ModelConfig.from_dict(config.to_dict()) == config
 
 
@@ -211,6 +211,12 @@ def test_loss_requires_records(trained):
 # ----------------------------------------------------------------- model core
 
 
+def truncated_source(model, record) -> list:
+    """The record's source sub-tokens as prepare reads them: streams truncated, then concatenated."""
+    texts = record_texts(record, model.config.inputs, model.chop_config, model.lexicon)
+    return [t for stream in model.config.inputs for t in texts[stream][: model.config.max_input_len]]
+
+
 def test_model_requires_all_vocabularies(trained):
     checkpoint, _, _, _ = trained
     partial = dict(checkpoint.vocabularies)
@@ -226,7 +232,8 @@ def test_stream_texts_respects_max_input_len(trained):
     model = LemmaNameModel(config, checkpoint.chop_config, checkpoint.lexicon, checkpoint.vocabularies)
     prepared = model.prepare(record)
     assert all(len(ids) <= 5 for ids in prepared.stream_ids.values())
-    assert len(prepared.source_texts) == sum(len(ids) for ids in prepared.stream_ids.values())
+    assert len(truncated_source(model, record)) == len(prepared.source_ext_ids)
+    assert len(prepared.source_ext_ids) == sum(len(ids) for ids in prepared.stream_ids.values())
 
 
 def test_empty_stream_raises(trained):
@@ -324,17 +331,17 @@ def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     model = checkpoint.to_model()
     record = ordered_records(documents, split.test)[0]
     prepared = model.prepare(record)
+    source = truncated_source(model, record)
     out_vocab = model.vocabularies["output"]
     base = len(out_vocab)
-    assert prepared.oov_texts == tuple(
-        dict.fromkeys(t for t in prepared.source_texts if t not in out_vocab)
-    )
+    assert prepared.oov_texts == tuple(dict.fromkeys(t for t in source if t not in out_vocab))
     assert prepared.oov_texts, "fixture should have out-of-vocabulary sources"
 
     def ext_text(ext_id):
         return out_vocab.decode(int(ext_id)) if ext_id < base else prepared.oov_texts[ext_id - base]
 
-    for position, text in enumerate(prepared.source_texts):
+    assert len(prepared.source_ext_ids) == len(source)
+    for position, text in enumerate(source):
         assert ext_text(prepared.source_ext_ids[position]) == text
     name = stream_subtoken_texts(record, "name")
     assert len(prepared.target_ext_ids) == len(name)
@@ -407,8 +414,8 @@ def stepwise_loss(model, prepared) -> float:
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"use_copy": False}, {"use_copy": False, "use_attention": False}],
-    ids=["copy", "no_copy", "no_attention"],
+    [{}, {"use_copy": False}],
+    ids=["copy", "no_copy"],
 )
 def test_loss_agrees_with_stepwise_inference(trained, overrides):
     checkpoint, _, documents, split = trained
@@ -520,7 +527,7 @@ def test_suggest_rejects_nonpositive_k(trained):
 
 def test_suggest_many_empty_input(trained):
     checkpoint, _, _, _ = trained
-    assert checkpoint.to_model().suggest_many([]) == []
+    assert checkpoint.to_model().suggest_many([], 1) == []
 
 
 def test_trained_model_overfits_training_set(trained):
@@ -550,7 +557,7 @@ def test_end_to_end_gradients(tiny_corpus):
 def test_end_to_end_gradients_without_copy(tiny_corpus):
     documents, split = tiny_corpus
     records = ordered_records(documents, split.train)[:2]
-    config = small_config(embed_dim=6, hidden_dim=8, use_copy=False, use_attention=False, bidirectional=False)
+    config = small_config(embed_dim=6, hidden_dim=8, use_copy=False)
     checkpoint, _ = train(documents, split, config, TrainingConfig(epochs=0, seed=2))
     model = checkpoint.to_model()
     rng = np.random.default_rng(13)
@@ -576,7 +583,7 @@ def test_checkpoint_restores_model_behaviour(trained, tmp_path):
     restored = load_checkpoint(path).to_model()
     original = checkpoint.to_model()
     records = ordered_records(documents, split.validation)[:3]
-    assert restored.suggest_many(records) == original.suggest_many(records)
+    assert restored.suggest_many(records, 3) == original.suggest_many(records, 3)
     assert float(restored.loss(records).data) == float(original.loss(records).data)
     assert restored.vocabularies == checkpoint.vocabularies
     assert restored.config == checkpoint.config
@@ -631,8 +638,8 @@ def test_checkpoint_digest_tamper(trained, tmp_path):
     data = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", data, 8)
     header = data[16 : 16 + header_len]
-    swapped = header.replace(b'"beam_width":3', b'"beam_width":4')
-    assert swapped != header, "fixture should hit the beam_width field"
+    swapped = header.replace(b'"max_output_len":8', b'"max_output_len":9')
+    assert swapped != header, "fixture should hit the max_output_len field"
     path.write_bytes(data[:16] + swapped + data[16 + header_len :])
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
@@ -645,3 +652,66 @@ def test_checkpoint_preserves_chop_and_lexicon(trained, tmp_path):
     restored = load_checkpoint(path)
     assert restored.chop_config == ChopConfig()
     assert restored.lexicon == DEFAULT_LEXICON
+
+
+def test_checkpoint_vocabulary_tamper(trained, tmp_path):
+    checkpoint, _, _, _ = trained
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, checkpoint)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + header_len])
+    tokens = header["vocabularies"]["output"]["tokens"]
+    renamed = next(t for t in tokens if len(t) == 3)
+    tokens[tokens.index(renamed)] = "zzz"  # same length, so the layout stays put
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert len(blob) == header_len and "zzz" not in checkpoint.vocabularies["output"]
+    path.write_bytes(data[:16] + blob + data[16 + header_len :])
+    with pytest.raises(CorruptCheckpoint, match="digest"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_deeply_nested_header_is_corrupt(tmp_path):
+    blob = b"[" * 100_000 + b"]" * 100_000
+    path = tmp_path / "deep.ckpt"
+    prefix = b"LNCK" + struct.pack("<I", lemname.model.CHECKPOINT_VERSION) + struct.pack("<Q", len(blob))
+    path.write_bytes(prefix + blob)
+    with pytest.raises(CorruptCheckpoint, match="unreadable header"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint_bytes(tmp_path_factory):
+    """An untrained one-stream checkpoint: 2.4 kB, of which 1.3 kB header and 1.1 kB parameters."""
+    vocabularies = {name: Vocabulary(["add", "mul", "_", "n"]) for name in ("statement", "output")}
+    config = ModelConfig(inputs=("statement",), embed_dim=2, hidden_dim=2, max_input_len=4, max_output_len=2)
+    model = LemmaNameModel(config, ChopConfig(), DEFAULT_LEXICON, vocabularies)
+    path = tmp_path_factory.mktemp("small_checkpoint") / "small.ckpt"
+    save_checkpoint(
+        path, ModelCheckpoint(config, ChopConfig(), DEFAULT_LEXICON, vocabularies, model.parameters.state())
+    )
+    return path.read_bytes()
+
+
+@given(data=st.data())
+def test_tampered_checkpoint_loads_or_fails_as_corrupt(data, small_checkpoint_bytes, tmp_path_factory):
+    edited = bytearray(small_checkpoint_bytes)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(["flip", "insert", "truncate"]), label="kind")
+        # Counting from the end half the time reaches the parameter blocks,
+        # since drawn integers lean towards small values.
+        position = data.draw(st.integers(0, len(edited)), label="position")
+        if data.draw(st.booleans(), label="from end"):
+            position = len(edited) - position
+        if kind == "insert":
+            edited.insert(position, data.draw(st.integers(0, 255), label="byte"))
+        elif kind == "truncate":
+            del edited[position:]
+        elif position < len(edited):
+            edited[position] ^= data.draw(st.integers(1, 255), label="mask")
+    path = tmp_path_factory.getbasetemp() / "tampered.ckpt"
+    path.write_bytes(bytes(edited))
+    try:
+        load_checkpoint(path).to_model()
+    except (CorruptCheckpoint, VersionMismatch):
+        pass

@@ -7,53 +7,39 @@ import pytest
 from lemname.subtok import (
     DEFAULT_LEXICON,
     EmptyName,
-    SubToken,
     SuffixLexicon,
-    detokenize,
     subtokenize_name,
     subtokenize_statement_token,
 )
 
 
-def texts(subtokens):
-    return [s.text for s in subtokens]
-
-
-def kinds(subtokens):
-    return [s.kind for s in subtokens]
-
-
 class TestNameExamples:
     def test_suffix_peeling_with_camel_boundary(self):
         subs = subtokenize_name("extprod_mulgA")
-        assert texts(subs) == ["extprod", "_", "mul", "g", "A"]
-        assert kinds(subs) == ["word", "underscore", "word", "suffix_letter", "suffix_letter"]
+        assert subs == ["extprod", "_", "mul", "g", "A"]
 
     def test_short_head_is_not_peeled(self):
-        assert texts(subtokenize_name("mg_eq_nerode")) == ["mg", "_", "eq", "_", "nerode"]
+        assert subtokenize_name("mg_eq_nerode") == ["mg", "_", "eq", "_", "nerode"]
 
     def test_lexicon_head_may_shrink_to_one_letter(self):
         # Both letters are in the lexicon, so peeling may empty the tail.
         subs = subtokenize_name("AC")
-        assert texts(subs) == ["A", "C"]
-        assert kinds(subs) == ["word", "suffix_letter"]
+        assert subs == ["A", "C"]
 
     def test_digit_boundary(self):
         subs = subtokenize_name("addn0", SuffixLexicon(letters=frozenset("ACgn")))
-        assert texts(subs) == ["add", "n", "0"]
-        assert kinds(subs) == ["word", "suffix_letter", "digit_run"]
+        assert subs == ["add", "n", "0"]
 
     def test_digit_boundary_without_lexicon_letter(self):
-        assert texts(subtokenize_name("addn0")) == ["addn", "0"]
+        assert subtokenize_name("addn0") == ["addn", "0"]
 
     def test_peeling_disabled(self):
         lex = SuffixLexicon(enabled=False)
-        assert texts(subtokenize_name("extprod_mulgA", lex)) == ["extprod", "_", "mulg", "A"]
+        assert subtokenize_name("extprod_mulgA", lex) == ["extprod", "_", "mulg", "A"]
 
     def test_prime_suffix_is_a_symbol_run(self):
         subs = subtokenize_name("addn'")
-        assert texts(subs) == ["addn", "'"]
-        assert kinds(subs)[-1] == "symbol"
+        assert subs == ["addn", "'"]
 
     def test_empty_name_rejected(self):
         with pytest.raises(EmptyName):
@@ -63,25 +49,23 @@ class TestNameExamples:
 class TestStatementTokens:
     def test_camel_case_split(self):
         subs = subtokenize_statement_token("CLocalAssum")
-        assert texts(subs) == ["C", "Local", "Assum"]
-        assert kinds(subs) == ["word", "word", "word"]
+        assert subs == ["C", "Local", "Assum"]
 
     def test_no_suffix_peeling_on_statements(self):
-        assert texts(subtokenize_statement_token("mulgA")) == ["mulg", "A"]
+        assert subtokenize_statement_token("mulgA") == ["mulg", "A"]
 
     def test_keyword_passes_through(self):
-        assert texts(subtokenize_statement_token("forall")) == ["forall"]
+        assert subtokenize_statement_token("forall") == ["forall"]
 
     def test_symbol_token(self):
         subs = subtokenize_statement_token("->")
-        assert texts(subs) == ["->"]
-        assert kinds(subs) == ["symbol"]
+        assert subs == ["->"]
 
     def test_empty_token_yields_nothing(self):
         assert subtokenize_statement_token("") == []
 
     def test_mixed_token(self):
-        assert texts(subtokenize_statement_token("x2_fooBar")) == ["x", "2", "_", "foo", "Bar"]
+        assert subtokenize_statement_token("x2_fooBar") == ["x", "2", "_", "foo", "Bar"]
 
 
 class TestLexicon:
@@ -113,16 +97,12 @@ class TestLosslessness:
             rest = "".join(rng.choice(_IDENT_CHARS) for _ in range(rng.randrange(0, 12)))
             name = first + rest
             subs = subtokenize_name(name)
-            assert detokenize(subs) == name
-            assert all(s.text for s in subs)
+            assert "".join(subs) == name
+            assert all(subs)
 
     def test_round_trip_on_statement_tokens(self):
         rng = random.Random(100)
         alphabet = _IDENT_CHARS + "()=<>+-*/.,:"
         for _ in range(2000):
             token = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 10)))
-            assert detokenize(subtokenize_statement_token(token)) == token
-
-    def test_detokenize_accepts_plain_strings(self):
-        assert detokenize(["mg", "_", "eq"]) == "mg_eq"
-        assert detokenize([SubToken("a", "word"), "_"]) == "a_"
+            assert "".join(subtokenize_statement_token(token)) == token
