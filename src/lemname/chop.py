@@ -40,31 +40,18 @@ class ChopConfig:
     enable_singleton_extract: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "qualified_name_tags", frozenset(self.qualified_name_tags))
-        object.__setattr__(self, "location_tags", frozenset(self.location_tags))
+        for name in ("qualified_name_tags", "location_tags"):
+            tags = getattr(self, name)
+            if not isinstance(tags, (list, tuple, set, frozenset)) or not all(isinstance(t, str) for t in tags):
+                raise ValueError(f"{name} must be a set of strings, got {tags!r}")
+            object.__setattr__(self, name, frozenset(tags))
+        for name in ("enable_qualid_collapse", "enable_location_strip", "enable_singleton_extract"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.enable_qualid_collapse and not self.qualified_name_tags:
             raise ValueError("qualified-name collapse enabled with empty tag set")
         if self.enable_location_strip and not self.location_tags:
             raise ValueError("location strip enabled with empty tag set")
-
-    def to_dict(self) -> dict:
-        return {
-            "qualified_name_tags": sorted(self.qualified_name_tags),
-            "location_tags": sorted(self.location_tags),
-            "enable_qualid_collapse": self.enable_qualid_collapse,
-            "enable_location_strip": self.enable_location_strip,
-            "enable_singleton_extract": self.enable_singleton_extract,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChopConfig":
-        return cls(
-            qualified_name_tags=frozenset(data["qualified_name_tags"]),
-            location_tags=frozenset(data["location_tags"]),
-            enable_qualid_collapse=data["enable_qualid_collapse"],
-            enable_location_strip=data["enable_location_strip"],
-            enable_singleton_extract=data["enable_singleton_extract"],
-        )
 
 
 def _head_tag(node: SExp):

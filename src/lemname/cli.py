@@ -72,35 +72,47 @@ class ToolConfig:
     lexicon: SuffixLexicon = field(default_factory=SuffixLexicon)
 
 
-def _parse_bool(value: str, line: int, key: str) -> bool:
-    lowered = value.lower()
-    if lowered not in ("true", "false"):
-        raise ConfigSyntaxError(line, f"{key} must be true or false, got {value!r}")
-    return lowered == "true"
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value.lower() == "true"
+
+
+def _parse_k(value: str) -> int:
+    try:
+        k = int(value)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {value!r}") from None
+    if k < 1:
+        raise ValueError("must be at least 1")
+    return k
 
 
 def _parse_list(value: str) -> tuple:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-_CONFIG_KEYS = (
-    "model_path",
-    "k",
-    "qualid_collapse",
-    "location_strip",
-    "singleton_extract",
-    "qualified_name_tags",
-    "location_tags",
-    "suffix_peeling",
-    "suffix_letters",
-)
+# Each key's section, the field it sets there, and the parser of its value.
+_CONFIG_KEYS = {
+    "model_path": ("tool", "model_path", str),
+    "k": ("tool", "k", _parse_k),
+    "qualid_collapse": ("chop", "enable_qualid_collapse", _parse_bool),
+    "location_strip": ("chop", "enable_location_strip", _parse_bool),
+    "singleton_extract": ("chop", "enable_singleton_extract", _parse_bool),
+    "qualified_name_tags": ("chop", "qualified_name_tags", _parse_list),
+    "location_tags": ("chop", "location_tags", _parse_list),
+    "suffix_peeling": ("lexicon", "enabled", _parse_bool),
+    "suffix_letters": ("lexicon", "letters", _parse_list),
+}
 
 
 def load_config(project_root) -> ToolConfig:
     """Parse `.roosterizerc` (`key: value`, full-line `#` comments).
 
     A missing file yields all defaults; unknown keys and malformed
-    values are rejected with the offending line number.
+    values are rejected with the offending line number. A value that
+    its chop config or lexicon rejects names the first line of that
+    section's keys.
     """
     path = Path(project_root) / CONFIG_FILE_NAME
     values: dict = {}
@@ -118,53 +130,22 @@ def load_config(project_root) -> ToolConfig:
                 raise ConfigSyntaxError(number, f"unknown key {key!r}")
             values[key] = (number, value)
 
-    config = ToolConfig()
-    if "model_path" in values:
-        config.model_path = values["model_path"][1]
-    if "k" in values:
-        number, value = values["k"]
-        try:
-            config.k = int(value)
-        except ValueError:
-            raise ConfigSyntaxError(number, f"k must be an integer, got {value!r}") from None
-        if config.k < 1:
-            raise ConfigSyntaxError(number, "k must be at least 1")
-
-    chop_kwargs: dict = {}
-    chop_lines = []
-    for key, name in (
-        ("qualid_collapse", "enable_qualid_collapse"),
-        ("location_strip", "enable_location_strip"),
-        ("singleton_extract", "enable_singleton_extract"),
-    ):
+    sections = {"tool": {}, "chop": {}, "lexicon": {}}
+    for key, (section, name, parser) in _CONFIG_KEYS.items():
         if key in values:
             number, value = values[key]
-            chop_kwargs[name] = _parse_bool(value, number, key)
-            chop_lines.append(number)
-    for key in ("qualified_name_tags", "location_tags"):
-        if key in values:
-            number, value = values[key]
-            chop_kwargs[key] = frozenset(_parse_list(value))
-            chop_lines.append(number)
-    if chop_kwargs:
+            try:
+                sections[section][name] = parser(value)
+            except ValueError as err:
+                raise ConfigSyntaxError(number, f"{key} {err}") from None
+    built = {}
+    for section, cls in (("chop", ChopConfig), ("lexicon", SuffixLexicon)):
         try:
-            config.chop = ChopConfig(**chop_kwargs)
+            built[section] = cls(**sections[section])
         except ValueError as err:
-            raise ConfigSyntaxError(min(chop_lines), str(err)) from None
-
-    lexicon_kwargs: dict = {}
-    if "suffix_peeling" in values:
-        number, value = values["suffix_peeling"]
-        lexicon_kwargs["enabled"] = _parse_bool(value, number, "suffix_peeling")
-    if "suffix_letters" in values:
-        lexicon_kwargs["letters"] = frozenset(_parse_list(values["suffix_letters"][1]))
-    if lexicon_kwargs:
-        number = values.get("suffix_letters", values.get("suffix_peeling"))[0]
-        try:
-            config.lexicon = SuffixLexicon(**lexicon_kwargs)
-        except ValueError as err:
-            raise ConfigSyntaxError(number, str(err)) from None
-    return config
+            first = min(number for key, (number, _) in values.items() if _CONFIG_KEYS[key][0] == section)
+            raise ConfigSyntaxError(first, str(err)) from None
+    return ToolConfig(**sections["tool"], **built)
 
 
 def resolve_settings(args) -> ToolConfig:

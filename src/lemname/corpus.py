@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import random
 import re
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -162,8 +163,6 @@ class DatasetSplit:
     train: frozenset
     validation: frozenset
     test: frozenset
-    ratios: tuple = (0.8, 0.1, 0.1)
-    seed: int = 0
 
 
 def split_corpus(doc_ids, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
@@ -185,8 +184,6 @@ def split_corpus(doc_ids, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit
         train=frozenset(docs[:n_train]),
         validation=frozenset(docs[n_train : n_train + n_val]),
         test=frozenset(docs[n_train + n_val :]),
-        ratios=tuple(ratios),
-        seed=seed,
     )
 
 
@@ -223,51 +220,41 @@ def stream_subtoken_texts(
     return [s for token in tokens for s in subtokenize_statement_token(token)]
 
 
+@dataclass(frozen=True)
 class Vocabulary:
     """Sub-token texts mapped to dense ids, reserved entries first.
 
     Ids 0..3 are <pad>, <unk>, <bos>, <eos>. Corpus entries follow in
     descending frequency, ties broken lexicographically, so a vocabulary
-    is a pure function of its training corpus.
+    is a pure function of its training corpus. `texts` lists every entry
+    by id.
     """
 
-    def __init__(self, tokens, min_frequency: int = 1):
-        self.min_frequency = min_frequency
-        self._texts = RESERVED_TOKENS + tuple(tokens)
-        self._ids = {}
-        for index, text in enumerate(self._texts):
-            if text in self._ids:
+    tokens: tuple
+    min_frequency: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.tokens, (list, tuple)) or not all(isinstance(t, str) for t in self.tokens):
+            raise ValueError(f"tokens must be a list of strings, got {reprlib.repr(self.tokens)}")
+        if type(self.min_frequency) is not int or self.min_frequency < 1:  # a bool is no count
+            raise ValueError(f"min_frequency must be a positive integer, got {self.min_frequency!r}")
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "texts", RESERVED_TOKENS + self.tokens)
+        ids = {}
+        for index, text in enumerate(self.texts):
+            if text in ids:
                 raise ValueError(f"duplicate vocabulary entry: {text!r}")
-            self._ids[text] = index
+            ids[text] = index
+        object.__setattr__(self, "_ids", ids)
 
     def encode(self, text: str) -> int:
         return self._ids.get(text, UNK_ID)
-
-    def decode(self, token_id: int) -> str:
-        return self._texts[token_id]
 
     def __contains__(self, text: str) -> bool:
         return text in self._ids
 
     def __len__(self) -> int:
-        return len(self._texts)
-
-    @property
-    def texts(self) -> tuple:
-        return self._texts
-
-    def to_dict(self) -> dict:
-        return {"tokens": list(self._texts[len(RESERVED_TOKENS) :]), "min_frequency": self.min_frequency}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Vocabulary":
-        return cls(data["tokens"], data["min_frequency"])
-
-    def __eq__(self, other):
-        return isinstance(other, Vocabulary) and self._texts == other._texts
-
-    def __hash__(self):
-        return hash(self._texts)
+        return len(self.texts)
 
 
 def build_vocabulary(sequences, min_frequency: int = 1) -> Vocabulary:

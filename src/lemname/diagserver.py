@@ -51,11 +51,16 @@ def read_message(stream) -> bytes | None:
     """Read one Content-Length framed body; None on end of input.
 
     A body over `MAX_FRAME_BYTES` is skipped in reads of at most that size.
+    A header line over that size ends the session, like an unreadable
+    `Content-Length`: the frame boundary is lost.
     """
     content_length = None
     while True:
-        line = stream.readline()
+        line = stream.readline(MAX_FRAME_BYTES + 1)
         if not line:
+            return None
+        if len(line) > MAX_FRAME_BYTES:
+            log.warning("header line over %d bytes; treating as end of input", MAX_FRAME_BYTES)
             return None
         line = line.rstrip(b"\r\n")
         if not line:

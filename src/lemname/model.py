@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -128,6 +128,8 @@ class ModelConfig:
     max_output_len: int = 16
 
     def __post_init__(self):
+        if not isinstance(self.inputs, (list, tuple)) or not all(isinstance(stream, str) for stream in self.inputs):
+            raise ValueError(f"inputs must be a list of stream names, got {self.inputs!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if not self.inputs:
             raise ValueError("at least one input stream is required")
@@ -144,13 +146,6 @@ class ModelConfig:
             raise ValueError(f"use_copy must be a bool, got {self.use_copy!r}")
         if self.hidden_dim % 2:
             raise ValueError("bidirectional encoders need an even hidden_dim")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**{**data, "inputs": tuple(data["inputs"])})
 
 
 @dataclass
@@ -647,7 +642,8 @@ class ModelCheckpoint:
 
 
 def _canonical_json(value) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Sorted keys, no whitespace; a set is written as its sorted list."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=sorted).encode("utf-8")
 
 
 def _header_digest(header: dict) -> str:
@@ -666,10 +662,10 @@ def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
     every other header entry. Identical checkpoints are byte-identical.
     """
     header = {
-        "config": checkpoint.config.to_dict(),
-        "chop_config": checkpoint.chop_config.to_dict(),
-        "lexicon": checkpoint.lexicon.to_dict(),
-        "vocabularies": {name: v.to_dict() for name, v in checkpoint.vocabularies.items()},
+        "config": asdict(checkpoint.config),
+        "chop_config": asdict(checkpoint.chop_config),
+        "lexicon": asdict(checkpoint.lexicon),
+        "vocabularies": {name: asdict(v) for name, v in checkpoint.vocabularies.items()},
         "parameters": [
             {"name": name, "shape": list(checkpoint.parameter_state[name].shape)}
             for name in sorted(checkpoint.parameter_state)
@@ -685,6 +681,15 @@ def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
         for name in sorted(checkpoint.parameter_state):
             block = np.ascontiguousarray(checkpoint.parameter_state[name], dtype="<f8")
             fh.write(block.tobytes())
+
+
+def _section(cls, data):
+    """A settings dataclass built from a header section that holds exactly its fields."""
+    names = {f.name for f in fields(cls)}
+    if not isinstance(data, dict) or data.keys() != names:
+        keys = sorted(data) if isinstance(data, dict) else type(data).__name__
+        raise CorruptCheckpoint(f"malformed header: {cls.__name__} needs the keys {sorted(names)}, got {keys}")
+    return cls(**data)
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
@@ -707,12 +712,10 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if not isinstance(header, dict) or header.get("header_digest") != _header_digest(header):
         raise CorruptCheckpoint("header digest mismatch")
     try:
-        config = ModelConfig.from_dict(header["config"])
-        chop_config = ChopConfig.from_dict(header["chop_config"])
-        lexicon = SuffixLexicon.from_dict(header["lexicon"])
-        vocabularies = {
-            name: Vocabulary.from_dict(v) for name, v in header["vocabularies"].items()
-        }
+        config = _section(ModelConfig, header["config"])
+        chop_config = _section(ChopConfig, header["chop_config"])
+        lexicon = _section(SuffixLexicon, header["lexicon"])
+        vocabularies = {name: _section(Vocabulary, v) for name, v in header["vocabularies"].items()}
         entries = [(e["name"], e["shape"]) for e in header["parameters"]]
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CorruptCheckpoint(f"malformed header: {err}") from err

@@ -31,19 +31,18 @@ class SuffixLexicon:
     enabled: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.letters, (list, tuple, set, frozenset)) or not all(
+            isinstance(letter, str) for letter in self.letters
+        ):
+            raise ValueError(f"letters must be a set of strings, got {self.letters!r}")
         object.__setattr__(self, "letters", frozenset(self.letters))
+        if not isinstance(self.enabled, bool):
+            raise ValueError(f"enabled must be a bool, got {self.enabled!r}")
         if self.enabled and not self.letters:
             raise ValueError("suffix peeling enabled with an empty lexicon")
         for letter in self.letters:
             if len(letter) != 1 or not letter.isalpha():
                 raise ValueError(f"suffix lexicon entries must be single letters: {letter!r}")
-
-    def to_dict(self) -> dict:
-        return {"letters": sorted(self.letters), "enabled": self.enabled}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuffixLexicon":
-        return cls(letters=frozenset(data["letters"]), enabled=data["enabled"])
 
 
 DEFAULT_LEXICON = SuffixLexicon()

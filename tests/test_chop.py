@@ -143,9 +143,13 @@ class TestChopPipeline:
         # Disabled passes may have empty tag sets.
         ChopConfig(qualified_name_tags=frozenset(), enable_qualid_collapse=False)
 
-    def test_config_round_trips_through_dict(self):
-        cfg = ChopConfig(location_tags=frozenset({"loc", "vernac_loc"}))
-        assert ChopConfig.from_dict(cfg.to_dict()) == cfg
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [("location_tags", "loc"), ("qualified_name_tags", [7]), ("enable_location_strip", "no")],
+    )
+    def test_config_rejects_mistyped_fields(self, field_name, value):
+        with pytest.raises(ValueError, match=f"{field_name} must be"):
+            ChopConfig(**{field_name: value})
 
     def test_rebuilt_node_with_an_exposed_head_is_rewritten_again(self):
         # Dropping (loc 1) moves a tag atom into head position.

@@ -125,7 +125,7 @@ def test_config_last_value_wins(tmp_path):
     assert load_config(tmp_path).k == 7
 
 
-CONFIG_KEYS = st.sampled_from(_CONFIG_KEYS + ("data_dir", "compile_cmd")) | st.text(max_size=8)
+CONFIG_KEYS = st.sampled_from(tuple(_CONFIG_KEYS) + ("data_dir", "compile_cmd")) | st.text(max_size=8)
 CONFIG_VALUES = st.sampled_from(
     ["", "true", "False", "maybe", "0", "-3", "7", "1_0", "A, C", "A, CC", ",", "loc, v_loc"]
 ) | st.text(max_size=12)
@@ -578,18 +578,41 @@ def test_checkpoint_with_malformed_parameter_entry_exits_two(
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("embed_dim", 24.0), ("max_input_len", 1.5), ("use_copy", "yes")],
-    ids=["float", "fraction", "str"],
+    "section, field, value, message",
+    [
+        ("config", "embed_dim", 24.0, "embed_dim must be"),
+        ("config", "max_input_len", 1.5, "max_input_len must be"),
+        ("config", "use_copy", "yes", "use_copy must be"),
+        ("lexicon", "enabled", "no", "enabled must be"),
+        ("lexicon", "letters", "ACg", "letters must be"),
+        ("chop_config", "enable_location_strip", "no", "enable_location_strip must be"),
+        ("chop_config", "location_tags", "loc", "location_tags must be"),
+        ("output", "min_frequency", "x", "min_frequency must be"),
+        ("output", "tokens", 7, "tokens must be"),
+        ("lexicon", "extra", True, "SuffixLexicon needs the keys"),
+    ],
+    ids=[
+        "float", "fraction", "str", "lexicon-enabled", "lexicon-letters", "chop-flag", "chop-tags",
+        "min-frequency", "token", "extra-key",
+    ],
 )
-def test_checkpoint_with_mistyped_config_exits_two(field, value, cli_env, tmp_path, capsys, monkeypatch):
+def test_checkpoint_with_mistyped_config_exits_two(
+    section, field, value, message, cli_env, tmp_path, capsys, monkeypatch
+):
     def set_field(header):
-        header["config"][field] = value
+        settings = header["vocabularies"][section] if section == "output" else header[section]
+        if field == "tokens":
+            settings["tokens"][0] = value
+        else:
+            settings[field] = value
 
     path = rewritten_checkpoint(cli_env, tmp_path / "config.ckpt", set_field)
-    code, err = exit_code_and_error("suggest_naming", path, cli_env, monkeypatch, capsys)
-    assert code == 2
-    assert err.startswith(f"error: malformed header: {field} must be") and "Traceback" not in err
+    with pytest.raises(CorruptCheckpoint, match=f"malformed header: {message}"):
+        load_checkpoint(path)
+    for command in ("suggest_naming", "serve"):
+        code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith(f"error: malformed header: {message}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])

@@ -161,10 +161,10 @@ class TestSplit:
 class TestVocabulary:
     def test_reserved_ids(self):
         vocab = Vocabulary(["x"])
-        assert vocab.decode(PAD_ID) == "<pad>"
-        assert vocab.decode(UNK_ID) == "<unk>"
-        assert vocab.decode(BOS_ID) == "<bos>"
-        assert vocab.decode(EOS_ID) == "<eos>"
+        assert vocab.texts[PAD_ID] == "<pad>"
+        assert vocab.texts[UNK_ID] == "<unk>"
+        assert vocab.texts[BOS_ID] == "<bos>"
+        assert vocab.texts[EOS_ID] == "<eos>"
         assert vocab.encode("x") == len(RESERVED_TOKENS)
 
     def test_unknown_text_maps_to_unk(self):
@@ -196,11 +196,19 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["x", "x"])
 
-    def test_dict_round_trip(self):
-        vocab = Vocabulary(["b", "a"], min_frequency=3)
-        again = Vocabulary.from_dict(vocab.to_dict())
-        assert again == vocab
-        assert again.min_frequency == 3
+    @pytest.mark.parametrize(
+        "tokens, min_frequency, field_name",
+        [
+            ("xy", 1, "tokens"),
+            (["x", 7], 1, "tokens"),
+            (["x"], "x", "min_frequency"),
+            (["x"], True, "min_frequency"),
+            (["x"], 0, "min_frequency"),
+        ],
+    )
+    def test_mistyped_fields_rejected(self, tokens, min_frequency, field_name):
+        with pytest.raises(ValueError, match=f"{field_name} must be"):
+            Vocabulary(tokens, min_frequency)
 
     def test_same_corpus_same_vocabulary(self):
         documents = load_directory(bundled_corpus_dir())

@@ -113,6 +113,23 @@ def test_read_message_oversized_truncated_frame_is_end_of_input():
     assert read_message(stream) is None
 
 
+class PipeWithUnboundedReadlineForbidden(PipeWithWriterOpen):
+    """A pipe that fails any header-line read that is not capped at one frame."""
+
+    def readline(self, size=-1):
+        assert size is not None and 0 <= size <= MAX_FRAME_BYTES + 1, f"readline({size})"
+        return super().readline(size)
+
+
+def test_read_message_overlong_header_line_is_end_of_input(caplog):
+    line = b"X-Padding: " + b"a" * (MAX_FRAME_BYTES + 10 - len(b"X-Padding: \r\n")) + b"\r\n"
+    assert len(line) == MAX_FRAME_BYTES + 10
+    stream = PipeWithUnboundedReadlineForbidden(line + b"\r\n" + frame(request("exit")))
+    with caplog.at_level(logging.WARNING, logger="lemname.diagserver"):
+        assert read_message(stream) is None
+    assert "header line" in caplog.text
+
+
 def test_oversized_frame_answers_parse_error_and_stays_alive(cli_env):
     responses = run_server(
         cli_env,

@@ -1,6 +1,7 @@
 """Tests for the multi-input encoder-decoder, training loop, and checkpoints."""
 
 import dataclasses
+import itertools
 import json
 import struct
 from types import SimpleNamespace
@@ -38,13 +39,16 @@ from lemname.model import (
     Suggestion,
     TrainingConfig,
     VersionMismatch,
+    _canonical_json,
+    _header_digest,
+    _section,
     load_checkpoint,
     record_texts,
     save_checkpoint,
     train,
 )
 from lemname.nn import NonFiniteValue, backward
-from lemname.subtok import DEFAULT_LEXICON
+from lemname.subtok import DEFAULT_LEXICON, SuffixLexicon
 
 from gradcheck import finite_difference_check
 
@@ -113,11 +117,6 @@ def test_config_rejects_odd_hidden_for_bidirectional():
 def test_config_rejects_nonpositive_dims(field_name):
     with pytest.raises(ValueError):
         ModelConfig(**{field_name: 0})
-
-
-def test_config_round_trips_through_dict():
-    config = small_config(use_copy=False)
-    assert ModelConfig.from_dict(config.to_dict()) == config
 
 
 def test_input_configs_cover_expected_combinations():
@@ -338,7 +337,7 @@ def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     assert prepared.oov_texts, "fixture should have out-of-vocabulary sources"
 
     def ext_text(ext_id):
-        return out_vocab.decode(int(ext_id)) if ext_id < base else prepared.oov_texts[ext_id - base]
+        return out_vocab.texts[ext_id] if ext_id < base else prepared.oov_texts[ext_id - base]
 
     assert len(prepared.source_ext_ids) == len(source)
     for position, text in enumerate(source):
@@ -372,7 +371,7 @@ def reference_greedy(model, records) -> list:
             if best == EOS_ID:
                 finished[row] = True
                 continue
-            text = model.vocabularies["output"].decode(best) if best < base else record.oov_texts[best - base]
+            text = model.vocabularies["output"].texts[best] if best < base else record.oov_texts[best - base]
             names[row].append(text)
             previous[row] = best if best < base else UNK_ID
     return ["".join(texts) for texts in names]
@@ -671,6 +670,27 @@ def test_checkpoint_vocabulary_tamper(trained, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        small_config(inputs=("statement",), use_copy=False, max_output_len=3),
+        ChopConfig(location_tags=frozenset({"loc", "vernac_loc"}), enable_singleton_extract=False),
+        SuffixLexicon(letters=frozenset({"A", "n"}), enabled=False),
+        Vocabulary(["b", "a"], min_frequency=3),
+    ],
+    ids=lambda settings: type(settings).__name__,
+)
+def test_settings_round_trip_through_the_header(settings):
+    data = json.loads(_canonical_json(dataclasses.asdict(settings)))
+    assert _section(type(settings), data) == settings
+
+
+@pytest.mark.parametrize("data", [None, [], {"letters": ["A"]}, {"letters": ["A"], "enabled": True, "x": 1}])
+def test_settings_section_needs_exactly_its_fields(data):
+    with pytest.raises(CorruptCheckpoint, match="malformed header: SuffixLexicon needs the keys"):
+        _section(SuffixLexicon, data)
+
+
 def test_checkpoint_with_deeply_nested_header_is_corrupt(tmp_path):
     blob = b"[" * 100_000 + b"]" * 100_000
     path = tmp_path / "deep.ckpt"
@@ -715,3 +735,50 @@ def test_tampered_checkpoint_loads_or_fails_as_corrupt(data, small_checkpoint_by
         load_checkpoint(path).to_model()
     except (CorruptCheckpoint, VersionMismatch):
         pass
+
+
+HEADER_VALUES = (None, True, False, 0, -1, 2, 1.5, "", "no", [], ["x"], {})
+
+
+def settings_of(checkpoint) -> list:
+    return [checkpoint.config, checkpoint.chop_config, checkpoint.lexicon, *checkpoint.vocabularies.values()]
+
+
+def header_sections(header) -> list:
+    return [header["config"], header["chop_config"], header["lexicon"], *header["vocabularies"].values()]
+
+
+def field_types(settings) -> list:
+    return [type(getattr(s, f.name)) for s in settings for f in dataclasses.fields(s)]
+
+
+def test_every_mistyped_settings_field_fails_as_corrupt_or_keeps_its_type(small_checkpoint_bytes, tmp_path):
+    data = small_checkpoint_bytes
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + header_len])
+    path = tmp_path / "field.ckpt"
+    path.write_bytes(data)
+    expected = field_types(settings_of(load_checkpoint(path)))
+    outcomes = {"loaded": 0, "corrupt": 0}
+    for index, section in enumerate(header_sections(header)):
+        for field_name, value in itertools.product(sorted(section), HEADER_VALUES):
+            edited = json.loads(json.dumps(header))
+            header_sections(edited)[index][field_name] = value
+            edited["header_digest"] = _header_digest(edited)
+            blob = _canonical_json(edited)
+            path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + header_len :])
+            try:
+                checkpoint = load_checkpoint(path)
+                checkpoint.to_model()
+            except CorruptCheckpoint:
+                outcomes["corrupt"] += 1
+                continue
+            outcomes["loaded"] += 1
+            settings = settings_of(checkpoint)
+            assert field_types(settings) == expected, (field_name, value)
+            for s in settings:
+                for f in dataclasses.fields(s):
+                    members = getattr(s, f.name)
+                    if isinstance(members, (tuple, frozenset)):
+                        assert all(type(m) is str for m in members), (field_name, value)
+    assert outcomes["loaded"] and outcomes["corrupt"]

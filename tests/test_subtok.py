@@ -81,9 +81,10 @@ class TestLexicon:
         with pytest.raises(ValueError):
             SuffixLexicon(letters=frozenset({"Ab"}))
 
-    def test_round_trips_through_dict(self):
-        lex = SuffixLexicon(letters=frozenset({"A", "n"}), enabled=False)
-        assert SuffixLexicon.from_dict(lex.to_dict()) == lex
+    @pytest.mark.parametrize("field_name, value", [("letters", "ACg"), ("letters", [None]), ("enabled", "no")])
+    def test_rejects_mistyped_fields(self, field_name, value):
+        with pytest.raises(ValueError, match=f"{field_name} must be"):
+            SuffixLexicon(**{field_name: value})
 
 
 _IDENT_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
