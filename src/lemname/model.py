@@ -302,12 +302,14 @@ class LemmaNameModel:
     def _encode(self, prepared, keep_graph: bool) -> _Batch:
         """Run the encoders over prepared records padded to one batch.
 
-        Each direction of each stream is one gru_sequence call. Without
+        Each stream is one gru_sequence call that runs both directions in
+        one time loop and projects its inputs block by block. Without
         keep_graph no activations are kept for backward, and the batch
         holds graph-free tensors.
         """
         cfg = self.config
         batch = len(prepared)
+        half = cfg.hidden_dim // 2
         starts = [0] * batch
         hidden_parts, mask_parts, ext_parts, finals = [], [], [], []
         for stream in cfg.inputs:
@@ -322,16 +324,14 @@ class LemmaNameModel:
                 mask[b, : len(seq)] = 1.0
                 starts[b] += len(seq)
             emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
-            forward_cell, backward_cell = self._encoders[stream]
-            zero = Tensor(np.zeros((batch, cfg.hidden_dim // 2)))
-            # Padding carries the state, so the last (forward) and first
-            # (backward) positions hold each record's final state.
-            forward_states = gru_sequence(emb, mask, zero, forward_cell, reverse=False, keep_graph=keep_graph)
-            backward_states = gru_sequence(emb, mask, zero, backward_cell, reverse=True, keep_graph=keep_graph)
-            hidden_parts.append(concat([forward_states, backward_states], axis=2))
+            zero = Tensor(np.zeros((batch, cfg.hidden_dim)))
+            states = gru_sequence(emb, mask, zero, self._encoders[stream], keep_graph=keep_graph)
+            hidden_parts.append(states)
             mask_parts.append(mask)
             ext_parts.append(ext)
-            finals.append(concat([forward_states[:, -1], backward_states[:, 0]], axis=1))
+            # Padding carries the state, so the last (forward) and first
+            # (backward) positions hold each record's final state.
+            finals.append(concat([states[:, -1, :half], states[:, 0, half:]], axis=1))
         fused = concat(finals, axis=1)
         state = tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
         hidden = concat(hidden_parts, axis=1)
@@ -360,7 +360,7 @@ class LemmaNameModel:
         n, steps = input_ids.shape
         rows = n * steps
         x = embedding_lookup(params["dec.embed"], input_ids)
-        states = gru_sequence(x, np.ones((n, steps)), state, self._decoder_cell, keep_graph=keep_graph)
+        states = gru_sequence(x, np.ones((n, steps)), state, (self._decoder_cell,), keep_graph=keep_graph)
         flat = reshape(states, (rows, cfg.hidden_dim))
         records, length = batch.mask.shape
         width = rows // records

@@ -8,8 +8,9 @@ makes a NaN, and the NonFiniteValue it becomes names that operation
 ("overflow encountered in matmul"). No op scans its output; backward,
 adam_step and the model's loss and decoder run checked. A NaN that comes
 in from outside sets no flag, so Parameters.load_state rejects
-non-finite values. gru_sequence runs a whole recurrent direction as one
-op. It is the only GRU the model runs (encoder directions and the
+non-finite values. gru_sequence runs one or two recurrent directions over
+a whole sequence as one op, both directions in one time loop. It is the
+only GRU the model runs (one call per encoder stream, one for the
 decoder); gru_cell is the single-step reference it is tested against.
 Everything downstream of a fixed seed is bit-reproducible.
 """
@@ -449,88 +450,127 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     return update * h + (1.0 - update) * candidate
 
 
-def gru_sequence(
-    x: Tensor, mask, initial: Tensor, params: GruParams, reverse: bool = False, keep_graph: bool = True
-) -> Tensor:
-    """One GRU direction over a padded batch: x is (B, T, in), mask is (B, T).
+# Time steps whose input projection x @ w_x + b is one GEMM. A block rather
+# than the whole sequence bounds the projection of all directions at
+# (D, B*32, 3*hidden), so long inputs never hold a (B*T, 3*hidden) array,
+# which would raise peak memory.
+_PROJECTION_BLOCK = 32
 
-    Returns every position's state as one (B, T, hidden) tensor, starting
-    from the (B, hidden) initial state. Where the mask is 0 the state is
-    carried unchanged, so out[:, -1] (forward) or out[:, 0] (reverse) is
-    each row's state after its last real position. The values equal a
-    chain of gru_cell steps with that carry, but x @ w_x + b is one GEMM
-    outside the time loop, and backward is hand-written BPTT that leaves
-    dx, dw_x and db to one GEMM or reduction each after the loop; the
-    initial state's gradient is what the loop carries out of its first
-    step. Without keep_graph no per-step activations are kept and the
-    result has no gradient.
+
+def _step_order(arrays: list) -> list:
+    """Direction d's (B, T, ...) array as a view in the order its steps visit T."""
+    return [a if d == 0 else a[:, ::-1] for d, a in enumerate(arrays)]
+
+
+def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = True) -> Tensor:
+    """D = len(params) GRU directions over one padded batch, in one time loop.
+
+    x is (B, T, in) and mask (B, T), read by every direction. D is 1 or 2;
+    direction 0 runs from the first position to the last, direction 1
+    from the last to the first. initial is (B, D*hidden) and the result
+    (B, T, D*hidden), direction d in columns d*hidden:(d+1)*hidden. Where
+    the mask is 0 a direction carries its state unchanged, so
+    out[:, -1, :hidden] and out[:, 0, hidden:] are each row's states after
+    its last real position. Values equal a chain of gru_cell steps per
+    direction with that carry. Each step runs every direction at once:
+    one (D, B, hidden) @ (D, hidden, 3*hidden) matmul and the gate
+    arithmetic on (D, B, .) arrays, writing straight into the output. The
+    input projection x @ w_x + b is one GEMM per block of
+    _PROJECTION_BLOCK steps for all directions. Backward is hand-written
+    BPTT over the same loop; after it, dx, dw_x and db are one GEMM or
+    reduction per direction, and dx sums over directions. The initial
+    state's gradient is what the loop carries out of its first step.
+    Without keep_graph no per-step activations are kept and the result
+    has no gradient.
     """
+    params = tuple(params)
     mask = np.asarray(mask)
-    hidden = params.w_h.shape[0]
+    directions = len(params)
+    hidden = params[0].w_h.shape[0] if params else 0
     if (
-        x.data.ndim != 3
+        directions not in (1, 2)
+        or x.data.ndim != 3
         or mask.shape != x.shape[:2]
-        or initial.shape != (x.shape[0], hidden)
-        or params.w_x.shape != (x.shape[2], 3 * hidden)
-        or params.w_h.shape != (hidden, 3 * hidden)
-        or params.b.shape != (3 * hidden,)
+        or initial.shape != (x.shape[0], directions * hidden)
+        or any(
+            (p.w_x.shape, p.w_h.shape, p.b.shape) != ((x.shape[2], 3 * hidden), (hidden, 3 * hidden), (3 * hidden,))
+            for p in params
+        )
     ):
         raise ShapeMismatch(
             f"gru_sequence: x {x.shape}, mask {mask.shape}, initial {initial.shape}, "
-            f"w_x {params.w_x.shape}, w_h {params.w_h.shape}, b {params.b.shape}"
+            + ", ".join(f"w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}" for p in params)
         )
     batch, length, width = x.shape
-    w_x, w_h = params.w_x.data, params.w_h.data
-    flat_x = x.data.reshape(batch * length, width)
-    gates_x = flat_x @ w_x
-    gates_x += params.b.data  # in place: no second (B*T, 3*hidden) array at peak memory
-    gates_x = gates_x.reshape(batch, length, 3 * hidden)
-    real = (mask > 0)[:, :, None]
-    steps = range(length - 1, -1, -1) if reverse else range(length)
-    out = np.empty((batch, length, hidden))
-    saved = []  # per step: previous state, reset|update gates, candidate, h @ w_h candidate block
-    h = initial.data
-    for t in steps:
-        gx = gates_x[:, t]
-        gh = h @ w_h
-        gates = _sigmoid(gx[:, : 2 * hidden] + gh[:, : 2 * hidden])
-        reset, update = gates[:, :hidden], gates[:, hidden:]
-        candidate = np.tanh(gx[:, 2 * hidden :] + reset * gh[:, 2 * hidden :])
-        if keep_graph:
-            saved.append((h, gates, candidate, gh[:, 2 * hidden :]))
-        h = np.where(real[:, t], update * h + (1.0 - update) * candidate, h)
-        out[:, t] = h
+    w_x = np.stack([p.w_x.data for p in params])
+    w_h = np.stack([p.w_h.data for p in params])
+    bias = np.stack([p.b.data for p in params])[:, None, :]
+    inputs = _step_order([x.data] * directions)
+    real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
+    out = np.empty((batch, length, directions, hidden))
+    out_steps = _step_order([out[:, :, d] for d in range(directions)])
+    saved = []  # per step: previous states, reset|update gates, candidates, h @ w_h candidate blocks
+    h = np.ascontiguousarray(initial.data.reshape(batch, directions, hidden).transpose(1, 0, 2))
+    for start in range(0, length, _PROJECTION_BLOCK):
+        stop = min(start + _PROJECTION_BLOCK, length)
+        block = np.stack([seq[:, start:stop] for seq in inputs]).reshape(directions, -1, width)
+        gates_x = np.matmul(block, w_x)
+        gates_x += bias  # in place: no second projection-sized array
+        gates_x = gates_x.reshape(directions, batch, stop - start, 3 * hidden)
+        for t in range(start, stop):
+            gx = gates_x[:, :, t - start]
+            gh = np.matmul(h, w_h)
+            gates = _sigmoid(gx[..., : 2 * hidden] + gh[..., : 2 * hidden])
+            reset, update = gates[..., :hidden], gates[..., hidden:]
+            candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
+            if keep_graph:
+                saved.append((h, gates, candidate, gh[..., 2 * hidden :]))
+            h = np.where(real[t], update * h + (1.0 - update) * candidate, h)
+            for view, state in zip(out_steps, h):
+                view[:, t] = state
+    out = out.reshape(batch, length, directions * hidden)
     if not keep_graph:
         return Tensor(out)
 
     def backward(g):
-        d_gates_x = np.zeros((batch, length, 3 * hidden))
+        g = g.reshape(batch, length, directions, hidden)
+        g_steps = np.stack(_step_order([g[:, :, d] for d in range(directions)])).transpose(2, 0, 1, 3)  # (T, D, B, .)
+        d_gates_x = np.zeros((directions, batch, length, 3 * hidden))
+        d_steps = _step_order(list(d_gates_x))
         d_w_h = np.zeros_like(w_h)
-        carry = np.zeros((batch, hidden))
-        for t, (h_prev, gates, candidate, gh_candidate) in zip(reversed(steps), reversed(saved)):
-            reset, update = gates[:, :hidden], gates[:, hidden:]
-            d_h = g[:, t] + carry
-            d_out = np.where(real[:, t], d_h, 0.0)
-            d_step = d_gates_x[:, t]
+        w_h_t = w_h.transpose(0, 2, 1)
+        carry = np.zeros((directions, batch, hidden))
+        for t in range(length - 1, -1, -1):
+            h_prev, gates, candidate, gh_candidate = saved[t]
+            reset, update = gates[..., :hidden], gates[..., hidden:]
+            d_h = g_steps[t] + carry
+            d_out = np.where(real[t], d_h, 0.0)
             d_candidate = d_out * (1.0 - update) * (1.0 - candidate * candidate)
-            d_step[:, :hidden] = d_candidate * gh_candidate
-            d_step[:, hidden : 2 * hidden] = d_out * (h_prev - candidate)
-            d_step[:, : 2 * hidden] *= gates * (1.0 - gates)
-            d_step[:, 2 * hidden :] = d_candidate
-            d_gates_h = d_step.copy()
-            d_gates_h[:, 2 * hidden :] *= reset
-            d_w_h += h_prev.T @ d_gates_h
-            carry = np.where(real[:, t], d_out * update + d_gates_h @ w_h.T, d_h)
-        d_flat = d_gates_x.reshape(batch * length, 3 * hidden)
+            d_step = np.empty((directions, batch, 3 * hidden))
+            d_step[..., :hidden] = d_candidate * gh_candidate
+            d_step[..., hidden : 2 * hidden] = d_out * (h_prev - candidate)
+            d_step[..., : 2 * hidden] *= gates * (1.0 - gates)
+            d_step[..., 2 * hidden :] = d_candidate
+            for view, grad in zip(d_steps, d_step):
+                view[:, t] = grad
+            d_gates_h = d_step  # stored above, so the reset factor may now go in place
+            d_gates_h[..., 2 * hidden :] *= reset
+            d_w_h += np.matmul(h_prev.transpose(0, 2, 1), d_gates_h)
+            carry = np.where(real[t], d_out * update + np.matmul(d_gates_h, w_h_t), d_h)
+        flat_x = x.data.reshape(batch * length, width)
+        d_flat = d_gates_x.reshape(directions, batch * length, 3 * hidden)
+        d_x = d_flat[0] @ w_x[0].T
+        for d in range(1, directions):
+            d_x += d_flat[d] @ w_x[d].T
+        per_direction = [(flat_x.T @ d_flat[d], d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
         return (
-            (d_flat @ w_x.T).reshape(batch, length, width),
-            carry,
-            flat_x.T @ d_flat,
-            d_w_h,
-            d_flat.sum(axis=0),
+            d_x.reshape(batch, length, width),
+            carry.transpose(1, 0, 2).reshape(batch, directions * hidden),
+            *(grad for grads in per_direction for grad in grads),
         )
 
-    return Tensor(out, (x, initial, params.w_x, params.w_h, params.b), backward)
+    parents = (x, initial, *(tensor for p in params for tensor in (p.w_x, p.w_h, p.b)))
+    return Tensor(out, parents, backward)
 
 
 class AdamState:

@@ -209,24 +209,18 @@ def test_criterion_01_gradient_correctness(tmp_path):
     finite_difference_check(params, gru_loss, rng, n_coords=24, step=1e-5, rtol=1e-4)
     checked.append("gru_cell")
 
-    # GRU sequence: both directions over a ragged mask, gradients through
-    # the inputs, the initial state and every weight.
+    # GRU sequence: both directions in one call over a ragged mask, from a
+    # non-zero initial state per direction; gradients through the inputs,
+    # the initial state and every weight.
     params = nn.Parameters()
-    forward = nn.gru_params(params, "fwd", init, input_dim=5, hidden_dim=6)
-    reverse = nn.gru_params(params, "bwd", init, input_dim=5, hidden_dim=6)
+    directions = [nn.gru_params(params, name, init, input_dim=5, hidden_dim=6) for name in ("fwd", "bwd")]
     params.add("x", draw.normal(size=(3, 6, 5)))
     mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in (6, 3, 1)])
     weights = nn.Tensor(draw.normal(size=(3, 6, 12)))
-    params.add("h0", draw.normal(size=(3, 6)))
+    params.add("h0", draw.normal(size=(3, 12)))
 
     def sequence_loss():
-        states = nn.concat(
-            [
-                nn.gru_sequence(params["x"], mask, params["h0"], forward, reverse=False),
-                nn.gru_sequence(params["x"], mask, params["h0"], reverse, reverse=True),
-            ],
-            axis=2,
-        )
+        states = nn.gru_sequence(params["x"], mask, params["h0"], directions)
         return nn.sum_(nn.tanh(nn.mul(states, weights)))
 
     finite_difference_check(params, sequence_loss, rng, n_coords=24, step=1e-5, rtol=1e-4)

@@ -304,6 +304,32 @@ def test_batch_padding_matches_single_encoding(trained):
         assert np.array_equal(batched.source_ext_ids[i][real], one.source_ext_ids)
 
 
+def test_padding_leaks_into_neither_encoder_direction(trained):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    prepared = [model.prepare(r) for r in ordered_records(documents, split.train + split.validation)]
+    inputs = model.config.inputs
+    for stream in inputs:
+        assert len({len(p.stream_ids[stream]) for p in prepared}) > 1, f"fixture should mix {stream} lengths"
+        # Padding looks up the PAD row; a loud one shows any position that reads it.
+        model.parameters[f"enc.{stream}.embed"].data[PAD_ID] = 5.0
+    half = model.config.hidden_dim // 2
+    batched = model._encode(prepared, keep_graph=False)
+    widths = [max(len(p.stream_ids[stream]) for p in prepared) for stream in inputs]
+    for i, one in enumerate(prepared):
+        single = model._encode([one], keep_graph=False)
+        np.testing.assert_allclose(batched.state.data[i], single.state.data[0], rtol=0, atol=1e-12)
+        lengths = [len(one.stream_ids[stream]) for stream in inputs]
+        for s, (width, n) in enumerate(zip(widths, lengths)):
+            states = batched.hidden.data[i, sum(widths[:s]) : sum(widths[: s + 1])]
+            alone = single.hidden.data[0, sum(lengths[:s]) : sum(lengths[: s + 1])]
+            np.testing.assert_allclose(states[:n], alone, rtol=0, atol=1e-12)
+            # Past the record's end the forward direction carries its final
+            # state and the reverse direction still holds its zero initial state.
+            assert np.array_equal(states[n:, :half], np.broadcast_to(states[n - 1, :half], (width - n, half)))
+            assert not states[n:, half:].any()
+
+
 # ------------------------------------------------------------------- decoding
 
 

@@ -253,52 +253,102 @@ def _chained_gru(x, mask, h, cell, reverse):
 
 
 class TestGruSequence:
-    def make(self):
+    def make(self, lengths=(7, 2, 5, 1), steps=7):
         rng = np.random.default_rng(12)
         params = Parameters()
-        cell = gru_params(params, "g", Rng(4), input_dim=5, hidden_dim=6)
-        cell.b.data = rng.normal(size=18)
-        x = params.add("x", rng.normal(size=(4, 7, 5)))
-        h0 = params.add("h0", rng.normal(size=(4, 6)))
-        mask = np.array([[1.0] * n + [0.0] * (7 - n) for n in (7, 2, 5, 1)])
-        weights = Tensor(rng.normal(size=(4, 7, 6)))
-        return params, cell, x, h0, mask, weights
+        cells = [gru_params(params, f"g{d}", Rng(4 + d), input_dim=5, hidden_dim=6) for d in range(2)]
+        for cell in cells:
+            cell.b.data = rng.normal(size=18)
+        batch = len(lengths)
+        x = params.add("x", rng.normal(size=(batch, steps, 5)))
+        h0 = params.add("h0", rng.normal(size=(batch, 12)))  # distinct non-zero state per direction
+        mask = np.array([[1.0] * n + [0.0] * (steps - n) for n in lengths])
+        weights = Tensor(rng.normal(size=(batch, steps, 12)))
+        return params, cells, x, h0, mask, weights
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
-    def test_matches_chained_cells(self, reverse):
-        params, cell, x, h0, mask, weights = self.make()
-        reference = _chained_gru(x, mask, h0, cell, reverse)
-        backward(sum_(reference * weights), params)
+    def assert_matches_chained_cells(self, params, cells, x, h0, mask, weights):
+        references = [
+            _chained_gru(x, mask, h0[:, 6 * d : 6 * (d + 1)], cell, reverse=d == 1) for d, cell in enumerate(cells)
+        ]
+        reference = concat(references, axis=2)
+        width = reference.shape[2]
+        backward(sum_(reference * weights[:, :, :width]), params)
         expected = {name: t.grad.copy() for name, t in params.items()}
-        out = gru_sequence(x, mask, h0, cell, reverse)
-        assert np.array_equal(out.data, reference.data)
-        backward(sum_(out * weights), params)
-        for name in ("x", "h0", "g.w_x", "g.w_h", "g.b"):
+        out = gru_sequence(x, mask, h0[:, :width], cells)
+        if x.shape[0] > 1:
+            assert np.array_equal(out.data, reference.data)
+        else:  # numpy takes a one-row product to gemv, whose sums round apart from the op's GEMM
+            np.testing.assert_allclose(out.data, reference.data, rtol=0, atol=1e-14)
+        backward(sum_(out * weights[:, :, :width]), params)
+        names = ["x", "h0"] + [f"g{d}.{w}" for d in range(len(cells)) for w in ("w_x", "w_h", "b")]
+        for name in names:
             np.testing.assert_allclose(params[name].grad, expected[name], rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("directions", [1, 2], ids=["fwd", "fwd+bwd"])
+    def test_matches_chained_cells(self, directions):
+        params, cells, x, h0, mask, weights = self.make()
+        self.assert_matches_chained_cells(params, cells[:directions], x, h0, mask, weights)
+
+    @pytest.mark.parametrize(
+        "lengths, steps",
+        [((1, 1, 1), 5), ((4, 1), 70), ((6,), 6), ((1,), 3)],
+        ids=["first-position-only", "two-blocks", "one-row", "one-row-first-position-only"],
+    )
+    def test_edge_batches_match_chained_cells(self, lengths, steps):
+        params, cells, x, h0, mask, weights = self.make(lengths, steps)
+        self.assert_matches_chained_cells(params, cells, x, h0, mask, weights)
+
     def test_without_graph_same_values_no_parents(self):
-        _, cell, x, h0, mask, _ = self.make()
-        free = gru_sequence(x, mask, h0, cell, keep_graph=False)
+        _, cells, x, h0, mask, _ = self.make()
+        free = gru_sequence(x, mask, h0, cells, keep_graph=False)
         assert free._parents == () and free._backward is None
-        assert np.array_equal(free.data, gru_sequence(x, mask, h0, cell).data)
+        assert np.array_equal(free.data, gru_sequence(x, mask, h0, cells).data)
 
     def test_shape_validation(self):
-        _, cell, x, h0, mask, _ = self.make()
+        _, cells, x, h0, mask, _ = self.make()
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x, mask[:, :5], h0, cell)
+            gru_sequence(x, mask[:, :5], h0, cells)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x[:, 0, :], mask, h0, cell)
+            gru_sequence(x[:, 0, :], mask, h0, cells)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x[:, :, :4], mask, h0, cell)
+            gru_sequence(x[:, :, :4], mask, h0, cells)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x, mask, h0[:3], cell)
+            gru_sequence(x, mask, h0[:3], cells)
+        with pytest.raises(ShapeMismatch):  # one or two directions, no other count
+            gru_sequence(x, mask, h0, ())
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(x, mask, Tensor(np.zeros((4, 18))), (*cells, cells[0]))
+
+    def test_initial_width_must_be_directions_times_hidden(self):
+        _, cells, x, h0, mask, _ = self.make()
+        with pytest.raises(ShapeMismatch, match="initial"):
+            gru_sequence(x, mask, h0[:, :6], cells)
+        with pytest.raises(ShapeMismatch, match="initial"):
+            gru_sequence(x, mask, h0, cells[:1])
+
+    def test_directions_must_share_parameter_shapes(self):
+        params, cells, x, h0, mask, _ = self.make()
+        narrow = gru_params(params, "narrow", Rng(9), input_dim=5, hidden_dim=4)
+        wide_input = gru_params(params, "wide", Rng(9), input_dim=7, hidden_dim=6)
+        for other in (narrow, wide_input):
+            with pytest.raises(ShapeMismatch):
+                gru_sequence(x, mask, h0, (cells[0], other))
 
     def test_non_finite_output_raises(self):
-        _, cell, x, h0, mask, _ = self.make()
-        cell.w_x.data *= 1e300
+        _, cells, x, h0, mask, _ = self.make()
+        cells[0].w_x.data *= 1e300
         x.data *= 1e10  # x @ w_x now exceeds the largest float64
         with pytest.raises(NonFiniteValue, match="overflow encountered in matmul"), nn.checked():
-            gru_sequence(x, mask, h0, cell)
+            gru_sequence(x, mask, h0[:, :6], cells[:1])
+
+    def test_overflow_in_the_reverse_direction_alone_raises(self):
+        _, cells, x, h0, mask, _ = self.make()
+        cells[1].w_x.data *= 1e300
+        x.data *= 1e10
+        with nn.checked():
+            gru_sequence(x, mask, h0[:, :6], cells[:1])  # the forward direction alone stays finite
+        with pytest.raises(NonFiniteValue, match="overflow encountered in matmul"), nn.checked():
+            gru_sequence(x, mask, h0, cells)
 
 
 class TestAdam:
