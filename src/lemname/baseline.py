@@ -15,18 +15,9 @@ from collections import Counter
 import numpy as np
 
 from .chop import ChopConfig
-from .corpus import stream_subtoken_texts
-from .model import (
-    CORPUS_STREAM_OF,
-    STREAM_KERNEL,
-    STREAM_STATEMENT,
-    EmptyStream,
-    EmptyTrainingSet,
-    Suggestion,
-)
+from .corpus import record_texts
+from .model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, EmptyTrainingSet, Suggestion
 from .subtok import DEFAULT_LEXICON, subtokenize_name
-
-DEFAULT_INPUTS = (STREAM_STATEMENT, STREAM_KERNEL)
 
 
 class RetrievalBaseline:
@@ -35,16 +26,13 @@ class RetrievalBaseline:
     def __init__(
         self,
         records,
-        inputs=DEFAULT_INPUTS,
+        inputs=INPUT_CONFIGS[DEFAULT_INPUT_CONFIG],
         chop_config: ChopConfig | None = None,
         lexicon=DEFAULT_LEXICON,
     ):
         records = list(records)
         if not records:
             raise EmptyTrainingSet("retrieval baseline needs at least one record")
-        for stream in inputs:
-            if stream not in CORPUS_STREAM_OF:
-                raise ValueError(f"unknown input stream: {stream!r}")
         self.inputs = tuple(inputs)
         self.chop_config = chop_config or ChopConfig()
         self.lexicon = lexicon
@@ -65,12 +53,7 @@ class RetrievalBaseline:
 
     def _bag(self, record) -> Counter:
         bag = Counter()
-        for stream in self.inputs:
-            texts = stream_subtoken_texts(
-                record, CORPUS_STREAM_OF[stream], self.chop_config, self.lexicon
-            )
-            if not texts:
-                raise EmptyStream(stream)
+        for texts in record_texts(record, self.inputs, self.chop_config, self.lexicon).values():
             bag.update(texts)
         return bag
 

@@ -22,6 +22,7 @@ from . import __version__
 from .baseline import RetrievalBaseline
 from .chop import ChopConfig, MalformedQualifiedName
 from .corpus import (
+    EmptyStream,
     FormatError,
     TooFewDocuments,
     load_directory,
@@ -34,7 +35,6 @@ from .metrics import EmptyTestSet, evaluate
 from .model import (
     CorruptCheckpoint,
     DEFAULT_INPUT_CONFIG,
-    EmptyStream,
     EmptyTrainingSet,
     INPUT_CONFIGS,
     ModelConfig,

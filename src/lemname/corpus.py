@@ -41,6 +41,14 @@ BOS_ID = 2
 EOS_ID = 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
+# The streams a record is read as: the input streams, under the names that
+# model configurations and checkpoints store, and the name itself.
+STREAM_STATEMENT = "statement"
+STREAM_SYNTAX = "chopped_syntax_tree"
+STREAM_KERNEL = "chopped_kernel_tree"
+STREAM_NAME = "name"
+INPUT_STREAMS = (STREAM_STATEMENT, STREAM_SYNTAX, STREAM_KERNEL)
+
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _FIELD_LABELS = ("name", "path", "line", "stmt", "cst", "ckt")
 
@@ -56,6 +64,14 @@ class FormatError(Exception):
 
 class TooFewDocuments(Exception):
     """Splitting needs at least one document per part."""
+
+
+class EmptyStream(Exception):
+    """A record produced zero sub-tokens for a stream."""
+
+    def __init__(self, stream: str):
+        super().__init__(f"record has no sub-tokens for stream {stream!r}")
+        self.stream = stream
 
 
 @dataclass(frozen=True)
@@ -204,20 +220,35 @@ def stream_subtoken_texts(
     """The canonical sub-token text sequence of one stream of a record.
 
     Tree streams are chopped and linearized first; the name stream uses
-    suffix peeling. This is the single preprocessing path shared by
-    vocabulary building, training, and inference.
+    suffix peeling.
     """
-    if stream == "statement":
-        tokens = record.statement_tokens
-    elif stream == "syntax_tree":
-        tokens = linearize(chop(record.syntax_tree, chop_config or ChopConfig()))
-    elif stream == "kernel_tree":
-        tokens = linearize(chop(record.kernel_tree, chop_config or ChopConfig()))
-    elif stream == "name":
+    if stream == STREAM_NAME:
         return subtokenize_name(record.name, lexicon)
+    if stream == STREAM_STATEMENT:
+        tokens = record.statement_tokens
+    elif stream == STREAM_SYNTAX:
+        tokens = linearize(chop(record.syntax_tree, chop_config or ChopConfig()))
+    elif stream == STREAM_KERNEL:
+        tokens = linearize(chop(record.kernel_tree, chop_config or ChopConfig()))
     else:
         raise ValueError(f"unknown stream: {stream!r}")
     return [s for token in tokens for s in subtokenize_statement_token(token)]
+
+
+def record_texts(record: LemmaRecord, streams, chop_config: ChopConfig | None, lexicon: SuffixLexicon) -> dict:
+    """Untruncated sub-token texts of the named streams of a record, by stream.
+
+    The one preprocessing path: training, inference and the retrieval
+    baseline read every stream through it, so they preprocess alike. Only
+    the streams asked for are made, and the first that comes out empty
+    raises EmptyStream.
+    """
+    texts = {}
+    for stream in streams:
+        texts[stream] = stream_subtoken_texts(record, stream, chop_config, lexicon)
+        if not texts[stream]:
+            raise EmptyStream(stream)
+    return texts
 
 
 @dataclass(frozen=True)
@@ -295,25 +326,8 @@ def _draw_lemma(rng: random.Random, operations):
     return qualifier, operation, suffixes, name
 
 
-def _statement_tokens(qualifier, operation, suffixes):
-    carrier = "G" if "g" in suffixes else "T"
-    type_tokens = ([qualifier] if qualifier else []) + [carrier]
-    if "A" in suffixes:
-        variables = ["x", "y", "z"]
-        lhs = [operation, "(", operation, "x", "y", ")", "z"]
-        rhs = [operation, "x", "(", operation, "y", "z", ")"]
-    elif "C" in suffixes:
-        variables = ["x", "y"]
-        lhs = [operation, "x", "y"]
-        rhs = [operation, "y", "x"]
-    else:
-        variables = ["x"]
-        lhs = [operation, "(", operation, "x", ")"]
-        rhs = [operation, "x"]
-    return ["forall"] + variables + [":"] + type_tokens + [","] + lhs + ["="] + rhs, variables
-
-
 def _expression(operation, suffixes):
+    """Both sides of the lemma's equation as ("app", head, *args) trees over the variables."""
     def app(*args):
         return ("app",) + args
 
@@ -327,6 +341,20 @@ def _expression(operation, suffixes):
         lhs = app(operation, app(operation, "x"))
         rhs = app(operation, "x")
     return lhs, rhs
+
+
+def _flatten(expr) -> list:
+    """Statement tokens of an expression: the head, then each argument, nested applications in parentheses."""
+    tokens = [expr[1]]
+    for arg in expr[2:]:
+        tokens.extend(["(", *_flatten(arg), ")"] if isinstance(arg, tuple) else [arg])
+    return tokens
+
+
+def _atoms(expr):
+    """The variables of an expression, in order of appearance."""
+    for arg in expr[2:]:
+        yield from _atoms(arg) if isinstance(arg, tuple) else (arg,)
 
 
 def _qualified(tag: str, name: str) -> tuple:
@@ -358,42 +386,41 @@ def _carrier_type(tag: str, qualifier, carrier: str) -> tuple:
     return base
 
 
-def _syntax_tree(file_name, line, qualifier, operation, suffixes, variables):
+def _lemma_fields(stem: str, line: int, qualifier, operation, suffixes) -> tuple:
+    """The stmt, cst and ckt fields of one lemma, all built from one equation."""
     carrier = "G" if "g" in suffixes else "T"
     lhs, rhs = _expression(operation, suffixes)
-    binders = tuple(("CLocalAssum", ("Id", v)) for v in variables)
-    return (
+    variables = tuple(dict.fromkeys([*_atoms(lhs), *_atoms(rhs)]))
+    statement = (
+        "forall", *variables, ":", *([qualifier] if qualifier else []), carrier, ",",
+        *_flatten(lhs), "=", *_flatten(rhs),
+    )
+    cst = (
         "Sentence",
-        ("loc", (("fname", file_name), ("line", str(line)))),
+        ("loc", (("fname", stem + ".v"), ("line", str(line)))),
         (
             "CProd",
-            ("binders", binders),
+            ("binders", tuple(("CLocalAssum", ("Id", v)) for v in variables)),
             ("ty", _carrier_type("Ser_Qualid", qualifier, carrier)),
             ("CNotation", "=", _cst_expr(lhs), _cst_expr(rhs)),
         ),
     )
-
-
-def _kernel_tree(qualifier, operation, suffixes, variables):
-    carrier = "G" if "g" in suffixes else "T"
-    lhs, rhs = _expression(operation, suffixes)
     # De Bruijn style: innermost binder is 1.
     var_index = {v: len(variables) - i for i, v in enumerate(variables)}
-    body = (
+    ckt = (
         "App",
         ("Const", _qualified("Qualid", "eq")),
         _ckt_expr(lhs, var_index),
         _ckt_expr(rhs, var_index),
     )
-    tree = body
     for variable in reversed(variables):
-        tree = (
+        ckt = (
             "Prod",
             ("Name", ("Id", variable)),
             _carrier_type("Qualid", qualifier, carrier),
-            tree,
+            ckt,
         )
-    return tree
+    return ("stmt", statement), ("cst", cst), ("ckt", ckt)
 
 
 def generate_synthetic_corpus(
@@ -430,15 +457,12 @@ def generate_synthetic_corpus(
             else:
                 raise RuntimeError("exhausted attempts to draw a name outside exclude_names")
             line = 2 + 5 * index
-            tokens, variables = _statement_tokens(qualifier, operation, suffixes)
             form = (
                 "lemma",
                 ("name", name),
                 ("path", ("synth", stem)),
                 ("line", str(line)),
-                ("stmt", tuple(tokens)),
-                ("cst", _syntax_tree(stem + ".v", line, qualifier, operation, suffixes, variables)),
-                ("ckt", _kernel_tree(qualifier, operation, suffixes, variables)),
+                *_lemma_fields(stem, line, qualifier, operation, suffixes),
             )
             forms.append(render(form))
         path = out_dir / file_name

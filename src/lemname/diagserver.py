@@ -184,7 +184,8 @@ def serve(stdin, stdout, config) -> int:
             if body is None:
                 break
             message = json.loads(body.decode("utf-8"))
-        except (OversizedFrame, UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (OversizedFrame, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+            # RecursionError: JSON nested deeper than the parser's recursion limit
             write_message(stdout, _error(None, PARSE_ERROR, f"parse error: {err}"))
             continue
         response = server.handle(message)

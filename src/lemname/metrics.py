@@ -187,9 +187,11 @@ def evaluate(suggester, records, k: int = 5) -> EvalReport:
     The suggester must expose suggest_many(records, k) returning ranked
     suggestions per record, and the lexicon that splits names into its
     sub-tokens, which splits the references too. suggest_many is called
-    once, so a model decodes the whole set as one batch. BLEU-4 and fragment accuracy judge the top
-    suggestion; top-1/top-5 look for the reference among the first 1/5
-    names. Rows keep test-set order; averages are arithmetic means.
+    once, so a model decodes the whole set as one batch. BLEU-4 and
+    fragment accuracy judge the top suggestion; a top suggestion of
+    underscores alone, like an empty list, has fragment accuracy 0.
+    top-1/top-5 look for the reference among the first 1/5 names. Rows
+    keep test-set order; averages are arithmetic means.
     """
     records = list(records)
     if not records:
@@ -201,7 +203,8 @@ def evaluate(suggester, records, k: int = 5) -> EvalReport:
         if suggestions:
             best = suggestions[0]
             row_bleu = bleu4(best.sub_tokens, reference_subtokens)
-            row_fragment = fragment_accuracy(best.name, record.name)
+            # A name of underscores alone has no fragment to agree with.
+            row_fragment = fragment_accuracy(best.name, record.name) if _fragments(best.name) else 0.0
         else:
             row_bleu = 0.0
             row_fragment = 0.0

@@ -26,12 +26,17 @@ from .chop import ChopConfig
 from .corpus import (
     BOS_ID,
     EOS_ID,
+    INPUT_STREAMS,
     PAD_ID,
+    STREAM_KERNEL,
+    STREAM_NAME,
+    STREAM_STATEMENT,
+    STREAM_SYNTAX,
     UNK_ID,
     Vocabulary,
     build_vocabulary,
     ordered_records,
-    stream_subtoken_texts,
+    record_texts,
 )
 from .subtok import DEFAULT_LEXICON, SuffixLexicon
 from .nn import (
@@ -64,18 +69,6 @@ from .nn import (
     transpose,
 )
 
-STREAM_STATEMENT = "statement"
-STREAM_SYNTAX = "chopped_syntax_tree"
-STREAM_KERNEL = "chopped_kernel_tree"
-ALL_STREAMS = (STREAM_STATEMENT, STREAM_SYNTAX, STREAM_KERNEL)
-
-# Model stream name -> corpus stream name (chopping happens in corpus).
-CORPUS_STREAM_OF = {
-    STREAM_STATEMENT: "statement",
-    STREAM_SYNTAX: "syntax_tree",
-    STREAM_KERNEL: "kernel_tree",
-}
-
 # The input combinations exposed by the command line.
 INPUT_CONFIGS = {
     "stmt": (STREAM_STATEMENT,),
@@ -95,14 +88,6 @@ _LOG_FLOOR = 1e-12  # keeps -log finite when a target is neither generable nor c
 _DECODE_GROUP = 32
 
 
-class EmptyStream(Exception):
-    """A record produced zero sub-tokens for an enabled stream."""
-
-    def __init__(self, stream: str):
-        super().__init__(f"record has no sub-tokens for stream {stream!r}")
-        self.stream = stream
-
-
 class EmptyTrainingSet(Exception):
     pass
 
@@ -120,7 +105,7 @@ class CorruptCheckpoint(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    inputs: tuple = (STREAM_STATEMENT, STREAM_KERNEL)
+    inputs: tuple = INPUT_CONFIGS[DEFAULT_INPUT_CONFIG]
     embed_dim: int = 64
     hidden_dim: int = 128
     use_copy: bool = True
@@ -136,7 +121,7 @@ class ModelConfig:
         if len(set(self.inputs)) != len(self.inputs):
             raise ValueError(f"duplicate input streams: {self.inputs}")
         for stream in self.inputs:
-            if stream not in ALL_STREAMS:
+            if stream not in INPUT_STREAMS:
                 raise ValueError(f"unknown input stream: {stream!r}")
         for name in ("embed_dim", "hidden_dim", "max_input_len", "max_output_len"):
             value = getattr(self, name)
@@ -204,16 +189,6 @@ class _Batch:
     state: Tensor  # (B, H) the decoder's initial state
 
 
-def record_texts(record, inputs, chop_config: ChopConfig, lexicon) -> dict:
-    """Untruncated sub-token texts of the enabled streams, and of the name as "output"."""
-    texts = {
-        stream: stream_subtoken_texts(record, CORPUS_STREAM_OF[stream], chop_config, lexicon)
-        for stream in inputs
-    }
-    texts["output"] = stream_subtoken_texts(record, "name", lexicon=lexicon)
-    return texts
-
-
 class LemmaNameModel:
     """Encoder-decoder over a fixed set of vocabularies and parameters."""
 
@@ -269,17 +244,16 @@ class LemmaNameModel:
     def prepare(self, record, texts: dict | None = None) -> PreparedRecord:
         """Chop, sub-tokenize and encode one record for this model.
 
-        `texts` may pass the record's `record_texts` when the caller has
-        them already, so no record is sub-tokenized twice.
+        `texts` may pass the record's `record_texts` of the input streams
+        and the name when the caller has them already, so no record is
+        sub-tokenized twice.
         """
         cfg = self.config
-        texts = texts or record_texts(record, cfg.inputs, self.chop_config, self.lexicon)
+        texts = texts or record_texts(record, (*cfg.inputs, STREAM_NAME), self.chop_config, self.lexicon)
         out_vocab = self.vocabularies["output"]
         stream_ids, source = {}, []
         for stream in cfg.inputs:
             seq = texts[stream][: cfg.max_input_len]
-            if not seq:
-                raise EmptyStream(stream)
             vocab = self.vocabularies[stream]
             stream_ids[stream] = np.array([vocab.encode(t) for t in seq], dtype=np.int64)
             source.extend(seq)
@@ -294,7 +268,7 @@ class LemmaNameModel:
             stream_ids=stream_ids,
             oov_texts=oov_texts,
             source_ext_ids=ext_ids(source),
-            target_ext_ids=ext_ids(texts["output"][: cfg.max_output_len]),
+            target_ext_ids=ext_ids(texts[STREAM_NAME][: cfg.max_output_len]),
         )
 
     # ------------------------------------------------------------------ encoder
@@ -561,19 +535,16 @@ def train(
     if not train_records:
         raise EmptyTrainingSet("no training records")
 
-    texts = [record_texts(r, config.inputs, chop_config, lexicon) for r in train_records]
+    texts = [record_texts(r, (*config.inputs, STREAM_NAME), chop_config, lexicon) for r in train_records]
     output_min = (
         training.output_min_frequency
         if training.output_min_frequency is not None
         else training.min_frequency
     )
     vocabularies = {
-        stream: build_vocabulary(
-            (t[stream] for t in texts),
-            output_min if stream == "output" else training.min_frequency,
-        )
-        for stream in (*config.inputs, "output")
+        stream: build_vocabulary((t[stream] for t in texts), training.min_frequency) for stream in config.inputs
     }
+    vocabularies["output"] = build_vocabulary((t[STREAM_NAME] for t in texts), output_min)
 
     model = LemmaNameModel(config, chop_config, lexicon, vocabularies, seed=training.seed)
     train_prepared = [model.prepare(r, t) for r, t in zip(train_records, texts)]

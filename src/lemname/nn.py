@@ -11,8 +11,12 @@ in from outside sets no flag, so Parameters.load_state rejects
 non-finite values. gru_sequence runs one or two recurrent directions over
 a whole sequence as one op, both directions in one time loop. It is the
 only GRU the model runs (one call per encoder stream, one for the
-decoder); gru_cell is the single-step reference it is tested against.
-Everything downstream of a fixed seed is bit-reproducible.
+decoder); the tests check it against a chain of single GRU steps.
+A fixed seed does not make every result bit-reproducible: BLAS may sum
+a product in another order when its thread count or the product's shape
+changes, so checkpoint bytes can depend on the BLAS thread count, and a
+lemma's suggestion scores can depend, in the last bits, on the other
+lemmas decoded in its batch.
 """
 
 from __future__ import annotations
@@ -430,26 +434,6 @@ def gru_params(parameters: Parameters, prefix: str, rng: Rng, input_dim: int, hi
     )
 
 
-def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One GRU step over a batch: x is (B, in), h is (B, hidden).
-
-    With all parameters zero the gates sit at 0.5 and the candidate at 0,
-    so the new state is exactly 0.5 * h; saturating the update gate keeps
-    the state unchanged.
-    """
-    hidden = h.shape[-1]
-    if params.w_x.shape != (x.shape[-1], 3 * hidden) or params.w_h.shape != (hidden, 3 * hidden):
-        raise ShapeMismatch(
-            f"gru_cell: x {x.shape}, h {h.shape}, w_x {params.w_x.shape}, w_h {params.w_h.shape}"
-        )
-    gates_x = add(matmul(x, params.w_x), params.b)
-    gates_h = matmul(h, params.w_h)
-    reset = sigmoid(gates_x[:, :hidden] + gates_h[:, :hidden])
-    update = sigmoid(gates_x[:, hidden : 2 * hidden] + gates_h[:, hidden : 2 * hidden])
-    candidate = tanh(gates_x[:, 2 * hidden :] + reset * gates_h[:, 2 * hidden :])
-    return update * h + (1.0 - update) * candidate
-
-
 # Time steps whose input projection x @ w_x + b is one GEMM. A block rather
 # than the whole sequence bounds the projection of all directions at
 # (D, B*32, 3*hidden), so long inputs never hold a (B*T, 3*hidden) array,
@@ -471,7 +455,7 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
     (B, T, D*hidden), direction d in columns d*hidden:(d+1)*hidden. Where
     the mask is 0 a direction carries its state unchanged, so
     out[:, -1, :hidden] and out[:, 0, hidden:] are each row's states after
-    its last real position. Values equal a chain of gru_cell steps per
+    its last real position. Values equal a chain of single GRU steps per
     direction with that carry. Each step runs every direction at once:
     one (D, B, hidden) @ (D, hidden, 3*hidden) matmul and the gate
     arithmetic on (D, B, .) arrays, writing straight into the output. The

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from lemname.baseline import DEFAULT_INPUTS, RetrievalBaseline
+from lemname.baseline import RetrievalBaseline
 from lemname.corpus import (
     bundled_corpus_dir,
     load_directory,
     ordered_records,
     split_corpus,
 )
-from lemname.model import EmptyStream, EmptyTrainingSet, Suggestion
+from lemname.model import EmptyTrainingSet, ModelConfig, Suggestion
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +79,6 @@ def test_rejects_nonpositive_k(baseline, corpus):
         baseline.suggest(test[0], k=0)
 
 
-def test_empty_stream_raises(baseline, corpus):
-    _, test = corpus
-    gutted = dataclasses.replace(test[0], statement_tokens=())
-    with pytest.raises(EmptyStream):
-        baseline.suggest(gutted, k=1)
-
-
 def test_tie_break_keeps_corpus_order(corpus):
     train, _ = corpus
     # Duplicate statements guarantee exact similarity ties; the earlier
@@ -119,5 +112,5 @@ def test_statement_only_ignores_trees(corpus):
     assert np.array_equal(baseline.similarities(record), baseline.similarities(mangled))
 
 
-def test_default_inputs_match_model_default():
-    assert DEFAULT_INPUTS == ("statement", "chopped_kernel_tree")
+def test_default_inputs_match_model_default(baseline):
+    assert baseline.inputs == ModelConfig().inputs

@@ -226,7 +226,7 @@ class TestStreams:
 
     def test_tree_streams_are_chopped(self, tmp_path):
         records = load_document(write_doc(tmp_path, GOOD_RECORD))
-        texts = stream_subtoken_texts(records[0], "syntax_tree")
+        texts = stream_subtoken_texts(records[0], "chopped_syntax_tree")
         # The fully qualified reference collapsed to its identifier.
         assert "Ser" not in texts and "Dir" not in texts
         assert "add" in texts

@@ -215,12 +215,14 @@ def test_malformed_json_answers_parse_error_and_stays_alive(cli_env):
     responses = run_server(
         cli_env,
         raw_frame(b"{this is not json"),
+        raw_frame(b"[" * 100_000 + b"]" * 100_000),  # nested past the parser's recursion limit
         request("shutdown", request_id=4),
         request("exit"),
     )
-    assert responses[0]["error"]["code"] == PARSE_ERROR
-    assert responses[0]["id"] is None
-    assert responses[1] == {"jsonrpc": "2.0", "id": 4, "result": None}
+    for response in responses[:2]:
+        assert response["error"]["code"] == PARSE_ERROR
+        assert response["id"] is None
+    assert responses[2] == {"jsonrpc": "2.0", "id": 4, "result": None}
 
 
 def test_invalid_request_missing_jsonrpc(cli_env):

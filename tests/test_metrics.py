@@ -268,6 +268,16 @@ def test_evaluate_mixed_fixture_matches_hand_scores():
     assert report.fragment_accuracy == pytest.approx((1.0 + 0.5 + 0.0 + 0.0) / 4.0)
 
 
+def test_evaluate_scores_an_underscore_only_best_suggestion_as_no_fragments():
+    records = [record("join_gA"), record("mul_comm")]
+    suggester = FixedSuggester({"join_gA": ["____", "join_gA"], "mul_comm": ["mul_comm"]})
+    report = evaluate(suggester, records)
+    assert [row.fragment_accuracy for row in report.rows] == [0.0, 1.0]
+    assert [row.top5 for row in report.rows] == [1, 1]
+    assert report.rows[0].bleu4 == bleu4(("_",) * 4, ("join", "_", "g", "A"))
+    assert report.fragment_accuracy == 0.5
+
+
 def test_evaluate_empty_test_set():
     with pytest.raises(EmptyTestSet):
         evaluate(FixedSuggester({}), [])

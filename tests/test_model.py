@@ -13,25 +13,27 @@ from hypothesis import strategies as st
 
 import lemname.corpus
 import lemname.model
+from lemname.baseline import RetrievalBaseline
 from lemname.chop import ChopConfig
 from lemname.corpus import (
     BOS_ID,
     EOS_ID,
+    INPUT_STREAMS,
     PAD_ID,
     UNK_ID,
     DatasetSplit,
+    EmptyStream,
     Vocabulary,
     generate_synthetic_corpus,
     load_directory,
     ordered_records,
+    record_texts,
     stream_subtoken_texts,
 )
 from lemname.metrics import evaluate
 from lemname.model import (
-    ALL_STREAMS,
     INPUT_CONFIGS,
     CorruptCheckpoint,
-    EmptyStream,
     EmptyTrainingSet,
     LemmaNameModel,
     ModelCheckpoint,
@@ -43,7 +45,6 @@ from lemname.model import (
     _header_digest,
     _section,
     load_checkpoint,
-    record_texts,
     save_checkpoint,
     train,
 )
@@ -122,7 +123,7 @@ def test_config_rejects_nonpositive_dims(field_name):
 def test_input_configs_cover_expected_combinations():
     assert set(INPUT_CONFIGS) == {"stmt", "stmt+cst", "stmt+ckt", "cst+ckt", "stmt+cst+ckt"}
     for streams in INPUT_CONFIGS.values():
-        assert all(s in ALL_STREAMS for s in streams)
+        assert all(s in INPUT_STREAMS for s in streams)
 
 
 def test_training_config_rejects_negative_epochs():
@@ -164,7 +165,6 @@ def test_training_subtokenizes_each_record_stream_once(tiny_corpus, monkeypatch)
         return original(record, stream, *args, **kwargs)
 
     monkeypatch.setattr(lemname.corpus, "stream_subtoken_texts", counting)
-    monkeypatch.setattr(lemname.model, "stream_subtoken_texts", counting)
     config = small_config()
     train(documents, split, config, TrainingConfig(epochs=3, batch_size=8, seed=0))
     records = ordered_records(documents, split.train + split.validation)
@@ -235,13 +235,27 @@ def test_stream_texts_respects_max_input_len(trained):
     assert len(prepared.source_ext_ids) == sum(len(ids) for ids in prepared.stream_ids.values())
 
 
-def test_empty_stream_raises(trained):
-    checkpoint, _, documents, split = trained
-    model = checkpoint.to_model()
-    record = ordered_records(documents, split.train)[0]
-    gutted = dataclasses.replace(record, statement_tokens=())
+@pytest.mark.parametrize("entry", ["record_texts", "prepare", "train", "RetrievalBaseline.suggest"])
+def test_empty_stream_raises(tiny_corpus, entry):
+    """A stream with no sub-tokens fails the same way through every caller of record_texts."""
+    documents, split = tiny_corpus
+    config = small_config()
+    records = ordered_records(documents, split.train)
+    gutted = dataclasses.replace(records[0], statement_tokens=())
+    if entry == "prepare":
+        model = train(documents, split, config, TrainingConfig(epochs=0))[0].to_model()
+    elif entry == "RetrievalBaseline.suggest":
+        baseline = RetrievalBaseline(records, inputs=config.inputs)
     with pytest.raises(EmptyStream) as err:
-        model.prepare(gutted)
+        if entry == "record_texts":
+            record_texts(gutted, (*config.inputs, "name"), ChopConfig(), DEFAULT_LEXICON)
+        elif entry == "prepare":
+            model.prepare(gutted)
+        elif entry == "train":
+            first_doc = sorted(split.train)[0]  # records[0] is its first record
+            train({**documents, first_doc: [gutted, *documents[first_doc][1:]]}, split, config, TrainingConfig(epochs=0))
+        else:
+            baseline.suggest(gutted, k=1)
     assert err.value.stream == "statement"
 
 

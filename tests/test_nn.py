@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_difference_check
+from reference_gru import gru_cell
 from lemname import nn
 from lemname.nn import (
     AdamState,
@@ -19,7 +20,6 @@ from lemname.nn import (
     embedding_init,
     embedding_lookup,
     gather_index,
-    gru_cell,
     gru_params,
     gru_sequence,
     linear_init,
