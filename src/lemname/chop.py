@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import DomainError, InvalidValue
 from .sexp import SExp, render
 
 DEFAULT_QUALIFIED_NAME_TAGS = frozenset({"Ser_Qualid", "Qualid", "DirPath"})
 DEFAULT_LOCATION_TAGS = frozenset({"loc"})
 
 
-class MalformedQualifiedName(Exception):
+class MalformedQualifiedName(DomainError):
     """A qualified-name node with no recognizable component to keep."""
 
     def __init__(self, subtree: SExp):
@@ -43,15 +44,15 @@ class ChopConfig:
         for name in ("qualified_name_tags", "location_tags"):
             tags = getattr(self, name)
             if not isinstance(tags, (list, tuple, set, frozenset)) or not all(isinstance(t, str) for t in tags):
-                raise ValueError(f"{name} must be a set of strings, got {tags!r}")
+                raise InvalidValue(f"{name} must be a set of strings, got {tags!r}")
             object.__setattr__(self, name, frozenset(tags))
         for name in ("enable_qualid_collapse", "enable_location_strip", "enable_singleton_extract"):
             if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+                raise InvalidValue(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.enable_qualid_collapse and not self.qualified_name_tags:
-            raise ValueError("qualified-name collapse enabled with empty tag set")
+            raise InvalidValue("qualified-name collapse enabled with empty tag set")
         if self.enable_location_strip and not self.location_tags:
-            raise ValueError("location strip enabled with empty tag set")
+            raise InvalidValue("location strip enabled with empty tag set")
 
 
 def _head_tag(node: SExp):

@@ -7,7 +7,9 @@ synthetic dataset), and serve (the stdio diagnostic server). Every command
 but gen_corpus takes one `ToolConfig` that `main` resolves from the
 `.roosterizerc` under `--project` and the flags given, which win over the
 file. Exit codes: 0 success/all conforming, 1 at least one non-conforming
-lemma, 2 any error.
+lemma, 2 any error: one `error:` line for input rejected on purpose (a
+`DomainError`, or an `OSError` on a file the user named), or one
+`internal error:` line from `console_main` for a defect (any other exception).
 """
 
 from __future__ import annotations
@@ -18,49 +20,42 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import DomainError, __version__
 from .baseline import RetrievalBaseline
-from .chop import ChopConfig, MalformedQualifiedName
+from .chop import ChopConfig
 from .corpus import (
-    EmptyStream,
-    FormatError,
-    TooFewDocuments,
     load_directory,
     load_document,
     ordered_records,
     split_corpus,
     generate_synthetic_corpus,
 )
-from .metrics import EmptyTestSet, evaluate
+from .metrics import evaluate
 from .model import (
-    CorruptCheckpoint,
     DEFAULT_INPUT_CONFIG,
-    EmptyTrainingSet,
     INPUT_CONFIGS,
     ModelConfig,
     TrainingConfig,
-    VersionMismatch,
     load_checkpoint,
     save_checkpoint,
     train,
 )
-from .nn import NonFiniteValue
 from .subtok import SuffixLexicon
 
 CONFIG_FILE_NAME = ".roosterizerc"
 
 
-class ConfigSyntaxError(Exception):
+class ConfigSyntaxError(DomainError):
     def __init__(self, line: int, reason: str):
         super().__init__(f"{CONFIG_FILE_NAME}:{line}: {reason}")
         self.line = line
 
 
-class MissingModel(Exception):
+class MissingModel(DomainError):
     pass
 
 
-class IoError(Exception):
+class IoError(DomainError):
     pass
 
 
@@ -117,7 +112,12 @@ def load_config(project_root) -> ToolConfig:
     path = Path(project_root) / CONFIG_FILE_NAME
     values: dict = {}
     if path.exists():
-        for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        data = path.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigSyntaxError(data.count(b"\n", 0, err.start) + 1, "not UTF-8 text") from None
+        for number, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -412,24 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    ConfigSyntaxError,
-    MissingModel,
-    IoError,
-    FormatError,
-    TooFewDocuments,
-    EmptyTrainingSet,
-    EmptyTestSet,
-    EmptyStream,
-    MalformedQualifiedName,
-    VersionMismatch,
-    CorruptCheckpoint,
-    NonFiniteValue,
-    ValueError,
-    OSError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -438,10 +420,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args, resolve_settings(args))
-    except _DOMAIN_ERRORS as err:
+    except (DomainError, OSError) as err:  # every file the program opens is named by the user
         sys.stderr.write(f"error: {err}\n")
         return 2
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except Exception as err:  # a defect: one line to report, not a traceback
+        sys.stderr.write(f"internal error: {type(err).__name__}: {err}\n")
+        code = 2
+    sys.exit(code)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import DomainError, InvalidValue
 from .chop import ChopConfig, chop
 from .sexp import SExp, SExpError, linearize, parse, render
 from .subtok import (
@@ -53,7 +54,7 @@ _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 _FIELD_LABELS = ("name", "path", "line", "stmt", "cst", "ckt")
 
 
-class FormatError(Exception):
+class FormatError(DomainError):
     """A document that cannot be read as a lemma dataset at all."""
 
     def __init__(self, reason: str, position: int = 0):
@@ -62,11 +63,11 @@ class FormatError(Exception):
         self.position = position
 
 
-class TooFewDocuments(Exception):
+class TooFewDocuments(DomainError):
     """Splitting needs at least one document per part."""
 
 
-class EmptyStream(Exception):
+class EmptyStream(DomainError):
     """A record produced zero sub-tokens for a stream."""
 
     def __init__(self, stream: str):
@@ -103,9 +104,8 @@ def _field(form: tuple, index: int, label: str) -> tuple:
     return entry
 
 
-def _record_from_form(form: SExp, file_name: str) -> LemmaRecord:
-    if not (isinstance(form, tuple) and form and form[0] == "lemma"):
-        raise _RecordDefect("not a (lemma ...) form")
+def _record_from_form(form: tuple, file_name: str) -> LemmaRecord:
+    """A record from a `(lemma ...)` form, whose head load_document has checked."""
     if len(form) != len(_FIELD_LABELS) + 1:
         raise _RecordDefect(f"expected {len(_FIELD_LABELS)} fields, found {len(form) - 1}")
 
@@ -120,7 +120,8 @@ def _record_from_form(form: SExp, file_name: str) -> LemmaRecord:
         raise _RecordDefect("path must be a list of atoms")
 
     line_field = _field(form, 2, "line")
-    if not isinstance(line_field[1], str) or not line_field[1].isdigit():
+    # ASCII digits only: str.isdigit also accepts digits such as '²' that int() rejects.
+    if not isinstance(line_field[1], str) or not (line_field[1].isascii() and line_field[1].isdigit()):
         raise _RecordDefect(f"line must be a positive integer: {line_field[1]!r}")
     line = int(line_field[1])
     if line <= 0:
@@ -147,9 +148,10 @@ def _record_from_form(form: SExp, file_name: str) -> LemmaRecord:
 def load_document(path) -> list:
     """Read one document, skipping (and logging) defective records."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        forms = parse(text)
+        forms = parse(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise FormatError(f"unreadable document {path.name}: not UTF-8 text", err.start) from err
     except SExpError as err:
         raise FormatError(f"unreadable document {path.name}: {err}", err.position) from err
     records = []
@@ -266,15 +268,15 @@ class Vocabulary:
 
     def __post_init__(self):
         if not isinstance(self.tokens, (list, tuple)) or not all(isinstance(t, str) for t in self.tokens):
-            raise ValueError(f"tokens must be a list of strings, got {reprlib.repr(self.tokens)}")
+            raise InvalidValue(f"tokens must be a list of strings, got {reprlib.repr(self.tokens)}")
         if type(self.min_frequency) is not int or self.min_frequency < 1:  # a bool is no count
-            raise ValueError(f"min_frequency must be a positive integer, got {self.min_frequency!r}")
+            raise InvalidValue(f"min_frequency must be a positive integer, got {self.min_frequency!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "texts", RESERVED_TOKENS + self.tokens)
         ids = {}
         for index, text in enumerate(self.texts):
             if text in ids:
-                raise ValueError(f"duplicate vocabulary entry: {text!r}")
+                raise InvalidValue(f"duplicate vocabulary entry: {text!r}")
             ids[text] = index
         object.__setattr__(self, "_ids", ids)
 

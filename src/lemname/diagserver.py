@@ -8,16 +8,20 @@ or end of input. Diagnostics are produced by the same report builder as
 the command line, so both surfaces always agree. Only framed protocol
 messages touch the output stream; diagnostics of the transport itself
 go to the logging system (stderr). A frame longer than `MAX_FRAME_BYTES`
-is read past and answered with a parse error.
+is read past and answered with a parse error. `SERVER_ERROR` (-32000)
+means bad input: a request whose input fails it with a `DomainError` or an
+`OSError`. `INTERNAL_ERROR` (-32603) means a defect: any other exception,
+which is logged with its traceback. Either way the session goes on.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from urllib.parse import unquote, urlparse
 
-from . import __version__
+from . import DomainError, InvalidValue, __version__
 from .cli import _load_model, build_suggestion_report
 
 log = logging.getLogger(__name__)
@@ -25,6 +29,7 @@ log = logging.getLogger(__name__)
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
+INTERNAL_ERROR = -32603
 SERVER_ERROR = -32000
 
 SUGGEST_METHOD = "roosterize/suggestNaming"
@@ -33,18 +38,26 @@ SEVERITY_INFORMATION = 3
 MAX_FRAME_BYTES = 1 << 22  # requests carry a uri, not a document
 
 
-class OversizedFrame(Exception):
+class OversizedFrame(DomainError):
     pass
 
 
 def uri_to_path(uri: str) -> str:
     """Accept both file:// URIs and plain filesystem paths."""
-    parsed = urlparse(uri)
-    if parsed.scheme == "file":
-        return unquote(parsed.path)
-    if parsed.scheme:
-        raise ValueError(f"unsupported uri scheme: {parsed.scheme!r}")
-    return uri
+    try:
+        parsed = urlparse(uri)
+    except ValueError as err:  # such as an unclosed '[' in the host
+        raise InvalidValue(f"unreadable uri {uri!r}: {err}") from None
+    if parsed.scheme and parsed.scheme != "file":
+        raise InvalidValue(f"unsupported uri scheme: {parsed.scheme!r}")
+    path = unquote(parsed.path) if parsed.scheme else uri
+    try:
+        encoded = os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate, which a JSON \u escape can carry
+        raise InvalidValue(f"path is not encodable: {uri!r}") from None
+    if b"\0" in encoded:
+        raise InvalidValue(f"path holds a null byte: {uri!r}")
+    return path
 
 
 def read_message(stream) -> bytes | None:
@@ -162,13 +175,14 @@ class DiagnosticServer:
                     return None
                 return _error(request_id, INVALID_REQUEST, "params must carry a uri string")
             try:
-                diagnostics = self.diagnostics(params["uri"])
-            except Exception as err:  # answered in-band, the server stays alive
+                reply = _response(request_id, self.diagnostics(params["uri"]))
+            except (DomainError, OSError) as err:  # bad input, answered in-band
                 log.warning("suggestNaming failed: %s", err)
-                if not has_id:
-                    return None
-                return _error(request_id, SERVER_ERROR, str(err))
-            return _response(request_id, diagnostics) if has_id else None
+                reply = _error(request_id, SERVER_ERROR, str(err))
+            except Exception as err:  # a defect; the session goes on
+                log.exception("suggestNaming failed")
+                reply = _error(request_id, INTERNAL_ERROR, f"internal error: {type(err).__name__}: {err}")
+            return reply if has_id else None
         if has_id:
             return _error(request_id, METHOD_NOT_FOUND, f"unknown method {method!r}")
         return None  # unknown notification: ignored per JSON-RPC

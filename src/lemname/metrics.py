@@ -13,7 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .subtok import EmptyName, subtokenize_name
+from . import DomainError
+from .subtok import subtokenize_name
 
 
 # Hand-derived golden values. The BLEU case is a correct 3-sub-token
@@ -33,7 +34,7 @@ class EmptyReference(Exception):
     pass
 
 
-class EmptyTestSet(Exception):
+class EmptyTestSet(DomainError):
     pass
 
 
@@ -83,14 +84,13 @@ def fragment_accuracy(candidate: str, reference: str) -> float:
 
     Both names are split on underscores (underscores discarded); the
     score is the number of positions whose fragments match exactly,
-    divided by the larger fragment count.
+    divided by the larger fragment count. A name of underscores alone has
+    no fragment to agree with, so it scores 0.
     """
     candidate_fragments = _fragments(candidate)
     reference_fragments = _fragments(reference)
-    if not candidate_fragments:
-        raise EmptyName(f"candidate name has no fragments: {candidate!r}")
-    if not reference_fragments:
-        raise EmptyName(f"reference name has no fragments: {reference!r}")
+    if not candidate_fragments or not reference_fragments:
+        return 0.0
     hits = sum(a == b for a, b in zip(candidate_fragments, reference_fragments))
     return hits / max(len(candidate_fragments), len(reference_fragments))
 
@@ -188,8 +188,8 @@ def evaluate(suggester, records, k: int = 5) -> EvalReport:
     suggestions per record, and the lexicon that splits names into its
     sub-tokens, which splits the references too. suggest_many is called
     once, so a model decodes the whole set as one batch. BLEU-4 and
-    fragment accuracy judge the top suggestion; a top suggestion of
-    underscores alone, like an empty list, has fragment accuracy 0.
+    fragment accuracy judge the top suggestion, and an empty list scores 0
+    on both.
     top-1/top-5 look for the reference among the first 1/5 names. Rows
     keep test-set order; averages are arithmetic means.
     """
@@ -203,8 +203,7 @@ def evaluate(suggester, records, k: int = 5) -> EvalReport:
         if suggestions:
             best = suggestions[0]
             row_bleu = bleu4(best.sub_tokens, reference_subtokens)
-            # A name of underscores alone has no fragment to agree with.
-            row_fragment = fragment_accuracy(best.name, record.name) if _fragments(best.name) else 0.0
+            row_fragment = fragment_accuracy(best.name, record.name)
         else:
             row_bleu = 0.0
             row_fragment = 0.0

@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import DomainError, InvalidValue
 from .chop import ChopConfig
 from .corpus import (
     BOS_ID,
@@ -55,7 +56,7 @@ from .nn import (
     embedding_lookup,
     exp,
     gather_index,
-    gru_params,
+    GruParams,
     gru_sequence,
     linear_init,
     log,
@@ -88,18 +89,18 @@ _LOG_FLOOR = 1e-12  # keeps -log finite when a target is neither generable nor c
 _DECODE_GROUP = 32
 
 
-class EmptyTrainingSet(Exception):
+class EmptyTrainingSet(DomainError):
     pass
 
 
-class VersionMismatch(Exception):
+class VersionMismatch(DomainError):
     def __init__(self, found: int, supported: int):
         super().__init__(f"checkpoint format version {found}, supported {supported}")
         self.found = found
         self.supported = supported
 
 
-class CorruptCheckpoint(Exception):
+class CorruptCheckpoint(DomainError):
     pass
 
 
@@ -114,23 +115,23 @@ class ModelConfig:
 
     def __post_init__(self):
         if not isinstance(self.inputs, (list, tuple)) or not all(isinstance(stream, str) for stream in self.inputs):
-            raise ValueError(f"inputs must be a list of stream names, got {self.inputs!r}")
+            raise InvalidValue(f"inputs must be a list of stream names, got {self.inputs!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if not self.inputs:
-            raise ValueError("at least one input stream is required")
+            raise InvalidValue("at least one input stream is required")
         if len(set(self.inputs)) != len(self.inputs):
-            raise ValueError(f"duplicate input streams: {self.inputs}")
+            raise InvalidValue(f"duplicate input streams: {self.inputs}")
         for stream in self.inputs:
             if stream not in INPUT_STREAMS:
-                raise ValueError(f"unknown input stream: {stream!r}")
+                raise InvalidValue(f"unknown input stream: {stream!r}")
         for name in ("embed_dim", "hidden_dim", "max_input_len", "max_output_len"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # a bool is no dimension
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise InvalidValue(f"{name} must be a positive integer, got {value!r}")
         if not isinstance(self.use_copy, bool):
-            raise ValueError(f"use_copy must be a bool, got {self.use_copy!r}")
+            raise InvalidValue(f"use_copy must be a bool, got {self.use_copy!r}")
         if self.hidden_dim % 2:
-            raise ValueError("bidirectional encoders need an even hidden_dim")
+            raise InvalidValue("bidirectional encoders need an even hidden_dim")
 
 
 @dataclass
@@ -144,11 +145,11 @@ class TrainingConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+            raise InvalidValue("epochs must be non-negative")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+            raise InvalidValue("batch_size must be positive")
         if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+            raise InvalidValue(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,33 @@ class PreparedRecord:
     target_ext_ids: np.ndarray  # truncated name; -1 where neither generable nor copyable
 
 
+def parameter_shapes(config: ModelConfig, vocabularies: dict) -> dict:
+    """Every parameter's shape by name, in the order a model draws them.
+
+    A bias (`.b`) starts at zero, an embedding (`.embed`) uniform in +-0.1,
+    any other weight Glorot-uniform.
+    """
+    embed, hidden, out = config.embed_dim, config.hidden_dim, len(vocabularies["output"])
+    shapes = {}
+
+    def gru(prefix, units):
+        shapes[f"{prefix}.w_x"] = (embed, 3 * units)
+        shapes[f"{prefix}.w_h"] = (units, 3 * units)
+        shapes[f"{prefix}.b"] = (3 * units,)
+
+    for stream in config.inputs:
+        shapes[f"enc.{stream}.embed"] = (len(vocabularies[stream]), embed)
+        gru(f"enc.{stream}.fwd", hidden // 2)
+        gru(f"enc.{stream}.bwd", hidden // 2)
+    shapes.update({"comb.w": (len(config.inputs) * hidden, hidden), "comb.b": (hidden,), "dec.embed": (out, embed)})
+    gru("dec.gru", hidden)
+    shapes.update({"attn.w": (hidden, hidden), "out.w_c": (2 * hidden, hidden)})
+    shapes.update({"out.w": (hidden, out), "out.b": (out,)})
+    if config.use_copy:
+        shapes.update({"copy.w": (2 * hidden + embed, 1), "copy.b": (1,)})
+    return shapes
+
+
 @dataclass
 class _Batch:
     hidden: Tensor  # (B, S, H) encoder states of every stream, concatenated
@@ -204,40 +232,34 @@ class LemmaNameModel:
         missing = [s for s in (*config.inputs, "output") if s not in vocabularies]
         if missing:
             raise ValueError(f"vocabularies missing entries: {missing}")
+        shapes = parameter_shapes(config, vocabularies)
+        if parameter_state is not None:
+            # Compared before anything is allocated: a config can imply any size.
+            found = {name: np.shape(value) for name, value in parameter_state.items()}
+            if found != shapes:
+                name = min(n for n in found.keys() | shapes.keys() if found.get(n) != shapes.get(n))
+                raise ShapeMismatch(f"parameter {name}: {found.get(name)} != {shapes.get(name)}")
         self.config = config
         self.chop_config = chop_config
         self.lexicon = lexicon
         self.vocabularies = vocabularies
         self.parameters = Parameters()
-        self._encoders: dict = {}
-        self._build_parameters(Rng(seed))
+        rng = Rng(seed)
+        for name, shape in shapes.items():
+            if name.endswith(".b"):
+                data = np.zeros(shape)
+            elif name.endswith(".embed"):
+                data = embedding_init(rng, *shape)
+            else:
+                data = linear_init(rng, *shape)
+            self.parameters.add(name, data)
+        self._encoders = {stream: [self._gru(f"enc.{stream}.{d}") for d in ("fwd", "bwd")] for stream in config.inputs}
+        self._decoder_cell = self._gru("dec.gru")
         if parameter_state is not None:
             self.parameters.load_state(parameter_state)
 
-    # ------------------------------------------------------------------ setup
-
-    def _build_parameters(self, rng: Rng) -> None:
-        cfg = self.config
-        hidden = cfg.hidden_dim
-        for stream in cfg.inputs:
-            vocab = self.vocabularies[stream]
-            self.parameters.add(f"enc.{stream}.embed", embedding_init(rng, len(vocab), cfg.embed_dim))
-            self._encoders[stream] = [
-                gru_params(self.parameters, f"enc.{stream}.{direction}", rng, cfg.embed_dim, hidden // 2)
-                for direction in ("fwd", "bwd")
-            ]
-        self.parameters.add("comb.w", linear_init(rng, len(cfg.inputs) * hidden, hidden))
-        self.parameters.add("comb.b", np.zeros(hidden))
-        out_vocab = self.vocabularies["output"]
-        self.parameters.add("dec.embed", embedding_init(rng, len(out_vocab), cfg.embed_dim))
-        self._decoder_cell = gru_params(self.parameters, "dec.gru", rng, cfg.embed_dim, hidden)
-        self.parameters.add("attn.w", linear_init(rng, hidden, hidden))
-        self.parameters.add("out.w_c", linear_init(rng, 2 * hidden, hidden))
-        self.parameters.add("out.w", linear_init(rng, hidden, len(out_vocab)))
-        self.parameters.add("out.b", np.zeros(len(out_vocab)))
-        if cfg.use_copy:
-            self.parameters.add("copy.w", linear_init(rng, 2 * hidden + cfg.embed_dim, 1))
-            self.parameters.add("copy.b", np.zeros(1))
+    def _gru(self, prefix: str) -> GruParams:
+        return GruParams(*(self.parameters[f"{prefix}.{part}"] for part in ("w_x", "w_h", "b")))
 
     # ------------------------------------------------------------ preprocessing
 
@@ -702,7 +724,10 @@ def load_checkpoint(path) -> ModelCheckpoint:
         end = offset + 8 * math.prod(shape)
         if end > len(data):
             raise CorruptCheckpoint(f"truncated parameter block: {name}")
-        state[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            state[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError as err:  # an empty shape with more or larger dimensions than numpy holds
+            raise CorruptCheckpoint(f"malformed parameter entry: name {name!r}, shape {shape!r}") from err
         offset = end
     if offset != len(data):
         raise CorruptCheckpoint("trailing bytes after parameter blocks")

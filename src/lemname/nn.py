@@ -27,12 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DomainError
+
 
 class ShapeMismatch(Exception):
     pass
 
 
-class NonFiniteValue(Exception):
+class NonFiniteValue(DomainError):
     pass
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Union
 
+from . import DomainError
+
 SExp = Union[str, tuple]
 
 _WHITESPACE = frozenset(" \t\n\r\x0b\x0c")
@@ -18,7 +20,7 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
 _UNESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
 
 
-class SExpError(Exception):
+class SExpError(DomainError):
     """Malformed S-expression text; carries the character offset of the fault."""
 
     def __init__(self, message: str, position: int):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from . import DomainError, InvalidValue
+
 # Boundaries inside a letter run: lowercase-to-uppercase, and the end of an
 # uppercase run before an Upper+lower word (CLocalAssum -> C, Local, Assum).
 _CAMEL = re.compile(r".+?(?:(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])|$)")
@@ -19,7 +21,7 @@ _CAMEL = re.compile(r".+?(?:(?<=[a-z])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])|$)")
 _CLASS_RUNS = re.compile(r"_|[A-Za-z]+|[0-9]+|[^A-Za-z0-9_]+")
 
 
-class EmptyName(Exception):
+class EmptyName(DomainError):
     """Raised when asked to sub-tokenize an empty name."""
 
 
@@ -34,15 +36,15 @@ class SuffixLexicon:
         if not isinstance(self.letters, (list, tuple, set, frozenset)) or not all(
             isinstance(letter, str) for letter in self.letters
         ):
-            raise ValueError(f"letters must be a set of strings, got {self.letters!r}")
+            raise InvalidValue(f"letters must be a set of strings, got {self.letters!r}")
         object.__setattr__(self, "letters", frozenset(self.letters))
         if not isinstance(self.enabled, bool):
-            raise ValueError(f"enabled must be a bool, got {self.enabled!r}")
+            raise InvalidValue(f"enabled must be a bool, got {self.enabled!r}")
         if self.enabled and not self.letters:
-            raise ValueError("suffix peeling enabled with an empty lexicon")
+            raise InvalidValue("suffix peeling enabled with an empty lexicon")
         for letter in self.letters:
             if len(letter) != 1 or not letter.isalpha():
-                raise ValueError(f"suffix lexicon entries must be single letters: {letter!r}")
+                raise InvalidValue(f"suffix lexicon entries must be single letters: {letter!r}")
 
 
 DEFAULT_LEXICON = SuffixLexicon()

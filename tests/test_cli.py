@@ -1,14 +1,16 @@
 """Tests for the command-line interface and configuration file handling."""
 
+import contextlib
 import hashlib
 import io
 import json
+import shutil
 import struct
 import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lemname import cli
@@ -23,11 +25,12 @@ from lemname.cli import (
 )
 from lemname.baseline import RetrievalBaseline
 from lemname.chop import ChopConfig
-from lemname.corpus import ordered_records, split_corpus
+from lemname.corpus import bundled_corpus_dir, load_directory, ordered_records, split_corpus
 from lemname.diagserver import SUGGEST_METHOD, read_message, write_message
 from lemname.metrics import evaluate
 from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, CorruptCheckpoint, load_checkpoint
 from lemname.subtok import DEFAULT_LEXICON
+from mutation import EDITS, mutated
 
 
 def write_config(root, text):
@@ -123,6 +126,14 @@ def test_config_bad_suffix_letters_reported(tmp_path):
 def test_config_last_value_wins(tmp_path):
     write_config(tmp_path, "k: 3\nk: 7\n")
     assert load_config(tmp_path).k == 7
+
+
+def test_config_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    (tmp_path / CONFIG_FILE_NAME).write_bytes(b"k: 2\nmodel_path: caf\xe9.ckpt\n")
+    with pytest.raises(ConfigSyntaxError, match=f"{CONFIG_FILE_NAME}:2: not UTF-8 text"):
+        load_config(tmp_path)
+    assert main(["train", "--data", str(tmp_path), "--project", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {CONFIG_FILE_NAME}:2: not UTF-8 text\n"
 
 
 CONFIG_KEYS = st.sampled_from(tuple(_CONFIG_KEYS) + ("data_dir", "compile_cmd")) | st.text(max_size=8)
@@ -350,6 +361,21 @@ def test_evaluate_splits_references_with_the_suggesters_lexicon(cli_env, tmp_pat
     assert aggregate["bleu4"] == expected
 
 
+def test_evaluate_baseline_scores_a_name_without_fragments_zero(tmp_path):
+    data_dir = tmp_path / "data"
+    shutil.copytree(bundled_corpus_dir(), data_dir)
+    documents = load_directory(data_dir)
+    test_doc = min(split_corpus(sorted(documents), seed=0).test)
+    path = data_dir / test_doc
+    renamed = f"(name {documents[test_doc][0].name})"
+    path.write_text(path.read_text(encoding="utf-8").replace(renamed, "(name __)", 1), encoding="utf-8")
+    report_path = tmp_path / "eval.jsonl"
+    code = main(["evaluate", "--data", str(data_dir), "--baseline", "--report", str(report_path)])
+    assert code == 0
+    rows = [json.loads(line) for line in report_path.read_text().splitlines()]
+    assert [row["fragment_accuracy"] for row in rows if row.get("name") == "__"] == [0.0]
+
+
 def test_evaluate_requires_model_or_baseline(cli_env):
     assert main(["evaluate", "--data", str(cli_env.data_dir)]) == 2
 
@@ -431,6 +457,31 @@ def test_suggest_naming_malformed_qualified_name_exits_two(cli_env, lemma_file, 
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: qualified-name node has no components: (Qualid)\n"
+
+
+def test_suggest_naming_non_utf8_document_exits_two(cli_env, tmp_path, capsys):
+    path = tmp_path / "latin1.lemmas.sexp"
+    path.write_bytes(cli_env.clean_file.read_bytes() + b"; caf\xe9\n")
+    code = main(["suggest_naming", "--file", str(path), "--model", str(cli_env.checkpoint_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: unreadable document {path.name}: not UTF-8 text")
+
+
+@settings(max_examples=200)
+@given(edits=st.lists(EDITS, min_size=1, max_size=3))
+@example(edits=[(0.0, 0, b"")]).via("the unchanged document")
+@example(edits=[(0.0, 0, b"\xff")]).via("a byte that is not UTF-8")
+def test_mutated_document_ends_as_a_verdict_or_an_error_line(edits, cli_env, tmp_path_factory):
+    # The first record's line is a digit that str.isdigit accepts and int() rejects.
+    text = cli_env.clean_file.read_bytes().replace(b"(line 2)", "(line \u00b2)".encode(), 1)
+    path = tmp_path_factory.mktemp("mutated") / "doc.lemmas.sexp"
+    path.write_bytes(mutated(text, edits))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["suggest_naming", "--file", str(path), "--model", str(cli_env.checkpoint_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
 
 
 def test_suggest_naming_deep_kernel_tree_ends_normally(cli_env, deep_lemma_file, capsys):
@@ -559,8 +610,11 @@ def test_checkpoint_that_does_not_fit_its_vocabulary_exits_two(command, cli_env,
 
 @pytest.mark.parametrize(
     "entry",
-    [{"shape": ["a"]}, {"shape": "xy"}, {"shape": [2.5]}, {"shape": [-1, -1]}, {"name": 7}],
-    ids=["letter", "string", "float", "negative", "name"],
+    [
+        {"shape": ["a"]}, {"shape": "xy"}, {"shape": [2.5]}, {"shape": [-1, -1]}, {"name": 7},
+        {"shape": [0, 2**70]}, {"shape": [0] * 70},
+    ],
+    ids=["letter", "string", "float", "negative", "name", "huge-empty", "many-dimensions"],
 )
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])
 def test_checkpoint_with_malformed_parameter_entry_exits_two(
@@ -613,6 +667,21 @@ def test_checkpoint_with_mistyped_config_exits_two(
         code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
         assert code == 2
         assert err.startswith(f"error: malformed header: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_checkpoint_whose_config_implies_huge_parameters_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
+    # The parameter blocks stay as they were: the shapes the config implies
+    # are compared with the header's before any parameter is allocated.
+    def grow(header):
+        header["config"]["hidden_dim"] = 2**40
+
+    path = rewritten_checkpoint(cli_env, tmp_path / "huge.ckpt", grow)
+    with pytest.raises(CorruptCheckpoint, match="unusable parameters"):
+        load_checkpoint(path).to_model()
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("error: unusable parameters: parameter ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])

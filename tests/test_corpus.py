@@ -81,6 +81,8 @@ class TestLoadDocument:
             lambda s: s[:-1] + " (extra 1))",
             # Fields out of order.
             lambda s: s.replace("(name addgA) (path (synth doc_000))", "(path (synth doc_000)) (name addgA)"),
+            # A digit that str.isdigit accepts and int() rejects.
+            lambda s: s.replace("(line 2)", "(line \u00b2)"),
         ],
     )
     def test_invariant_violations_are_skipped(self, tmp_path, mangle, caplog):
@@ -97,6 +99,12 @@ class TestLoadDocument:
     def test_syntax_error_is_a_format_error(self, tmp_path):
         path = write_doc(tmp_path, "(lemma (name x)")
         with pytest.raises(FormatError):
+            load_document(path)
+
+    def test_non_utf8_document_is_a_format_error_naming_the_file(self, tmp_path):
+        path = tmp_path / ("latin1" + DOCUMENT_SUFFIX)
+        path.write_bytes(GOOD_RECORD.replace("addgA", "add\xe9").encode("latin-1"))
+        with pytest.raises(FormatError, match=f"unreadable document {path.name}: not UTF-8 text"):
             load_document(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):

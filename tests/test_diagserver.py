@@ -5,20 +5,25 @@ import json
 import logging
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lemname.cli import MissingModel, ToolConfig, build_suggestion_report
 from lemname.diagserver import (
+    INTERNAL_ERROR,
     INVALID_REQUEST,
     MAX_FRAME_BYTES,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
     SERVER_ERROR,
     SUGGEST_METHOD,
+    DiagnosticServer,
     read_message,
     serve,
     uri_to_path,
     write_message,
 )
+from mutation import EDITS, mutated
 
 
 def frame(payload) -> bytes:
@@ -251,6 +256,73 @@ def test_suggest_naming_missing_file_is_server_error(cli_env):
     )
     assert responses[0]["error"]["code"] == SERVER_ERROR
     assert responses[1]["result"] is None
+
+
+# Unless uri_to_path rejects them, urlparse or open() raises a bare ValueError on each.
+BAD_URIS = ["file://[", "file:///tmp/a%00b", "/tmp/a\x00b", "/tmp/\ud800"]
+
+
+@pytest.mark.parametrize("uri", BAD_URIS, ids=["ipv6", "escaped-nul", "nul", "surrogate"])
+def test_unusable_uri_is_server_error(uri, cli_env):
+    responses = run_server(
+        cli_env, request(SUGGEST_METHOD, request_id=7, params={"uri": uri}), request("shutdown", request_id=8)
+    )
+    assert responses[0]["error"]["code"] == SERVER_ERROR
+    assert responses[1]["result"] is None
+
+
+def test_non_utf8_document_is_server_error(cli_env, tmp_path):
+    path = tmp_path / "latin1.lemmas.sexp"
+    path.write_bytes(cli_env.clean_file.read_bytes() + b"; caf\xe9\n")
+    responses = run_server(cli_env, request(SUGGEST_METHOD, request_id=7, params={"uri": path.as_uri()}))
+    assert responses[0]["error"]["code"] == SERVER_ERROR
+    assert responses[0]["error"]["message"].startswith(f"unreadable document {path.name}: not UTF-8 text")
+
+
+def test_defect_is_internal_error_and_the_session_goes_on(cli_env, monkeypatch, caplog):
+    def defect(self, uri):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(DiagnosticServer, "diagnostics", defect)
+    responses = run_server(
+        cli_env,
+        request(SUGGEST_METHOD, request_id=7, params={"uri": str(cli_env.clean_file)}),
+        request("shutdown", request_id=8),
+    )
+    assert responses[0]["error"] == {"code": INTERNAL_ERROR, "message": "internal error: KeyError: 'boom'"}
+    assert responses[1]["result"] is None
+    assert "Traceback" in caplog.text
+
+
+def is_exit(body: bytes) -> bool:
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(message, dict) and message.get("method") == "exit"
+
+
+# A frame: which seed request to send, and the edits to its JSON body.
+FRAMES = st.tuples(st.integers(0, 2 + len(BAD_URIS)), st.lists(EDITS, max_size=3))
+
+
+@settings(max_examples=200)
+@given(frames=st.lists(FRAMES, min_size=1, max_size=3))
+@example(frames=[(i, []) for i in range(3, 3 + len(BAD_URIS))]).via("the unusable uris")
+def test_mutated_frames_are_answered_and_the_session_goes_on(frames, cli_env):
+    seeds = [
+        request("initialize", request_id=1),
+        request(SUGGEST_METHOD, request_id=2, params={"uri": cli_env.clean_file.as_uri()}),
+        request("shutdown", request_id=3),
+        *(request(SUGGEST_METHOD, request_id=4 + i, params={"uri": uri}) for i, uri in enumerate(BAD_URIS)),
+    ]
+    bodies = [mutated(json.dumps(seeds[index]).encode("utf-8"), edits) for index, edits in frames]
+    assume(not any(is_exit(body) for body in bodies))
+    probe = request("shutdown", request_id="probe")
+    responses = run_server(cli_env, *(raw_frame(body) for body in bodies), probe)
+    assert responses[-1] == {"jsonrpc": "2.0", "id": "probe", "result": None}
+    for response in responses:
+        assert "result" in response or response["error"]["code"] != INTERNAL_ERROR, response
 
 
 def test_serve_requires_model_path(cli_env):

@@ -18,7 +18,7 @@ from lemname.metrics import (
     topk_accuracy,
 )
 from lemname.model import Suggestion
-from lemname.subtok import DEFAULT_LEXICON, EmptyName, subtokenize_name
+from lemname.subtok import DEFAULT_LEXICON, subtokenize_name
 
 # Hand evaluation of candidate [mg,_,eq] vs reference [mg,_,eq,_,nerode]:
 # every 1/2/3-gram of the candidate occurs in the reference, the candidate
@@ -148,11 +148,10 @@ def test_fragment_discards_empty_fragments():
     assert fragment_accuracy("_mg_eq_", "mg_eq") == 1.0
 
 
-def test_fragment_underscore_only_name_raises():
-    with pytest.raises(EmptyName):
-        fragment_accuracy("_", "mg")
-    with pytest.raises(EmptyName):
-        fragment_accuracy("mg", "__")
+def test_fragment_underscore_only_name_scores_zero():
+    # A name of underscores alone has no fragment to agree with: it scores 0.
+    assert fragment_accuracy("_", "mg") == 0.0
+    assert fragment_accuracy("mg", "__") == 0.0
 
 
 def test_fragment_matches_brute_force_on_random_pairs():

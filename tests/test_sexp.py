@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lemname import sexp
 from lemname.sexp import (
@@ -164,7 +166,36 @@ def _random_tree(rng: random.Random, depth: int, pool=_ATOM_POOL):
     return tuple(_random_tree(rng, depth - 1, pool) for _ in range(rng.randrange(0, 8)))
 
 
+def same_tree(a, b) -> bool:
+    """Structural equality without recursion; == on tuples recurses per level."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y):
+            stack.extend(zip(x, y))
+        elif not (isinstance(x, str) and x == y):
+            return False
+    return True
+
+
+# Any text: delimiters, quotes, backslashes, newlines and the empty atom.
+ATOMS = st.text(max_size=4)
+# A level of a deep tree: the atoms before and after the child it wraps.
+LEVELS = st.tuples(st.lists(ATOMS, max_size=2), st.lists(ATOMS, max_size=2))
+
+
 class TestRoundTrip:
+    @given(depth=st.integers(1, 3000), levels=st.lists(LEVELS, min_size=1, max_size=4), leaf=ATOMS | st.just(()))
+    def test_parse_render_identity_on_deep_trees(self, depth, levels, leaf):
+        tree = leaf
+        for level in range(depth):
+            before, after = levels[level % len(levels)]
+            tree = (*before, tree, *after)
+        text = render(tree)
+        (parsed,) = parse(text)
+        assert same_tree(parsed, tree)
+        assert render(parsed) == text
+
     def test_parse_render_identity_on_random_trees(self):
         rng = random.Random(42)
         for _ in range(300):
