@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import DomainError, __version__
+from . import DomainError, InvalidValue, __version__
 from .baseline import RetrievalBaseline
 from .chop import ChopConfig
 from .corpus import (
@@ -43,6 +43,7 @@ from .model import (
 from .subtok import SuffixLexicon
 
 CONFIG_FILE_NAME = ".roosterizerc"
+MAX_K = 100  # suggestions per lemma; beam search holds records x k rows at once
 
 
 class ConfigSyntaxError(DomainError):
@@ -66,6 +67,10 @@ class ToolConfig:
     chop: ChopConfig = field(default_factory=ChopConfig)
     lexicon: SuffixLexicon = field(default_factory=SuffixLexicon)
 
+    def __post_init__(self):
+        if type(self.k) is not int or not 1 <= self.k <= MAX_K:  # a bool is no count
+            raise InvalidValue(f"k must be an integer from 1 to {MAX_K}, got {self.k!r}")
+
 
 def _parse_bool(value: str) -> bool:
     if value.lower() not in ("true", "false"):
@@ -73,14 +78,11 @@ def _parse_bool(value: str) -> bool:
     return value.lower() == "true"
 
 
-def _parse_k(value: str) -> int:
+def _parse_int(value: str) -> int:
     try:
-        k = int(value)
+        return int(value)
     except ValueError:
         raise ValueError(f"must be an integer, got {value!r}") from None
-    if k < 1:
-        raise ValueError("must be at least 1")
-    return k
 
 
 def _parse_list(value: str) -> tuple:
@@ -90,7 +92,7 @@ def _parse_list(value: str) -> tuple:
 # Each key's section, the field it sets there, and the parser of its value.
 _CONFIG_KEYS = {
     "model_path": ("tool", "model_path", str),
-    "k": ("tool", "k", _parse_k),
+    "k": ("tool", "k", _parse_int),
     "qualid_collapse": ("chop", "enable_qualid_collapse", _parse_bool),
     "location_strip": ("chop", "enable_location_strip", _parse_bool),
     "singleton_extract": ("chop", "enable_singleton_extract", _parse_bool),
@@ -106,8 +108,8 @@ def load_config(project_root) -> ToolConfig:
 
     A missing file yields all defaults; unknown keys and malformed
     values are rejected with the offending line number. A value that
-    its chop config or lexicon rejects names the first line of that
-    section's keys.
+    its settings type (the tool's, the chop config or the lexicon)
+    rejects names the first line of that section's keys.
     """
     path = Path(project_root) / CONFIG_FILE_NAME
     values: dict = {}
@@ -138,14 +140,15 @@ def load_config(project_root) -> ToolConfig:
                 sections[section][name] = parser(value)
             except ValueError as err:
                 raise ConfigSyntaxError(number, f"{key} {err}") from None
-    built = {}
-    for section, cls in (("chop", ChopConfig), ("lexicon", SuffixLexicon)):
+
+    def build(section, cls, **parts):
         try:
-            built[section] = cls(**sections[section])
+            return cls(**sections[section], **parts)
         except ValueError as err:
             first = min(number for key, (number, _) in values.items() if _CONFIG_KEYS[key][0] == section)
             raise ConfigSyntaxError(first, str(err)) from None
-    return ToolConfig(**sections["tool"], **built)
+
+    return build("tool", ToolConfig, chop=build("chop", ChopConfig), lexicon=build("lexicon", SuffixLexicon))
 
 
 def resolve_settings(args) -> ToolConfig:
@@ -154,10 +157,8 @@ def resolve_settings(args) -> ToolConfig:
     gen_corpus has no `--project` and reads no settings.
     """
     config = load_config(args.project) if "project" in args else ToolConfig()
-    for key in ("model_path", "k"):
-        if getattr(args, key, None) is not None:
-            setattr(config, key, getattr(args, key))
-    return config
+    flags = {key: getattr(args, key) for key in ("model_path", "k") if getattr(args, key, None) is not None}
+    return replace(config, **flags)
 
 
 # ----------------------------------------------------------- suggestion report
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suggest.add_argument("--file", required=True, help="lemma-dataset file to check")
     suggest.add_argument("--model", dest="model_path", help="model checkpoint path (overrides config)")
-    suggest.add_argument("-k", "--k", type=_positive_int, help="suggestions per lemma")
+    suggest.add_argument("-k", "--k", type=int, help=f"suggestions per lemma (1 to {MAX_K})")
     suggest.add_argument("--report", help="write the structured JSONL report here")
     suggest.set_defaults(func=cmd_suggest_naming)
 
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     chooser = score.add_mutually_exclusive_group(required=True)
     chooser.add_argument("--model", dest="model_path", help="model checkpoint to evaluate")
     chooser.add_argument("--baseline", action="store_true", help="evaluate TF-IDF retrieval")
-    score.add_argument("-k", "--k", type=_positive_int, help="suggestions per lemma")
+    score.add_argument("-k", "--k", type=int, help=f"suggestions per lemma (1 to {MAX_K})")
     score.add_argument(
         "--config-name",
         default=DEFAULT_INPUT_CONFIG,
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     server = commands.add_parser("serve", parents=[settings], help="run the stdio diagnostic server")
     server.add_argument("--model", dest="model_path", help="model checkpoint path (overrides config)")
-    server.add_argument("-k", "--k", type=_positive_int, help="suggestions per lemma")
+    server.add_argument("-k", "--k", type=int, help=f"suggestions per lemma (1 to {MAX_K})")
     server.set_defaults(func=cmd_serve)
     return parser
 

@@ -20,16 +20,17 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from . import DomainError, InvalidValue
 from .chop import ChopConfig, chop
-from .sexp import SExp, SExpError, linearize, parse, render
+from .sexp import SExp, SExpError, iter_linearized, parse, render
 from .subtok import (
     DEFAULT_LEXICON,
     SuffixLexicon,
+    split_statement_token,
     subtokenize_name,
-    subtokenize_statement_token,
 )
 
 log = logging.getLogger(__name__)
@@ -218,36 +219,43 @@ def stream_subtoken_texts(
     stream: str,
     chop_config: ChopConfig | None = None,
     lexicon: SuffixLexicon = DEFAULT_LEXICON,
+    limit: int | None = None,
 ) -> list:
     """The canonical sub-token text sequence of one stream of a record.
 
     Tree streams are chopped and linearized first; the name stream uses
-    suffix peeling.
+    suffix peeling. An input stream is split token by token and stops
+    after `limit` sub-tokens, so no token past the limit is split; the
+    name is always whole.
     """
     if stream == STREAM_NAME:
         return subtokenize_name(record.name, lexicon)
     if stream == STREAM_STATEMENT:
         tokens = record.statement_tokens
     elif stream == STREAM_SYNTAX:
-        tokens = linearize(chop(record.syntax_tree, chop_config or ChopConfig()))
+        tokens = iter_linearized(chop(record.syntax_tree, chop_config or ChopConfig()))
     elif stream == STREAM_KERNEL:
-        tokens = linearize(chop(record.kernel_tree, chop_config or ChopConfig()))
+        tokens = iter_linearized(chop(record.kernel_tree, chop_config or ChopConfig()))
     else:
         raise ValueError(f"unknown stream: {stream!r}")
-    return [s for token in tokens for s in subtokenize_statement_token(token)]
+    return list(islice(chain.from_iterable(map(split_statement_token, tokens)), limit))
 
 
-def record_texts(record: LemmaRecord, streams, chop_config: ChopConfig | None, lexicon: SuffixLexicon) -> dict:
-    """Untruncated sub-token texts of the named streams of a record, by stream.
+def record_texts(
+    record: LemmaRecord, streams, chop_config: ChopConfig | None, lexicon: SuffixLexicon, limit: int | None = None
+) -> dict:
+    """Sub-token texts of the named streams of a record, by stream.
 
     The one preprocessing path: training, inference and the retrieval
     baseline read every stream through it, so they preprocess alike. Only
     the streams asked for are made, and the first that comes out empty
-    raises EmptyStream.
+    raises EmptyStream. Streams are untruncated unless a `limit` is given:
+    then each input stream holds its first `limit` sub-tokens (the name
+    stays whole), which is all an encoder of that input length reads.
     """
     texts = {}
     for stream in streams:
-        texts[stream] = stream_subtoken_texts(record, stream, chop_config, lexicon)
+        texts[stream] = stream_subtoken_texts(record, stream, chop_config, lexicon, limit)
         if not texts[stream]:
             raise EmptyStream(stream)
     return texts
@@ -282,6 +290,10 @@ class Vocabulary:
 
     def encode(self, text: str) -> int:
         return self._ids.get(text, UNK_ID)
+
+    def ids_of(self, texts, default=UNK_ID) -> list:
+        """The id of each text, one dict lookup each; `default` for a text not in the vocabulary."""
+        return list(map(self._ids.get, texts, repeat(default)))
 
     def __contains__(self, text: str) -> bool:
         return text in self._ids

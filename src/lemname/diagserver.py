@@ -8,7 +8,9 @@ or end of input. Diagnostics are produced by the same report builder as
 the command line, so both surfaces always agree. Only framed protocol
 messages touch the output stream; diagnostics of the transport itself
 go to the logging system (stderr). A frame longer than `MAX_FRAME_BYTES`
-is read past and answered with a parse error. `SERVER_ERROR` (-32000)
+is read past and answered with a parse error; a request whose id is not a
+string, a finite number or null gets `INVALID_REQUEST` with id null, since
+echoing it back could fail. `SERVER_ERROR` (-32000)
 means bad input: a request whose input fails it with a `DomainError` or an
 `OSError`. `INTERNAL_ERROR` (-32603) means a defect: any other exception,
 which is logged with its traceback. Either way the session goes on.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from urllib.parse import unquote, urlparse
 
@@ -120,6 +123,15 @@ def _error(request_id, code: int, message: str) -> dict:
     return {"jsonrpc": "2.0", "id": request_id, "error": {"code": code, "message": message}}
 
 
+def _valid_id(request_id) -> bool:
+    """JSON-RPC 2.0 ids are a string, a finite number or null; a bool is none of these."""
+    if isinstance(request_id, bool):
+        return False
+    if isinstance(request_id, float):
+        return math.isfinite(request_id)
+    return request_id is None or isinstance(request_id, (str, int))
+
+
 class DiagnosticServer:
     """Request dispatch around one loaded model; stateless between calls."""
 
@@ -157,6 +169,8 @@ class DiagnosticServer:
         if not isinstance(message, dict):
             return _error(None, INVALID_REQUEST, "request must be an object")
         request_id = message.get("id")
+        if not _valid_id(request_id):
+            return _error(None, INVALID_REQUEST, "id must be a string, a number or null")
         has_id = "id" in message
         method = message.get("method")
         if message.get("jsonrpc") != "2.0" or not isinstance(method, str):
@@ -198,7 +212,8 @@ def serve(stdin, stdout, config) -> int:
             if body is None:
                 break
             message = json.loads(body.decode("utf-8"))
-        except (OversizedFrame, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        except (OversizedFrame, ValueError, RecursionError) as err:
+            # ValueError: not UTF-8, not JSON, or a number over int's digit limit;
             # RecursionError: JSON nested deeper than the parser's recursion limit
             write_message(stdout, _error(None, PARSE_ERROR, f"parse error: {err}"))
             continue

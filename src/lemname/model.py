@@ -268,29 +268,35 @@ class LemmaNameModel:
 
         `texts` may pass the record's `record_texts` of the input streams
         and the name when the caller has them already, so no record is
-        sub-tokenized twice.
+        sub-tokenized twice. Otherwise each input stream is sub-tokenized
+        only as far as `max_input_len`.
         """
         cfg = self.config
-        texts = texts or record_texts(record, (*cfg.inputs, STREAM_NAME), self.chop_config, self.lexicon)
-        out_vocab = self.vocabularies["output"]
+        texts = texts or record_texts(
+            record, (*cfg.inputs, STREAM_NAME), self.chop_config, self.lexicon, cfg.max_input_len
+        )
         stream_ids, source = {}, []
         for stream in cfg.inputs:
             seq = texts[stream][: cfg.max_input_len]
-            vocab = self.vocabularies[stream]
-            stream_ids[stream] = np.array([vocab.encode(t) for t in seq], dtype=np.int64)
+            stream_ids[stream] = np.array(self.vocabularies[stream].ids_of(seq), dtype=np.int64)
             source.extend(seq)
-        oov_texts = tuple(dict.fromkeys(t for t in source if t not in out_vocab))
-        copy_ids = {t: len(out_vocab) + i for i, t in enumerate(oov_texts)}
-
-        def ext_ids(seq):
-            ids = [out_vocab.encode(t) if t in out_vocab else copy_ids.get(t, -1) for t in seq]
-            return np.array(ids, dtype=np.int64)
-
+        out_vocab = self.vocabularies["output"]
+        base = len(out_vocab)
+        source_ext_ids = out_vocab.ids_of(source, None)
+        copy_ids = {}  # source texts absent from the output vocabulary -> extended id
+        for position, ext_id in enumerate(source_ext_ids):
+            if ext_id is None:
+                source_ext_ids[position] = copy_ids.setdefault(source[position], base + len(copy_ids))
+        target = texts[STREAM_NAME][: cfg.max_output_len]
+        target_ext_ids = [
+            copy_ids.get(text, -1) if ext_id is None else ext_id
+            for text, ext_id in zip(target, out_vocab.ids_of(target, None))
+        ]
         return PreparedRecord(
             stream_ids=stream_ids,
-            oov_texts=oov_texts,
-            source_ext_ids=ext_ids(source),
-            target_ext_ids=ext_ids(texts[STREAM_NAME][: cfg.max_output_len]),
+            oov_texts=tuple(copy_ids),
+            source_ext_ids=np.array(source_ext_ids, dtype=np.int64),
+            target_ext_ids=np.array(target_ext_ids, dtype=np.int64),
         )
 
     # ------------------------------------------------------------------ encoder

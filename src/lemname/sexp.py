@@ -133,31 +133,34 @@ def linearize(expr: SExp) -> list[str]:
     Atom texts appear unquoted; every list contributes a "(" and ")" pair,
     so the output is always balanced.
     """
+    return list(iter_linearized(expr))
+
+
+def iter_linearized(expr: SExp):
+    """The tokens of `linearize`, made one at a time, so a reader can stop early."""
     return _tokens(expr, lambda atom: atom)
 
 
-_CLOSE = object()
-
-
-def _tokens(expr: SExp, atom_fn) -> list[str]:
-    out: list[str] = []
-    stack: list = [expr]
+def _tokens(expr: SExp, atom_fn):
+    # One iterator per open list; the bottom one holds the root.
+    stack = [iter((expr,))]
     while stack:
-        node = stack.pop()
-        if node is _CLOSE:
-            out.append(")")
-        elif isinstance(node, tuple):
-            out.append("(")
-            stack.append(_CLOSE)
-            stack.extend(reversed(node))
-        elif isinstance(node, str):
-            out.append(atom_fn(node))
+        for node in stack[-1]:
+            if isinstance(node, str):
+                yield atom_fn(node)
+            elif isinstance(node, tuple):
+                yield "("
+                stack.append(iter(node))
+                break
+            else:
+                raise TypeError(f"not an S-expression node: {node!r}")
         else:
-            raise TypeError(f"not an S-expression node: {node!r}")
-    return out
+            stack.pop()
+            if stack:
+                yield ")"
 
 
-def _joined(tokens: list[str]):
+def _joined(tokens):
     previous = None
     for tok in tokens:
         if previous is not None and previous != "(" and tok != ")":

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lemname import cli
+from lemname import InvalidValue, cli
 from lemname.cli import (
     _CONFIG_KEYS,
     CONFIG_FILE_NAME,
+    MAX_K,
     ConfigSyntaxError,
     ToolConfig,
     build_suggestion_report,
@@ -108,6 +109,21 @@ def test_config_rejects_nonpositive_k(tmp_path):
     with pytest.raises(ConfigSyntaxError) as err:
         load_config(tmp_path)
     assert err.value.line == 2
+
+
+def test_config_rejects_k_over_the_bound(tmp_path):
+    write_config(tmp_path, f"model_path: m.ckpt\nk: {MAX_K}\n")
+    assert load_config(tmp_path).k == MAX_K
+    write_config(tmp_path, f"k: {MAX_K + 1}\n")
+    with pytest.raises(ConfigSyntaxError, match=f"k must be an integer from 1 to {MAX_K}") as err:
+        load_config(tmp_path)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("k", [0, MAX_K + 1, True, 2.0, "5"])
+def test_tool_config_checks_k(k):
+    with pytest.raises(InvalidValue, match="k must be"):
+        ToolConfig(k=k)
 
 
 def test_config_bad_bool_reports_line(tmp_path):
@@ -542,6 +558,27 @@ def test_flag_overrides_config_k(command, cli_env, tmp_path, monkeypatch):
     write_config(tmp_path, f"model_path: {tmp_path / 'ghost.ckpt'}\nk: 2\n")
     flags = ["--model", str(cli_env.checkpoint_path), "-k", "3"]
     assert most_suggestions(command, cli_env, tmp_path, monkeypatch, *flags) == 3
+
+
+@pytest.mark.parametrize("k", [0, MAX_K + 1, 100_000_000_000])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["suggest_naming", "serve", "evaluate"])
+def test_k_out_of_bounds_exits_two_before_any_model_loads(command, source, k, cli_env, tmp_path, capsys):
+    ghost = tmp_path / "ghost.ckpt"  # loading it would fail with another message
+    argv = [command, "--project", str(tmp_path), "--model", str(ghost)]
+    if command == "suggest_naming":
+        argv += ["--file", str(cli_env.planted_file)]
+    elif command == "evaluate":
+        argv += ["--data", str(cli_env.data_dir)]
+    if source == "flag":
+        argv += ["-k", str(k)]
+    else:
+        write_config(tmp_path, f"k: {k}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"k must be an integer from 1 to {MAX_K}, got {k}" in err
+    assert (f"{CONFIG_FILE_NAME}:1:" in err) == (source == "config")
 
 
 def test_config_syntax_error_exits_two(cli_env, tmp_path, capsys):

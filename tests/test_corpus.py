@@ -6,12 +6,15 @@ import random
 
 import pytest
 
+from lemname.chop import ChopConfig
 from lemname.corpus import (
     BOS_ID,
     DOCUMENT_SUFFIX,
     EOS_ID,
+    INPUT_STREAMS,
     PAD_ID,
     RESERVED_TOKENS,
+    STREAM_NAME,
     UNK_ID,
     DatasetSplit,
     FormatError,
@@ -23,10 +26,11 @@ from lemname.corpus import (
     load_directory,
     load_document,
     ordered_records,
+    record_texts,
     split_corpus,
     stream_subtoken_texts,
 )
-from lemname.subtok import subtokenize_name
+from lemname.subtok import DEFAULT_LEXICON, subtokenize_name
 
 # Statement parenthesis tokens are quoted atoms so they stay tokens.
 GOOD_RECORD = (
@@ -286,3 +290,17 @@ class TestGenerator:
             generate_synthetic_corpus(tmp_path, n_docs=0)
         with pytest.raises(ValueError):
             generate_synthetic_corpus(tmp_path, lemmas_per_doc=0)
+
+
+def test_limited_streams_are_prefixes_of_the_whole_streams(cli_env):
+    streams = (*INPUT_STREAMS, STREAM_NAME)
+    longest = 0
+    for record in ordered_records(cli_env.documents, cli_env.documents):
+        whole = record_texts(record, streams, ChopConfig(), DEFAULT_LEXICON)
+        longest = max(longest, *(len(whole[stream]) for stream in INPUT_STREAMS))
+        for n in range(1, 301):
+            limited = record_texts(record, streams, ChopConfig(), DEFAULT_LEXICON, limit=n)
+            for stream in INPUT_STREAMS:
+                assert limited[stream] == whole[stream][:n]
+            assert limited[STREAM_NAME] == whole[STREAM_NAME]  # the name is never cut
+    assert 1 < longest < 300  # both cut and uncut streams were compared

@@ -230,6 +230,47 @@ def test_malformed_json_answers_parse_error_and_stays_alive(cli_env):
     assert responses[2] == {"jsonrpc": "2.0", "id": 4, "result": None}
 
 
+def test_id_nested_near_the_recursion_limit_leaves_the_session_alive(cli_env):
+    # Each depth either parses, then fails as a non-scalar id, or is nested
+    # past the parser's limit; somewhere in between, echoing the id back
+    # would exceed the serializer's limit.
+    frames = [
+        raw_frame(b'{"jsonrpc":"2.0","method":"shutdown","id":' + b"[" * depth + b"]" * depth + b"}")
+        for depth in range(900, 1001)
+    ]
+    responses = run_server(cli_env, *frames, request("shutdown", request_id=7), request("exit"))
+    assert len(responses) == len(frames) + 1
+    codes = [response["error"]["code"] for response in responses[:-1]]
+    assert set(codes) <= {INVALID_REQUEST, PARSE_ERROR} and INVALID_REQUEST in codes
+    assert all(response["id"] is None for response in responses[:-1])
+    assert responses[-1] == {"jsonrpc": "2.0", "id": 7, "result": None}
+
+
+@pytest.mark.parametrize("request_id", [b"[1]", b'{"a":1}', b"true", b"false", b"NaN", b"-Infinity"])
+def test_non_scalar_id_is_invalid_request(request_id, cli_env):
+    body = b'{"jsonrpc":"2.0","method":"initialize","id":' + request_id + b"}"
+    responses = run_server(cli_env, raw_frame(body), request("shutdown", request_id="s"), request("exit"))
+    assert responses[0] == {
+        "jsonrpc": "2.0",
+        "id": None,
+        "error": {"code": INVALID_REQUEST, "message": "id must be a string, a number or null"},
+    }
+    assert responses[1] == {"jsonrpc": "2.0", "id": "s", "result": None}
+
+
+@pytest.mark.parametrize("request_id", ["x", 0, -3, 2.5, None])
+def test_scalar_ids_are_echoed(request_id, cli_env):
+    (response,) = run_server(cli_env, {"jsonrpc": "2.0", "method": "shutdown", "id": request_id}, request("exit"))
+    assert response == {"jsonrpc": "2.0", "id": request_id, "result": None}
+
+
+def test_number_over_the_integer_digit_limit_answers_parse_error(cli_env):
+    body = b'{"jsonrpc":"2.0","method":"shutdown","id":' + b"7" * 5000 + b"}"
+    responses = run_server(cli_env, raw_frame(body), request("shutdown", request_id=8), request("exit"))
+    assert responses[0]["error"]["code"] == PARSE_ERROR and responses[0]["id"] is None
+    assert responses[1] == {"jsonrpc": "2.0", "id": 8, "result": None}
+
+
 def test_invalid_request_missing_jsonrpc(cli_env):
     responses = run_server(cli_env, {"method": "initialize", "id": 5}, request("exit"))
     assert responses[0]["error"]["code"] == INVALID_REQUEST

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import lemname.corpus
 import lemname.model
+import lemname.subtok
 from lemname.baseline import RetrievalBaseline
 from lemname.chop import ChopConfig
 from lemname.corpus import (
@@ -26,6 +27,7 @@ from lemname.corpus import (
     Vocabulary,
     generate_synthetic_corpus,
     load_directory,
+    load_document,
     ordered_records,
     record_texts,
     stream_subtoken_texts,
@@ -233,6 +235,40 @@ def test_stream_texts_respects_max_input_len(trained):
     assert all(len(ids) <= 5 for ids in prepared.stream_ids.values())
     assert len(truncated_source(model, record)) == len(prepared.source_ext_ids)
     assert len(prepared.source_ext_ids) == sum(len(ids) for ids in prepared.stream_ids.values())
+
+
+def assert_same_prepared(first, second):
+    assert first.stream_ids.keys() == second.stream_ids.keys()
+    for stream, ids in first.stream_ids.items():
+        assert np.array_equal(ids, second.stream_ids[stream])
+    assert first.oov_texts == second.oov_texts
+    assert np.array_equal(first.source_ext_ids, second.source_ext_ids)
+    assert np.array_equal(first.target_ext_ids, second.target_ext_ids)
+
+
+@pytest.mark.parametrize("max_input_len", [1, 5, 40, 96])
+def test_prepare_reads_the_prefix_of_the_whole_streams(trained, max_input_len):
+    checkpoint, _, documents, split = trained
+    config = dataclasses.replace(checkpoint.config, max_input_len=max_input_len)
+    model = LemmaNameModel(config, checkpoint.chop_config, checkpoint.lexicon, checkpoint.vocabularies)
+    for record in ordered_records(documents, documents):
+        whole = record_texts(record, (*config.inputs, "name"), model.chop_config, model.lexicon)
+        assert_same_prepared(model.prepare(record), model.prepare(record, whole))
+
+
+def test_prepare_splits_only_as_far_as_the_encoder_reads(cli_env, deep_lemma_file, monkeypatch):
+    (record,) = load_document(deep_lemma_file)
+    model = cli_env.model
+    split = lemname.subtok._split
+    splits = []
+    monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: splits.append(text) or split(text, lexicon))
+    lemname.subtok._cached_split.cache_clear()
+    prepared = model.prepare(record)
+    # At most max_input_len tokens per input stream, and the name once.
+    assert 0 < len(splits) <= len(model.config.inputs) * model.config.max_input_len + 1
+    whole = record_texts(record, (*model.config.inputs, "name"), model.chop_config, model.lexicon)
+    assert len(whole["chopped_kernel_tree"]) > 100 * model.config.max_input_len
+    assert_same_prepared(prepared, model.prepare(record, whole))
 
 
 @pytest.mark.parametrize("entry", ["record_texts", "prepare", "train", "RetrievalBaseline.suggest"])

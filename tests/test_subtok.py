@@ -3,11 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import lemname.subtok
 from lemname.subtok import (
     DEFAULT_LEXICON,
+    SPLIT_CACHE_ENTRIES,
+    SPLIT_CACHE_MAX_CHARS,
     EmptyName,
     SuffixLexicon,
+    _cached_split,
+    _split,
+    split_statement_token,
     subtokenize_name,
     subtokenize_statement_token,
 )
@@ -107,3 +115,41 @@ class TestLosslessness:
         for _ in range(2000):
             token = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 10)))
             assert "".join(subtokenize_statement_token(token)) == token
+
+
+class TestSplitCache:
+    @given(st.text())
+    def test_cached_split_equals_uncached(self, text):
+        assert split_statement_token(text) == tuple(_split(text, None))
+        assert subtokenize_statement_token(text) == _split(text, None)
+
+    @given(st.text(min_size=1), st.lists(st.text()))
+    def test_mutating_a_returned_list_leaves_the_next_result_unchanged(self, text, junk):
+        expected = _split(text, None)
+        first = subtokenize_statement_token(text)
+        first.extend(junk)
+        first[0] = "mutated"
+        assert subtokenize_statement_token(text) == expected
+        assert split_statement_token(text) == tuple(expected)
+
+    def test_cache_is_bounded_by_entry_count(self):
+        _cached_split.cache_clear()
+        for index in range(SPLIT_CACHE_ENTRIES + 500):
+            split_statement_token(f"tok{index}Name")
+        info = _cached_split.cache_info()
+        assert info.maxsize == SPLIT_CACHE_ENTRIES
+        assert 0 < info.currsize <= SPLIT_CACHE_ENTRIES
+        assert info.misses == SPLIT_CACHE_ENTRIES + 500
+
+    def test_token_over_the_length_cap_is_never_cached(self, monkeypatch):
+        long_token = "fooBar_" * (SPLIT_CACHE_MAX_CHARS // 7 + 1)
+        assert len(long_token) > SPLIT_CACHE_MAX_CHARS
+        capped = long_token[:SPLIT_CACHE_MAX_CHARS]
+        _cached_split.cache_clear()
+        calls = []
+        monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: calls.append(text) or _split(text, lexicon))
+        for _ in range(3):
+            assert split_statement_token(long_token) == tuple(_split(long_token, None))
+            assert split_statement_token(capped) == tuple(_split(capped, None))
+        assert calls == [long_token, capped, long_token, long_token]
+        assert _cached_split.cache_info().currsize == 1
