@@ -60,7 +60,7 @@ class IoError(DomainError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolConfig:
     model_path: str | None = None
     k: int = 5
