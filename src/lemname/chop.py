@@ -79,9 +79,6 @@ def _last_component(node: tuple) -> SExp:
     return last
 
 
-_DONE = object()
-
-
 def chop(tree: SExp, config: ChopConfig | None = None) -> SExp:
     """Rewrite a tree to its chopped normal form in one post-order walk.
 
@@ -103,28 +100,35 @@ def chop(tree: SExp, config: ChopConfig | None = None) -> SExp:
     splice = config.enable_singleton_extract
 
     # One frame per open node: an iterator over its children and the
-    # rewritten children kept so far. The bottom frame holds the root.
+    # rewritten children kept so far. The bottom frame holds the root. The
+    # head-tag test of _head_tag is written out inline where it runs once
+    # per child and once per finished node.
     stack = [(iter((tree,)), [])]
     while True:
         children, kept = stack[-1]
-        child = next(children, _DONE)
-        if child is not _DONE:
-            while _head_tag(child) in qualified:
-                child = _last_component(child)
+        for child in children:
             if isinstance(child, str):
                 kept.append(child)
-            elif _head_tag(child) not in locations:
+                continue
+            head = child[0] if isinstance(child, tuple) and child and isinstance(child[0], str) else None
+            while head in qualified:
+                child = _last_component(child)
+                head = _head_tag(child)
+            if isinstance(child, str):  # a collapsed qualified name
+                kept.append(child)
+            elif head not in locations:
                 stack.append((iter(child), []))
-            continue
-        stack.pop()
-        if not stack:
-            return kept[0] if kept else ()
-        node = tuple(kept)
-        head = _head_tag(node)
-        if head in qualified:
-            node = _last_component(node)
-        elif head in locations:
-            continue
-        elif splice and len(node) == 1:
-            node = node[0]
-        stack[-1][1].append(node)
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return kept[0] if kept else ()
+            node = tuple(kept)
+            head = node[0] if node and isinstance(node[0], str) else None
+            if head in qualified:
+                node = _last_component(node)
+            elif head in locations:
+                continue
+            elif splice and len(node) == 1:
+                node = node[0]
+            stack[-1][1].append(node)

@@ -150,7 +150,9 @@ def load_document(path) -> list:
     """Read one document, skipping (and logging) defective records."""
     path = Path(path)
     try:
-        forms = parse(path.read_text(encoding="utf-8"))
+        # Decoded without newline translation, so a carriage return inside a
+        # quoted atom survives and offsets count the file's own characters.
+        forms = parse(path.read_bytes().decode("utf-8"))
     except UnicodeDecodeError as err:
         raise FormatError(f"unreadable document {path.name}: not UTF-8 text", err.start) from err
     except SExpError as err:

@@ -267,9 +267,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = table.data[ids]
 
     def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (full,)
+        rows, width = table.shape
+        cells = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        return (np.bincount(cells, weights=g.ravel(), minlength=rows * width).reshape(rows, width),)
 
     return Tensor(out, (table,), backward)
 

@@ -3,19 +3,36 @@
 Trees are plain Python values: an atom is a ``str``, a list is a ``tuple``
 of sub-expressions. ``parse`` and ``render`` are exact inverses on that
 domain, so trees survive arbitrarily many round trips through text.
+
+``parse`` splits the text into tokens with one compiled regular
+expression, ``_TOKEN``, the one definition of the grammar, and builds the
+trees in one loop over the tokens, in time linear in the text on any input.
+Malformed text raises an SExpError at the character offset of its first
+fault. A quoted atom keeps every character between its quotes but the
+escapes, carriage returns included.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from . import DomainError
 
 SExp = Union[str, tuple]
 
-_WHITESPACE = frozenset(" \t\n\r\x0b\x0c")
-_DELIMITERS = _WHITESPACE | {"(", ")", '"'}
-# Escape sequences accepted inside quoted atoms, and their inverses.
+# Exactly these separate tokens; every other character, \x85, \xa0 and
+# \u2028 included, belongs to an atom.
+_SPACE = " \t\n\r\x0b\x0c"
+# A paren, a quoted atom, or a bare atom. A quoted atom's escapes are \",
+# \\ and \n, and its closing quote is optional, so no alternative can fail
+# once it starts and matching never backtracks: a quoted atom that is not
+# closed is a token that stops at the end of the text or at the backslash
+# of a bad escape, and parse reports it.
+_TOKEN = re.compile(rf'[()]|"[^"\\]*(?:\\["\\n][^"\\]*)*"?|[^()"{_SPACE}]+')
+# What render may write without quotes: a bare atom holding no backslash.
+_PLAIN = re.compile(rf'[^()"\\{_SPACE}]+')
+_ESCAPE = re.compile(r'\\(["\\n])')
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
 _UNESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n"}
 
@@ -49,37 +66,64 @@ def parse(text: str) -> list:
 
     Whitespace between expressions is insignificant. Atoms are either bare
     (runs of non-delimiter characters) or double-quoted with the escapes
-    \\" \\\\ and \\n. Lists become tuples, atoms become strings.
+    \\" \\\\ and \\n. Lists become tuples, atoms become strings. Malformed
+    text raises an SExpError carrying the offset of its first fault.
     """
-    exprs: list = []
-    stack: list = []  # (offset of the open paren, children collected so far)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _WHITESPACE:
-            i += 1
-            continue
-        if ch == "(":
-            stack.append((i, []))
-            i += 1
-            continue
-        if ch == ")":
+    stack: list = []  # the children of each enclosing open list, innermost last
+    children: list = []  # the children of the innermost open list, or the top level
+    for token in _TOKEN.findall(text):
+        if token == "(":
+            stack.append(children)
+            children = []
+        elif token == ")":
             if not stack:
-                raise UnbalancedParen("unmatched ')'", i)
-            _, children = stack.pop()
-            value: SExp = tuple(children)
-            i += 1
-        elif ch == '"':
-            value, i = _scan_quoted(text, i)
+                _raise_first_fault(text)
+            value = tuple(children)
+            children = stack.pop()
+            children.append(value)
+        elif token[0] != '"':
+            children.append(token)
         else:
-            value, i = _scan_bare(text, i)
-        if stack:
-            stack[-1][1].append(value)
-        else:
-            exprs.append(value)
+            atom = _unquote(token)
+            if atom is None:
+                _raise_first_fault(text)
+            children.append(atom)
     if stack:
-        raise UnbalancedParen("unclosed '('", stack[-1][0])
-    return exprs
+        _raise_first_fault(text)
+    return children
+
+
+def _raise_first_fault(text: str):
+    """Re-tokenize malformed text and raise its first fault, with its offset."""
+    opens = []  # offsets of the open parens not yet closed
+    for match in _TOKEN.finditer(text):
+        token, start = match[0], match.start()
+        if token == "(":
+            opens.append(start)
+        elif token == ")":
+            if not opens:
+                raise UnbalancedParen("unmatched ')'", start)
+            opens.pop()
+        elif token[0] == '"' and _unquote(token) is None:
+            end = match.end()  # the end of the text, or a backslash
+            if end + 1 < len(text):
+                raise InvalidEscape(f"unsupported escape '\\{text[end + 1]}'", end)
+            raise UnterminatedString("unterminated quoted atom", start)
+    if opens:
+        raise UnbalancedParen("unclosed '('", opens[-1])
+    raise AssertionError("parse found a fault that re-tokenizing does not")
+
+
+def _unquote(token: str):
+    """The atom of a quoted-atom token, or None if the token is not closed.
+
+    The final quote closes the atom unless it ends an odd run of
+    backslashes, which escapes it.
+    """
+    inner = token[1:-1]
+    if len(token) < 2 or token[-1] != '"' or (len(inner) - len(inner.rstrip("\\"))) % 2:
+        return None
+    return _ESCAPE.sub(lambda escape: _ESCAPES[escape[1]], inner)
 
 
 def parse_one(text: str) -> SExp:
@@ -90,36 +134,6 @@ def parse_one(text: str) -> SExp:
     if len(exprs) > 1:
         raise ValueError(f"expected one expression, found {len(exprs)}")
     return exprs[0]
-
-
-def _scan_quoted(text: str, start: int) -> tuple[str, int]:
-    parts: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            return "".join(parts), i + 1
-        if ch == "\\":
-            if i + 1 >= n:
-                break
-            esc = text[i + 1]
-            if esc not in _ESCAPES:
-                raise InvalidEscape(f"unsupported escape '\\{esc}'", i)
-            parts.append(_ESCAPES[esc])
-            i += 2
-        else:
-            parts.append(ch)
-            i += 1
-    raise UnterminatedString("unterminated quoted atom", start)
-
-
-def _scan_bare(text: str, start: int) -> tuple[str, int]:
-    i = start
-    n = len(text)
-    while i < n and text[i] not in _DELIMITERS:
-        i += 1
-    return text[start:i], i
 
 
 def render(expr: SExp) -> str:
@@ -170,6 +184,6 @@ def _joined(tokens):
 
 
 def _render_atom(atom: str) -> str:
-    if atom and not any(c in _DELIMITERS or c == "\\" for c in atom):
+    if _PLAIN.fullmatch(atom):
         return atom
     return '"' + "".join(_UNESCAPES.get(c, c) for c in atom) + '"'

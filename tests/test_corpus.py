@@ -30,6 +30,7 @@ from lemname.corpus import (
     split_corpus,
     stream_subtoken_texts,
 )
+from lemname.sexp import render
 from lemname.subtok import DEFAULT_LEXICON, subtokenize_name
 
 # Statement parenthesis tokens are quoted atoms so they stay tokens.
@@ -108,8 +109,25 @@ class TestLoadDocument:
     def test_non_utf8_document_is_a_format_error_naming_the_file(self, tmp_path):
         path = tmp_path / ("latin1" + DOCUMENT_SUFFIX)
         path.write_bytes(GOOD_RECORD.replace("addgA", "add\xe9").encode("latin-1"))
-        with pytest.raises(FormatError, match=f"unreadable document {path.name}: not UTF-8 text"):
+        with pytest.raises(FormatError, match=f"unreadable document {path.name}: not UTF-8 text") as err:
             load_document(path)
+        assert err.value.position == GOOD_RECORD.index("addgA") + 3
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n\r"])
+    def test_carriage_returns_in_quoted_atoms_are_kept(self, tmp_path, newline):
+        token = f"x{newline}y"
+        stmt = GOOD_RECORD[GOOD_RECORD.index("(stmt") : GOOD_RECORD.index(" (cst")]
+        path = tmp_path / ("crlf" + DOCUMENT_SUFFIX)
+        path.write_bytes(GOOD_RECORD.replace(stmt, f"(stmt (forall {render(token)} , x = x))").encode())
+        (record,) = load_document(path)
+        assert record.statement_tokens == ("forall", token, ",", "x", "=", "x")
+
+    def test_offsets_count_carriage_returns(self, tmp_path):
+        path = tmp_path / ("crlf" + DOCUMENT_SUFFIX)
+        path.write_bytes(b"\r\n\r\n(lemma")
+        with pytest.raises(FormatError) as err:
+            load_document(path)
+        assert err.value.position == 4
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -56,6 +56,18 @@ class TestForward:
         out = embedding_lookup(table, np.array([2, 0]))
         assert np.array_equal(out.data, np.array([[6.0, 7.0, 8.0], [0.0, 1.0, 2.0]]))
 
+    def test_embedding_gradient_adds_repeats_in_id_order(self):
+        # The scatter-add must sum a row's gradients in the order np.add.at
+        # does, so trained parameters stay bit-for-bit reproducible.
+        rng = np.random.default_rng(3)
+        table = Tensor(rng.normal(size=(7, 5)))
+        ids = rng.integers(0, 7, size=(6, 9))
+        g = rng.normal(size=(6, 9, 5)) * 10.0 ** rng.integers(-8, 8, size=(6, 9, 1))
+        (grad,) = embedding_lookup(table, ids)._backward(g)
+        expected = np.zeros((7, 5))
+        np.add.at(expected, ids.reshape(-1), g.reshape(-1, 5))
+        assert grad.tobytes() == expected.tobytes()
+
     def test_gather_index(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         assert np.array_equal(gather_index(x, np.array([2, 0])).data, np.array([2.0, 3.0]))

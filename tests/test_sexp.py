@@ -1,15 +1,21 @@
-"""Parser/printer round-trip and error behaviour for the S-expression format."""
+"""Parser/printer round-trip and error behaviour for the S-expression format.
+
+`reference_sexp` is the earlier character-by-character parser; the regex
+tokenizer must give its trees, or its error type and offset, on any text.
+"""
 
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_sexp
 from lemname import sexp
 from lemname.sexp import (
     EmptyInput,
     InvalidEscape,
+    SExpError,
     UnbalancedParen,
     UnterminatedString,
     linearize,
@@ -52,6 +58,10 @@ class TestParse:
     def test_unicode_atoms(self):
         assert parse("(π λx)") == [("π", "λx")]
 
+    def test_exactly_six_whitespace_characters(self):
+        assert parse("a \t\n\r\x0b\x0cb") == ["a", "b"]
+        assert parse("(a\x85b \xa0 \u2028 \x1c)") == [("a\x85b", "\xa0", "\u2028", "\x1c")]
+
 
 class TestParseErrors:
     def test_unmatched_close(self):
@@ -77,6 +87,11 @@ class TestParseErrors:
         with pytest.raises(InvalidEscape):
             parse('"a\\tb"')
 
+    def test_invalid_escape_offset_inside_a_list(self):
+        with pytest.raises(InvalidEscape) as err:
+            parse('(x "a\\tb")')
+        assert err.value.position == 5
+
     def test_parse_one_empty(self):
         with pytest.raises(EmptyInput):
             parse_one("   ")
@@ -84,6 +99,62 @@ class TestParseErrors:
     def test_parse_one_extra_forms(self):
         with pytest.raises(ValueError):
             parse_one("a b")
+
+
+def outcome(parser, text):
+    """A parser's trees, or the type, offset and message of the error it raises."""
+    try:
+        return parser(text)
+    except SExpError as err:
+        return type(err), err.position, str(err)
+
+
+# Heavy in the characters the grammar treats specially, plus whitespace
+# look-alikes that are atom characters.
+SEXP_TEXT = st.text(
+    alphabet=st.sampled_from(list('()"\\n \t\n\r\x0b\x0c') + ["\x85", "\xa0", "\u2028", "\x1c", "a"]),
+    max_size=40,
+)
+
+
+class TestAgainstReference:
+    """parse agrees with the character-by-character reference parser."""
+
+    @settings(max_examples=1000)
+    @given(SEXP_TEXT)
+    @example('"a\\"').via("an escaped quote is not a closing quote")
+    @example('"\\\\"(').via("an escaped backslash before a closing quote")
+    @example('"\\t"').via("an unsupported escape")
+    @example('"ab\\').via("a backslash at the end of the text")
+    @example("(\x85 \xa0\u2028)").via("atom characters that str.split treats as spaces")
+    @example('"\\t" ) "').via("a bad escape before an unmatched paren")
+    @example('(a) ) "\\t"').via("an unmatched paren before a bad escape")
+    @example('(("a\\"').via("an open atom inside unclosed lists")
+    def test_trees_or_error_and_offset(self, text):
+        assert outcome(parse, text) == outcome(reference_sexp.parse, text)
+
+
+class TestLinearTime:
+    """Inputs on which a backtracking tokenizer takes quadratic time.
+
+    Each must give the reference parser's result; a quadratic tokenizer
+    takes minutes on them, so a regression hangs these tests.
+    """
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"\\' * 200_000,
+            '"' * 400_000,
+            "(" * 200_000,
+            '"a\\' * 100_000,
+            '"' + "x" * 2_000_000 + '"',
+            '"' + "x" * 2_000_000,
+        ],
+        ids=["quote-backslash", "quotes", "open-parens", "quote-a-backslash", "long-atom", "long-open-atom"],
+    )
+    def test_adversarial_input(self, text):
+        assert outcome(parse, text) == outcome(reference_sexp.parse, text)
 
 
 class TestRender:
