@@ -553,7 +553,9 @@ def train(
     accuracy on the validation documents decides the checkpoint to keep;
     ties keep the later epoch. With no validation documents the last
     epoch's parameters are kept, and they must first score the training
-    records without a numerical fault. Returns (checkpoint, per-epoch
+    records without a numerical fault. At most one batch's autodiff graph
+    is alive: each is dropped right after its backward, before the Adam
+    step, the next batch and validation. Returns (checkpoint, per-epoch
     metrics).
     """
     chop_config = chop_config or ChopConfig()
@@ -590,9 +592,10 @@ def train(
             chunk = [train_prepared[i] for i in order[start : start + training.batch_size]]
             loss, token_count = model._loss_batch(chunk)
             backward(loss, model.parameters)
-            adam_step(model.parameters, model.parameters.gradients(), optimizer, lr=training.learning_rate)
             total_nll += float(loss.data) * token_count
             total_tokens += token_count
+            del loss  # the batch's graph: nothing reads it after backward
+            adam_step(model.parameters, model.parameters.gradients(), optimizer, lr=training.learning_rate)
         if val_records:
             predicted = model.suggest_many(val_prepared, 1)
             hits = sum(s[0].name == r.name for s, r in zip(predicted, val_records))

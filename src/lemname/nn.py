@@ -2,16 +2,20 @@
 
 A Tensor wraps a numpy array and remembers how it was computed; backward
 walks the recorded graph once, iteratively, and accumulates gradients
-into .grad. Numerical checks happen in one place, `checked`: under it
-numpy raises at the first operation that overflows, divides by zero or
-makes a NaN, and the NonFiniteValue it becomes names that operation
-("overflow encountered in matmul"). No op scans its output; backward,
-adam_step and the model's loss and decoder run checked. A NaN that comes
-in from outside sets no flag, so Parameters.load_state rejects
-non-finite values. gru_sequence runs one or two recurrent directions over
-a whole sequence as one op, both directions in one time loop. It is the
-only GRU the model runs (one call per encoder stream, one for the
-decoder); the tests check it against a chain of single GRU steps.
+into .grad. Only leaves (tensors no op computed, every parameter among
+them) keep their gradients: an intermediate node's gradient is freed as
+soon as its own backward has consumed it. Numerical checks happen in one
+place, `checked`: under it numpy raises at the first operation that
+overflows, divides by zero or makes a NaN, and the NonFiniteValue it
+becomes names that operation ("overflow encountered in matmul"). No op
+scans its output; backward, adam_step and the model's loss and decoder
+run checked. A NaN that comes in from outside sets no flag, so
+Parameters.load_state rejects non-finite values. gru_sequence runs one
+or two recurrent directions over a whole sequence as one op, both
+directions in one time loop, and saves for backward only what BPTT
+reads. It is the only GRU the model runs (one call per encoder stream,
+one for the decoder); the tests check it against a chain of single GRU
+steps.
 A fixed seed does not make every result bit-reproducible: BLAS may sum
 a product in another order when its thread count or the product's shape
 changes, so checkpoint bytes can depend on the BLAS thread count, and a
@@ -312,11 +316,15 @@ def _topological_order(root: Tensor) -> list:
 
 @checked()
 def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
-    """Populate .grad on every tensor the loss depends on.
+    """Populate .grad on every leaf the loss depends on.
 
-    Gradients of previous calls are discarded for reachable tensors; if a
-    parameter set is given, its unreachable members get zero gradients so
-    an optimizer step sees a complete gradient map.
+    Leaves are tensors without a recorded backward; every parameter is
+    one. An intermediate node's gradient is set to None as soon as its
+    backward has run, so at most the gradients still to be consumed are
+    alive at once. Gradients of previous calls are discarded for
+    reachable tensors; if a parameter set is given, its unreachable
+    members get zero gradients so an optimizer step sees a complete
+    gradient map.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -327,7 +335,9 @@ def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
     for node in reversed(order):
         if node._backward is None or node.grad is None:
             continue
-        for parent, grad in zip(node._parents, node._backward(node.grad)):
+        grads = node._backward(node.grad)
+        node.grad = None
+        for parent, grad in zip(node._parents, grads):
             if grad is None:
                 continue
             if grad.shape != parent.data.shape:
@@ -466,8 +476,11 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
     BPTT over the same loop; after it, dx, dw_x and db are one GEMM or
     reduction per direction, and dx sums over directions. The initial
     state's gradient is what the loop carries out of its first step.
-    Without keep_graph no per-step activations are kept and the result
-    has no gradient.
+    For BPTT each step saves 5*hidden values per direction and row: the
+    previous state, the reset and update gates, the candidate and the
+    candidate block of h @ w_h (copied out, so the rest of that product
+    is freed). Without keep_graph nothing is saved and the result has no
+    gradient.
     """
     params = tuple(params)
     mask = np.asarray(mask)
@@ -510,7 +523,7 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             reset, update = gates[..., :hidden], gates[..., hidden:]
             candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
             if keep_graph:
-                saved.append((h, gates, candidate, gh[..., 2 * hidden :]))
+                saved.append((h, gates, candidate, gh[..., 2 * hidden :].copy()))
             h = np.where(real[t], update * h + (1.0 - update) * candidate, h)
             for view, state in zip(out_steps, h):
                 view[:, t] = state

@@ -1,6 +1,7 @@
 """Tests for the multi-input encoder-decoder, training loop, and checkpoints."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import struct
@@ -50,7 +51,7 @@ from lemname.model import (
     save_checkpoint,
     train,
 )
-from lemname.nn import NonFiniteValue, backward
+from lemname.nn import NonFiniteValue, Tensor, backward
 from lemname.subtok import DEFAULT_LEXICON, SuffixLexicon
 
 from gradcheck import finite_difference_check
@@ -172,6 +173,28 @@ def test_training_subtokenizes_each_record_stream_once(tiny_corpus, monkeypatch)
     records = ordered_records(documents, split.train + split.validation)
     assert len(calls) == len(records) * (len(config.inputs) + 1)
     assert set(calls.values()) == {1}
+
+
+def test_training_holds_one_batch_graph(tiny_corpus, monkeypatch):
+    """No batch's graph outlives its Adam step: every batch and validation start with the same live Tensors."""
+    documents, split = tiny_corpus
+    live = []
+
+    def counting(method):
+        def wrapper(self, *args, **kwargs):
+            live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("_loss_batch", "suggest_many"):
+        monkeypatch.setattr(LemmaNameModel, name, counting(getattr(LemmaNameModel, name)))
+    gc.collect()  # garbage other tests left must not be collected mid-count
+    train(documents, split, small_config(), TrainingConfig(epochs=2, batch_size=4, seed=0))
+    batches = -(-len(ordered_records(documents, split.train)) // 4)
+    assert batches >= 3 and split.validation
+    assert len(live) == 2 * (batches + 1)
+    assert live == [live[0]] * len(live)
 
 
 def test_training_seed_changes_parameters(tiny_corpus):

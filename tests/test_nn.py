@@ -1,5 +1,7 @@
 """Autodiff primitives, GRU cell, Adam, and reproducibility checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,15 @@ class TestBackward:
         y = sum_(x * x + x)
         backward(y)
         assert np.allclose(x.grad, [7.0])  # 2x + 1
+
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor([3.0])
+        square = x * x
+        total = square + x
+        loss = sum_(total)
+        backward(loss)
+        assert square.grad is None and total.grad is None and loss.grad is None
+        assert np.allclose(x.grad, [7.0])
 
     def test_deep_chain_does_not_recurse(self):
         x = Tensor([1.0])
@@ -309,6 +320,25 @@ class TestGruSequence:
     def test_edge_batches_match_chained_cells(self, lengths, steps):
         params, cells, x, h0, mask, weights = self.make(lengths, steps)
         self.assert_matches_chained_cells(params, cells, x, h0, mask, weights)
+
+    def test_keeps_five_hidden_values_per_step_and_row(self):
+        """What backward reads: the previous state, both gates, the candidate, its h @ w_h block."""
+        batch, steps, width, hidden, directions = 16, 128, 32, 32, 2
+        rng = np.random.default_rng(3)
+        cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        x = Tensor(rng.normal(size=(batch, steps, width)))
+        h0 = Tensor(np.zeros((batch, directions * hidden)))
+        mask = np.ones((batch, steps))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = gru_sequence(x, mask, h0, cells)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        budget = (steps * directions * batch * 5 * hidden + batch * steps * directions * hidden) * 8
+        assert held <= 1.1 * budget, f"{held / 2**20:.2f} MiB held, budget {budget / 2**20:.2f} MiB"
 
     def test_without_graph_same_values_no_parents(self):
         _, cells, x, h0, mask, _ = self.make()
