@@ -56,10 +56,6 @@ class MissingModel(DomainError):
     pass
 
 
-class IoError(DomainError):
-    pass
-
-
 @dataclass(frozen=True)
 class ToolConfig:
     model_path: str | None = None
@@ -252,8 +248,6 @@ def _load_model(path):
 
 
 def cmd_suggest_naming(args, config: ToolConfig) -> int:
-    if not Path(args.file).is_file():
-        raise IoError(f"no such lemma-dataset file: {args.file}")
     model = _load_model(config.model_path)
     report = build_suggestion_report(model, args.file, config.k)
     sys.stdout.write(report.to_text())

@@ -8,7 +8,7 @@ holds one S-expression per lemma::
 
 Fields appear in exactly that order. Records that fail structural checks
 are skipped with a warning; problems with the file itself raise
-FormatError.
+FormatError, or MissingDocument for a path that names no regular file.
 """
 
 from __future__ import annotations
@@ -62,6 +62,13 @@ class FormatError(DomainError):
         super().__init__(f"{reason} (position {position})")
         self.reason = reason
         self.position = position
+
+
+class MissingDocument(DomainError, OSError):
+    """A dataset path that names no regular file: nothing there, a directory, a FIFO or a device."""
+
+    def __init__(self, path):
+        super().__init__(f"no such lemma-dataset file: {path}")
 
 
 class TooFewDocuments(DomainError):
@@ -147,8 +154,15 @@ def _record_from_form(form: tuple, file_name: str) -> LemmaRecord:
 
 
 def load_document(path) -> list:
-    """Read one document, skipping (and logging) defective records."""
+    """Read one document, skipping (and logging) defective records.
+
+    The path must name a regular file (or a link to one): reading a FIFO
+    could block forever, and reading a device such as /dev/zero might
+    never end.
+    """
     path = Path(path)
+    if not path.is_file():
+        raise MissingDocument(path)
     try:
         # Decoded without newline translation, so a carriage return inside a
         # quoted atom survives and offsets count the file's own characters.
@@ -290,15 +304,9 @@ class Vocabulary:
             ids[text] = index
         object.__setattr__(self, "_ids", ids)
 
-    def encode(self, text: str) -> int:
-        return self._ids.get(text, UNK_ID)
-
     def ids_of(self, texts, default=UNK_ID) -> list:
         """The id of each text, one dict lookup each; `default` for a text not in the vocabulary."""
         return list(map(self._ids.get, texts, repeat(default)))
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._ids
 
     def __len__(self) -> int:
         return len(self.texts)

@@ -595,7 +595,7 @@ def train(
             total_nll += float(loss.data) * token_count
             total_tokens += token_count
             del loss  # the batch's graph: nothing reads it after backward
-            adam_step(model.parameters, model.parameters.gradients(), optimizer, lr=training.learning_rate)
+            adam_step(model.parameters, optimizer, lr=training.learning_rate)
         if val_records:
             predicted = model.suggest_many(val_prepared, 1)
             hits = sum(s[0].name == r.name for s, r in zip(predicted, val_records))

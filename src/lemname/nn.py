@@ -77,9 +77,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
@@ -88,15 +85,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __getitem__(self, key):
         return index(self, key)
@@ -323,8 +311,8 @@ def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
     backward has run, so at most the gradients still to be consumed are
     alive at once. Gradients of previous calls are discarded for
     reachable tensors; if a parameter set is given, its unreachable
-    members get zero gradients so an optimizer step sees a complete
-    gradient map.
+    members get zero gradients, so every parameter has a .grad for
+    adam_step to read.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -368,23 +356,8 @@ class Parameters:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def items(self):
         return self._tensors.items()
-
-    def names(self):
-        return list(self._tensors)
-
-    def gradients(self) -> dict:
-        return {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in self._tensors.items()
-        }
 
     def state(self) -> dict:
         return {name: t.data.copy() for name, t in self._tensors.items()}
@@ -409,7 +382,6 @@ class Rng:
     """Counter-based random stream (Philox); same seed, same sequence everywhere."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._gen = np.random.Generator(np.random.Philox(seed))
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
@@ -436,14 +408,6 @@ class GruParams:
     w_x: Tensor  # (input_dim, 3 * hidden_dim)
     w_h: Tensor  # (hidden_dim, 3 * hidden_dim)
     b: Tensor  # (3 * hidden_dim,)
-
-
-def gru_params(parameters: Parameters, prefix: str, rng: Rng, input_dim: int, hidden_dim: int) -> GruParams:
-    return GruParams(
-        w_x=parameters.add(f"{prefix}.w_x", linear_init(rng, input_dim, 3 * hidden_dim)),
-        w_h=parameters.add(f"{prefix}.w_h", linear_init(rng, hidden_dim, 3 * hidden_dim)),
-        b=parameters.add(f"{prefix}.b", np.zeros(3 * hidden_dim)),
-    )
 
 
 # Time steps whose input projection x @ w_x + b is one GEMM. A block rather
@@ -584,18 +548,21 @@ class AdamState:
 @checked()
 def adam_step(
     parameters: Parameters,
-    gradients: dict,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place, from each parameter's .grad.
+
+    backward(loss, parameters) gives every parameter a .grad, zero where
+    the loss does not reach it.
+    """
     state.step += 1
     t = state.step
     for name, tensor in parameters.items():
-        grad = gradients[name]
+        grad = tensor.grad
         if grad.shape != tensor.data.shape:
             raise ShapeMismatch(f"gradient for {name}: {grad.shape} != {tensor.data.shape}")
         m = state.m.get(name)

@@ -57,10 +57,6 @@ class InvalidEscape(SExpError):
     pass
 
 
-class EmptyInput(Exception):
-    """Raised by parse_one when the text contains no expression."""
-
-
 def parse(text: str) -> list:
     """Parse every S-expression in text, returning them in order.
 
@@ -126,32 +122,17 @@ def _unquote(token: str):
     return _ESCAPE.sub(lambda escape: _ESCAPES[escape[1]], inner)
 
 
-def parse_one(text: str) -> SExp:
-    """Parse text that must contain exactly one S-expression."""
-    exprs = parse(text)
-    if not exprs:
-        raise EmptyInput("no expression in input")
-    if len(exprs) > 1:
-        raise ValueError(f"expected one expression, found {len(exprs)}")
-    return exprs[0]
-
-
 def render(expr: SExp) -> str:
     """Serialize a tree to text such that parse(render(t)) == [t]."""
     return "".join(_joined(_tokens(expr, _render_atom)))
 
 
-def linearize(expr: SExp) -> list[str]:
-    """Flatten a tree to a depth-first token sequence with explicit parens.
+def iter_linearized(expr: SExp):
+    """A tree's depth-first tokens with explicit parens, made one at a time.
 
     Atom texts appear unquoted; every list contributes a "(" and ")" pair,
-    so the output is always balanced.
+    so the output is always balanced. A reader can stop early.
     """
-    return list(iter_linearized(expr))
-
-
-def iter_linearized(expr: SExp):
-    """The tokens of `linearize`, made one at a time, so a reader can stop early."""
     return _tokens(expr, lambda atom: atom)
 
 

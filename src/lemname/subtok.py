@@ -74,13 +74,12 @@ def subtokenize_name(name: str, lexicon: SuffixLexicon = DEFAULT_LEXICON) -> lis
     return _split(name, lexicon if lexicon.enabled else None)
 
 
-def subtokenize_statement_token(token: str) -> list[str]:
-    """Split a statement or tree token; suffix peeling never applies here."""
-    return list(split_statement_token(token))
-
-
 def split_statement_token(token: str) -> tuple[str, ...]:
-    """`subtokenize_statement_token` as a tuple, memoized within the cache bounds."""
+    """Split a statement or tree token, without suffix peeling.
+
+    Memoized within the cache bounds. The result is a tuple, so no caller
+    can change what the cache hands the next one.
+    """
     if len(token) > SPLIT_CACHE_MAX_CHARS:
         return tuple(_split(token, None))
     return _cached_split(token)
@@ -92,30 +91,29 @@ def _cached_split(token: str) -> tuple[str, ...]:
 
 
 def _split(text: str, lexicon: SuffixLexicon | None) -> list[str]:
+    letters = lexicon.letters if lexicon is not None else frozenset()
     out: list[str] = []
     for run in _CLASS_RUNS.findall(text):
         if run[0].isascii() and run[0].isalpha():
             for word in _CAMEL.findall(run):
-                _append_word(out, word, lexicon)
+                _append_word(out, word, letters)
         else:  # an underscore, a digit run or a symbol run
             out.append(run)
     return out
 
 
-def _append_word(out: list[str], word: str, lexicon: SuffixLexicon | None) -> None:
-    if lexicon is None:
+def _append_word(out: list[str], word: str, letters: frozenset) -> None:
+    if word[-1] not in letters:
         out.append(word)
         return
-    # Peel suffix letters right to left, one per step. Stop rather than
-    # leave a head that is empty or a lone letter outside the lexicon:
-    # mulg peels to mul + g, but mg stays whole.
-    suffixes: list[str] = []
-    while (
-        len(word) >= 2
-        and word[-1] in lexicon.letters
-        and (len(word) > 2 or word[0] in lexicon.letters)
-    ):
-        suffixes.append(word[-1])
-        word = word[:-1]
-    out.append(word)
-    out.extend(reversed(suffixes))
+    # Peel the trailing lexicon letters, each its own sub-token, but leave a
+    # head that is never empty and is a lone letter only if that letter is
+    # in the lexicon too: mulg peels to mul + g, but mg stays whole. The
+    # letters are counted first and the word sliced once, so the cost is
+    # linear in the word however many letters peel off.
+    start = len(word) - 1  # where the run of trailing lexicon letters starts
+    while start and word[start - 1] in letters:
+        start -= 1
+    head = max(start, 2) if start else 1
+    out.append(word[:head])
+    out.extend(word[head:])

@@ -27,7 +27,7 @@ def finite_difference_check(
     backward(loss, parameters)
     analytic = {name: tensor.grad.copy() for name, tensor in parameters.items()}
 
-    names = parameters.names()
+    names = list(analytic)
     sizes = np.array([parameters[name].data.size for name in names])
     total = int(sizes.sum())
     picks = rng.choice(total, size=min(n_coords, total), replace=False)

@@ -6,7 +6,18 @@ generic backward pass, while gru_sequence runs its own hand-written BPTT.
 
 from __future__ import annotations
 
-from lemname.nn import GruParams, ShapeMismatch, Tensor, add, matmul, sigmoid, tanh
+import numpy as np
+
+from lemname.nn import GruParams, Parameters, Rng, ShapeMismatch, Tensor, add, linear_init, matmul, sigmoid, tanh
+
+
+def gru_params(parameters: Parameters, prefix: str, rng: Rng, input_dim: int, hidden_dim: int) -> GruParams:
+    """Fresh GRU weights added to `parameters`: w_x, then w_h, drawn from rng, and a zero bias."""
+    return GruParams(
+        w_x=parameters.add(f"{prefix}.w_x", linear_init(rng, input_dim, 3 * hidden_dim)),
+        w_h=parameters.add(f"{prefix}.w_h", linear_init(rng, hidden_dim, 3 * hidden_dim)),
+        b=parameters.add(f"{prefix}.b", np.zeros(3 * hidden_dim)),
+    )
 
 
 def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:

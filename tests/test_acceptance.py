@@ -20,7 +20,15 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_difference_check
-from reference_gru import gru_cell
+from golden_metrics import (
+    GOLDEN_BLEU_PREFIX,
+    GOLDEN_BLEU_PREFIX_CASE,
+    GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT,
+    GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT_CASE,
+    GOLDEN_FRAGMENT_SUFFIX_SWAP,
+    GOLDEN_FRAGMENT_SUFFIX_SWAP_CASE,
+)
+from reference_gru import gru_cell, gru_params
 from lemname import __version__
 from lemname import nn
 from lemname.baseline import RetrievalBaseline
@@ -41,17 +49,7 @@ from lemname.diagserver import (
     write_message,
     serve,
 )
-from lemname.metrics import (
-    GOLDEN_BLEU_PREFIX,
-    GOLDEN_BLEU_PREFIX_CASE,
-    GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT,
-    GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT_CASE,
-    GOLDEN_FRAGMENT_SUFFIX_SWAP,
-    GOLDEN_FRAGMENT_SUFFIX_SWAP_CASE,
-    bleu4,
-    evaluate,
-    fragment_accuracy,
-)
+from lemname.metrics import bleu4, evaluate, fragment_accuracy
 from lemname.model import INPUT_CONFIGS, ModelConfig, TrainingConfig, train
 from lemname.subtok import subtokenize_name
 
@@ -196,7 +194,7 @@ def test_criterion_01_gradient_correctness(tmp_path):
     # GRU cell: two chained steps, gradients through inputs and both states.
     params = nn.Parameters()
     init = nn.Rng(77)
-    cell = nn.gru_params(params, "gru", init, input_dim=5, hidden_dim=6)
+    cell = gru_params(params, "gru", init, input_dim=5, hidden_dim=6)
     draw = np.random.default_rng(78)
     params.add("x0", draw.normal(size=(3, 5)))
     params.add("x1", draw.normal(size=(3, 5)))
@@ -214,7 +212,7 @@ def test_criterion_01_gradient_correctness(tmp_path):
     # non-zero initial state per direction; gradients through the inputs,
     # the initial state and every weight.
     params = nn.Parameters()
-    directions = [nn.gru_params(params, name, init, input_dim=5, hidden_dim=6) for name in ("fwd", "bwd")]
+    directions = [gru_params(params, name, init, input_dim=5, hidden_dim=6) for name in ("fwd", "bwd")]
     params.add("x", draw.normal(size=(3, 6, 5)))
     mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in (6, 3, 1)])
     weights = nn.Tensor(draw.normal(size=(3, 6, 12)))

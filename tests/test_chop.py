@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_chop
+from sexp_helpers import linearize, parse_one
 from lemname.chop import (
     DEFAULT_LOCATION_TAGS,
     DEFAULT_QUALIFIED_NAME_TAGS,
@@ -20,7 +21,6 @@ from lemname.chop import (
     chop,
 )
 from lemname.corpus import bundled_corpus_dir, generate_synthetic_corpus, load_directory
-from lemname.sexp import linearize, parse_one
 
 
 def _size(tree):

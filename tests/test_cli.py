@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import struct
 import sys
@@ -465,6 +466,14 @@ def test_suggest_naming_missing_file_no_partial_report(cli_env, tmp_path, capsys
     assert code == 2
     assert not report_path.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_suggest_naming_on_a_fifo_exits_two(cli_env, tmp_path, capsys):
+    fifo = tmp_path / "pipe.lemmas.sexp"
+    os.mkfifo(fifo)
+    code = main(["suggest_naming", "--file", str(fifo), "--model", str(cli_env.checkpoint_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: no such lemma-dataset file: {fifo}\n"
 
 
 def test_suggest_naming_malformed_qualified_name_exits_two(cli_env, lemma_file, capsys):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from lemname.corpus import (
     UNK_ID,
     DatasetSplit,
     FormatError,
+    MissingDocument,
     TooFewDocuments,
     Vocabulary,
     build_vocabulary,
@@ -142,6 +144,12 @@ class TestLoadDirectory:
         documents = load_directory(tmp_path)
         assert list(documents) == ["a" + DOCUMENT_SUFFIX, "b" + DOCUMENT_SUFFIX]
 
+    def test_a_fifo_named_like_a_document_is_rejected(self, tmp_path):
+        write_doc(tmp_path, GOOD_RECORD, "a" + DOCUMENT_SUFFIX)
+        os.mkfifo(tmp_path / ("b" + DOCUMENT_SUFFIX))
+        with pytest.raises(MissingDocument, match="no such lemma-dataset file"):
+            load_directory(tmp_path)
+
     def test_bundled_corpus_is_complete(self):
         documents = load_directory(bundled_corpus_dir())
         assert len(documents) == 10
@@ -195,11 +203,11 @@ class TestVocabulary:
         assert vocab.texts[UNK_ID] == "<unk>"
         assert vocab.texts[BOS_ID] == "<bos>"
         assert vocab.texts[EOS_ID] == "<eos>"
-        assert vocab.encode("x") == len(RESERVED_TOKENS)
+        assert vocab.ids_of(["x"]) == [len(RESERVED_TOKENS)]
 
     def test_unknown_text_maps_to_unk(self):
         vocab = Vocabulary(["x"])
-        assert vocab.encode("never-seen") == UNK_ID
+        assert vocab.ids_of(["never-seen"]) == [UNK_ID]
 
     def test_frequency_then_lexicographic_order(self, tmp_path):
         body = "\n".join(
@@ -218,9 +226,9 @@ class TestVocabulary:
         vocab = build_vocabulary(
             (stream_subtoken_texts(r, "name") for r in records), min_frequency=2
         )
-        assert "mul" in vocab
-        assert "add" not in vocab
-        assert vocab.encode("add") == UNK_ID
+        assert "mul" in vocab.texts
+        assert "add" not in vocab.texts
+        assert vocab.ids_of(["add"]) == [UNK_ID]
 
     def test_duplicate_entry_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import os
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -296,6 +297,20 @@ def test_suggest_naming_missing_file_is_server_error(cli_env):
         request("exit"),
     )
     assert responses[0]["error"]["code"] == SERVER_ERROR
+    assert responses[1]["result"] is None
+
+
+def test_suggest_naming_on_a_fifo_is_server_error(cli_env, tmp_path):
+    # Opening a FIFO that no process writes to blocks forever.
+    fifo = tmp_path / "pipe.lemmas.sexp"
+    os.mkfifo(fifo)
+    responses = run_server(
+        cli_env,
+        request(SUGGEST_METHOD, request_id=7, params={"uri": fifo.as_uri()}),
+        request("shutdown", request_id=8),
+        request("exit"),
+    )
+    assert responses[0]["error"] == {"code": SERVER_ERROR, "message": f"no such lemma-dataset file: {fifo}"}
     assert responses[1]["result"] is None
 
 

@@ -12,7 +12,7 @@ from lemname import DomainError, InvalidValue, cli
 
 # Raised only when the program itself is wrong, never by outside input.
 # _RecordDefect never leaves corpus: load_document turns it into a skipped record.
-DEFECT_TYPES = {"ShapeMismatch", "EmptyReference", "EmptyInput", "_RecordDefect"}
+DEFECT_TYPES = {"ShapeMismatch", "EmptyReference", "_RecordDefect"}
 
 
 def exception_types() -> dict:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lemname import metrics
+import golden_metrics
 from lemname.metrics import (
     EmptyReference,
     EmptyTestSet,
@@ -52,14 +52,14 @@ def test_bleu_short_prefix_golden():
 
 def test_module_golden_constants_are_exact():
     # The published constants must reproduce bit-for-bit, not approximately.
-    assert bleu4(*metrics.GOLDEN_BLEU_PREFIX_CASE) == metrics.GOLDEN_BLEU_PREFIX
+    assert bleu4(*golden_metrics.GOLDEN_BLEU_PREFIX_CASE) == golden_metrics.GOLDEN_BLEU_PREFIX
     assert (
-        fragment_accuracy(*metrics.GOLDEN_FRAGMENT_SUFFIX_SWAP_CASE)
-        == metrics.GOLDEN_FRAGMENT_SUFFIX_SWAP
+        fragment_accuracy(*golden_metrics.GOLDEN_FRAGMENT_SUFFIX_SWAP_CASE)
+        == golden_metrics.GOLDEN_FRAGMENT_SUFFIX_SWAP
     )
     assert (
-        fragment_accuracy(*metrics.GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT_CASE)
-        == metrics.GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT
+        fragment_accuracy(*golden_metrics.GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT_CASE)
+        == golden_metrics.GOLDEN_FRAGMENT_SPLIT_DISAGREEMENT
     )
 
 

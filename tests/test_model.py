@@ -432,7 +432,7 @@ def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     source = truncated_source(model, record)
     out_vocab = model.vocabularies["output"]
     base = len(out_vocab)
-    assert prepared.oov_texts == tuple(dict.fromkeys(t for t in source if t not in out_vocab))
+    assert prepared.oov_texts == tuple(dict.fromkeys(t for t in source if t not in out_vocab.texts))
     assert prepared.oov_texts, "fixture should have out-of-vocabulary sources"
 
     def ext_text(ext_id):
@@ -444,7 +444,7 @@ def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     name = stream_subtoken_texts(record, "name")
     assert len(prepared.target_ext_ids) == len(name)
     for text, ext_id in zip(name, prepared.target_ext_ids):
-        if text in out_vocab or text in prepared.oov_texts:
+        if text in out_vocab.texts or text in prepared.oov_texts:
             assert ext_text(ext_id) == text
         else:
             assert ext_id == -1
@@ -763,7 +763,7 @@ def test_checkpoint_vocabulary_tamper(trained, tmp_path):
     renamed = next(t for t in tokens if len(t) == 3)
     tokens[tokens.index(renamed)] = "zzz"  # same length, so the layout stays put
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert len(blob) == header_len and "zzz" not in checkpoint.vocabularies["output"]
+    assert len(blob) == header_len and "zzz" not in checkpoint.vocabularies["output"].texts
     path.write_bytes(data[:16] + blob + data[16 + header_len :])
     with pytest.raises(CorruptCheckpoint, match="digest"):
         load_checkpoint(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_difference_check
-from reference_gru import gru_cell
+from reference_gru import gru_cell, gru_params
 from lemname import nn
 from lemname.nn import (
     AdamState,
@@ -22,7 +22,6 @@ from lemname.nn import (
     embedding_init,
     embedding_lookup,
     gather_index,
-    gru_params,
     gru_sequence,
     linear_init,
     log,
@@ -397,27 +396,27 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         params = Parameters()
         p = params.add("p", np.zeros(4))
-        grads = {"p": np.array([0.3, -0.7, 2.0, -0.001])}
-        adam_step(params, grads, AdamState(), lr=1e-3)
-        assert np.allclose(p.data, -1e-3 * np.sign(grads["p"]), atol=1e-5)
+        p.grad = np.array([0.3, -0.7, 2.0, -0.001])
+        adam_step(params, AdamState(), lr=1e-3)
+        assert np.allclose(p.data, -1e-3 * np.sign(p.grad), atol=1e-5)
 
     def test_moments_accumulate_deterministically(self):
         def run():
             params = Parameters()
-            params.add("p", np.ones((2, 2)))
+            p = params.add("p", np.ones((2, 2)))
             state = AdamState()
             for step in range(5):
-                grads = {"p": np.full((2, 2), 0.1 * (step + 1))}
-                adam_step(params, grads, state)
+                p.grad = np.full((2, 2), 0.1 * (step + 1))
+                adam_step(params, state)
             return params["p"].data
 
         assert np.array_equal(run(), run())
 
     def test_gradient_shape_checked(self):
         params = Parameters()
-        params.add("p", np.zeros(4))
+        params.add("p", np.zeros(4)).grad = np.zeros(5)
         with pytest.raises(ShapeMismatch):
-            adam_step(params, {"p": np.zeros(5)}, AdamState())
+            adam_step(params, AdamState())
 
 
 class TestRngAndInit:

@@ -11,16 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_sexp
+from sexp_helpers import linearize
 from lemname import sexp
 from lemname.sexp import (
-    EmptyInput,
     InvalidEscape,
     SExpError,
     UnbalancedParen,
     UnterminatedString,
-    linearize,
     parse,
-    parse_one,
     render,
 )
 
@@ -91,14 +89,6 @@ class TestParseErrors:
         with pytest.raises(InvalidEscape) as err:
             parse('(x "a\\tb")')
         assert err.value.position == 5
-
-    def test_parse_one_empty(self):
-        with pytest.raises(EmptyInput):
-            parse_one("   ")
-
-    def test_parse_one_extra_forms(self):
-        with pytest.raises(ValueError):
-            parse_one("a b")
 
 
 def outcome(parser, text):
