@@ -9,7 +9,8 @@ mixes generating from the output vocabulary with copying source
 sub-tokens, so rare identifiers can be produced verbatim. Every GRU runs
 through nn.gru_sequence: the decoder GRU never reads the attention
 context, so the teacher-forced loss is one decoder pass over all target
-steps, and beam search runs the same decoder one graph-free step at a time.
+steps, and beam search runs the same decoder one graph-free step at a time,
+over the live hypotheses only.
 """
 
 from __future__ import annotations
@@ -216,6 +217,15 @@ class _Batch:
     source_ext_ids: np.ndarray  # (B, S), PAD_ID at padding
     state: Tensor  # (B, H) the decoder's initial state
 
+    def records(self, index) -> "_Batch":
+        """The batch of the records at `index`, padded to the same length."""
+        return _Batch(
+            hidden=Tensor(self.hidden.data[index]),
+            mask=self.mask[index],
+            source_ext_ids=self.source_ext_ids[index],
+            state=Tensor(self.state.data[index]),
+        )
+
 
 class LemmaNameModel:
     """Encoder-decoder over a fixed set of vocabularies and parameters."""
@@ -355,7 +365,9 @@ class LemmaNameModel:
         loss, 1 for a beam step), then the attention/output/copy head runs
         over the N * T rows in row-then-step order, attending per record so
         encoder states are never tiled. Returns (states (N, T, H), vocab
-        dist, attention, p_gen), the last three over the N * T rows.
+        dist, attention, p_gen), the last three over the N * T rows. The
+        copy gate is a row-wise product and sum, so with two or more rows,
+        no row's values depend on the other rows.
         """
         cfg = self.config
         params = self.parameters
@@ -378,7 +390,10 @@ class LemmaNameModel:
         p_gen = None
         if cfg.use_copy:
             gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
-            p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
+            # A row-wise product and sum, not a one-column matmul: BLAS sends
+            # that to gemv, whose rounding of a row depends on the other rows.
+            gate = sum_(gate_in * transpose(params["copy.w"], (1, 0)), axis=1, keepdims=True)
+            p_gen = sigmoid(gate + params["copy.b"])
         logits = matmul(features, params["out.w"]) + params["out.b"]
         return states, softmax(logits, axis=1), attention, p_gen
 
@@ -395,9 +410,13 @@ class LemmaNameModel:
             return state, vocab_dist.data
         n, base = vocab_dist.shape
         source = np.repeat(batch.source_ext_ids, n // len(batch.mask), axis=0)
-        probs = np.zeros((n, max(base, int(source.max()) + 1)))
+        width = max(base, int(source.max()) + 1)
+        probs = np.zeros((n, width))
         probs[:, :base] = p_gen.data * vocab_dist.data
-        np.add.at(probs, (np.arange(n)[:, None], source), (1.0 - p_gen.data) * attention.data)
+        # One-dimensional indices and values take ufunc.at's fast path; the
+        # cells are visited in the same order as (row, source) pairs.
+        cells = (np.arange(n)[:, None] * width + source).reshape(-1)
+        np.add.at(probs.reshape(-1), cells, ((1.0 - p_gen.data) * attention.data).reshape(-1))
         return state, probs
 
     # -------------------------------------------------------------------- loss
@@ -444,7 +463,7 @@ class LemmaNameModel:
 
     @checked()
     def suggest_many(self, records, k: int) -> list:
-        """Top-k names per record by one beam search over (records x k) rows.
+        """Top-k names per record by one beam search over (records x k) slots.
 
         More than _DECODE_GROUP records decode as one search per group of
         that many, so memory stays bounded. Records may be given already
@@ -453,6 +472,14 @@ class LemmaNameModel:
         name is empty. Scores are mean log-probability per emitted
         sub-token (end marker included); ties break lexicographically on
         the sub-tokens; names are deduplicated.
+
+        Each step decodes only the records that still have a live
+        hypothesis, and of each only the prefix of its slots that live
+        hypotheses fill, widened to the widest such prefix and, for k >= 2,
+        to two rows. At k = 1 a last live record decodes beside a finished
+        one. So with more than one record no product has one row, and as
+        every decoder row is computed apart from the others (see _decode),
+        the result equals decoding every slot at every step, bit for bit.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -468,52 +495,56 @@ class LemmaNameModel:
         out_texts = self.vocabularies["output"].texts
         base = len(out_texts)
         ext_texts = [out_texts + p.oov_texts for p in prepared]
+        ext_sizes = np.array([len(texts) for texts in ext_texts])
         batch = self._encode(prepared, keep_graph=False)
-        rows = len(prepared) * k
-        ext_sizes = np.repeat([len(texts) for texts in ext_texts], k)
-        state = Tensor(np.repeat(batch.state.data, k, axis=0))
-        input_ids = np.full(rows, BOS_ID, dtype=np.int64)
-        # Row r * k + j holds hypothesis j of record r as (texts, summed
-        # logp); None marks a free slot.
-        beams = [((), 0.0) if row % k == 0 else None for row in range(rows)]
+        # Row r * k + j holds slot j of record r: its decoder state and next input.
+        states = np.repeat(batch.state.data, k, axis=0)
+        input_ids = np.full(len(prepared) * k, BOS_ID, dtype=np.int64)
+        # Per record, its live hypotheses (texts, summed logp) in slot order.
+        beams = [[((), 0.0)] for _ in prepared]
         done: list = [[] for _ in prepared]  # per record: (texts, summed logp, steps)
+        decoded, sub_batch = None, None
         for step in range(self.config.max_output_len):
-            if not any(beams):
+            live = [r for r, beam in enumerate(beams) if beam]
+            if not live:
                 break
-            state, probs = self._distribution(state, input_ids, batch)
+            width = max(min(k, 2), *(len(beams[r]) for r in live))
+            if width == 1 and len(live) == 1 and len(prepared) > 1:
+                live = sorted((live[0], 1 if live[0] == 0 else 0))  # two rows, never one
+            if live != decoded:
+                decoded = live
+                sub_batch = batch if len(live) == len(prepared) else batch.records(live)
+            rows = (np.array(live)[:, None] * k + np.arange(width)).reshape(-1)
+            step_state, probs = self._distribution(Tensor(states[rows]), input_ids[rows], sub_batch)
             logp = np.log(probs + _LOG_FLOOR)
             logp[:, [PAD_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, BOS_ID]] = -np.inf
-            logp[np.arange(logp.shape[1]) >= ext_sizes[:, None]] = -np.inf
+            logp[np.arange(logp.shape[1]) >= np.repeat(ext_sizes[live], width)[:, None]] = -np.inf
             order = np.argsort(-logp, axis=1, kind="stable")[:, :k]
-            parents = np.arange(rows)
-            input_ids = np.full(rows, EOS_ID, dtype=np.int64)
-            for r in range(len(prepared)):
-                first = r * k
+            best = np.take_along_axis(logp, order, axis=1).tolist()
+            order = order.tolist()
+            slots, parents, next_ids = [], [], []
+            for i, r in enumerate(live):
                 budget = k - len(done[r])
                 candidates = []
-                for row in range(first, first + k):
-                    if beams[row] is None:
-                        continue
-                    texts, score = beams[row]
-                    for ext_id in order[row, :budget]:
-                        if np.isfinite(logp[row, ext_id]):
-                            total = score + float(logp[row, ext_id])
-                            candidates.append((total, texts + (ext_texts[r][ext_id],), row, int(ext_id)))
+                for j, (texts, score) in enumerate(beams[r]):
+                    row = i * width + j
+                    for ext_id, value in zip(order[row][:budget], best[row][:budget]):
+                        if value > -math.inf:
+                            candidates.append((score + value, texts + (ext_texts[r][ext_id],), row, ext_id))
                 candidates.sort(key=lambda c: (-c[0], c[1]))
-                beams[first : first + k] = [None] * k
-                slot = first
+                beams[r] = []
                 for score, texts, row, ext_id in candidates[:budget]:
                     if ext_id == EOS_ID:  # the end marker counts as a step
                         done[r].append((texts[:-1], score, len(texts)))
                         continue
-                    beams[slot] = (texts, score)
-                    parents[slot] = row
-                    input_ids[slot] = ext_id if ext_id < base else UNK_ID
-                    slot += 1
-            state = Tensor(state.data[parents])
-        for row, beam in enumerate(beams):
-            if beam is not None:
-                done[row // k].append((*beam, len(beam[0])))
+                    slots.append(r * k + len(beams[r]))
+                    beams[r].append((texts, score))
+                    parents.append(row)
+                    next_ids.append(ext_id if ext_id < base else UNK_ID)
+            states[slots] = step_state.data[parents]
+            input_ids[slots] = next_ids
+        for r, beam in enumerate(beams):
+            done[r].extend((texts, score, len(texts)) for texts, score in beam)
         return [self._ranked(finished, k) for finished in done]
 
     @staticmethod

@@ -18,9 +18,16 @@ one for the decoder); the tests check it against a chain of single GRU
 steps.
 A fixed seed does not make every result bit-reproducible: BLAS may sum
 a product in another order when its thread count or the product's shape
-changes, so checkpoint bytes can depend on the BLAS thread count, and a
-lemma's suggestion scores can depend, in the last bits, on the other
-lemmas decoded in its batch.
+changes, so checkpoint bytes can depend on the BLAS thread count. Rows
+of a product with two or more rows round as they would among any other
+rows, but a one-row or one-column product goes to gemv, which rounds
+differently. So the model's copy gate is a row-wise product and sum, not
+a one-column product, and beam search decodes more than one row whenever
+it decodes more than one record. A lemma's suggestion scores can still
+depend, in the last bits, on its batch in two ways: on the padded length
+(attention reduces over padding), and on whether it is decoded alone (a
+batch of one record runs its encoder, and at k = 1 its decoder, through
+one-row products).
 """
 
 from __future__ import annotations
@@ -30,6 +37,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # the clip ufunc itself: np.clip's argument handling costs more than the clip
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from . import DomainError
 
@@ -168,7 +180,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(data: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(data, -709.0, 709.0)))
+    return 1.0 / (1.0 + np.exp(-_clip(data, -709.0, 709.0)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -444,7 +456,8 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
     previous state, the reset and update gates, the candidate and the
     candidate block of h @ w_h (copied out, so the rest of that product
     is freed). Without keep_graph nothing is saved and the result has no
-    gradient.
+    gradient. One direction reads its weights as views, not stacked
+    copies, and a step where no row is padded skips the carry.
     """
     params = tuple(params)
     mask = np.asarray(mask)
@@ -465,11 +478,14 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             + ", ".join(f"w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}" for p in params)
         )
     batch, length, width = x.shape
-    w_x = np.stack([p.w_x.data for p in params])
-    w_h = np.stack([p.w_h.data for p in params])
-    bias = np.stack([p.b.data for p in params])[:, None, :]
+    # One direction's weights are views; two are stacked for the batched products.
+    stack = np.stack if directions == 2 else (lambda arrays: arrays[0][None])
+    w_x = stack([p.w_x.data for p in params])
+    w_h = stack([p.w_h.data for p in params])
+    bias = stack([p.b.data for p in params])[:, None, :]
     inputs = _step_order([x.data] * directions)
     real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
+    padded = ~real.reshape(length, -1).all(axis=1)  # steps where some row carries its state
     out = np.empty((batch, length, directions, hidden))
     out_steps = _step_order([out[:, :, d] for d in range(directions)])
     saved = []  # per step: previous states, reset|update gates, candidates, h @ w_h candidate blocks
@@ -488,7 +504,8 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
             if keep_graph:
                 saved.append((h, gates, candidate, gh[..., 2 * hidden :].copy()))
-            h = np.where(real[t], update * h + (1.0 - update) * candidate, h)
+            h_next = update * h + (1.0 - update) * candidate
+            h = np.where(real[t], h_next, h) if padded[t] else h_next
             for view, state in zip(out_steps, h):
                 view[:, t] = state
     out = out.reshape(batch, length, directions * hidden)
@@ -507,7 +524,7 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             h_prev, gates, candidate, gh_candidate = saved[t]
             reset, update = gates[..., :hidden], gates[..., hidden:]
             d_h = g_steps[t] + carry
-            d_out = np.where(real[t], d_h, 0.0)
+            d_out = np.where(real[t], d_h, 0.0) if padded[t] else d_h
             d_candidate = d_out * (1.0 - update) * (1.0 - candidate * candidate)
             d_step = np.empty((directions, batch, 3 * hidden))
             d_step[..., :hidden] = d_candidate * gh_candidate
@@ -519,7 +536,9 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             d_gates_h = d_step  # stored above, so the reset factor may now go in place
             d_gates_h[..., 2 * hidden :] *= reset
             d_w_h += np.matmul(h_prev.transpose(0, 2, 1), d_gates_h)
-            carry = np.where(real[t], d_out * update + np.matmul(d_gates_h, w_h_t), d_h)
+            carry = d_out * update + np.matmul(d_gates_h, w_h_t)
+            if padded[t]:
+                carry = np.where(real[t], carry, d_h)
         flat_x = x.data.reshape(batch * length, width)
         d_flat = d_gates_x.reshape(directions, batch * length, 3 * hidden)
         d_x = d_flat[0] @ w_x[0].T

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lemname.corpus
@@ -55,6 +55,7 @@ from lemname.nn import NonFiniteValue, Tensor, backward
 from lemname.subtok import DEFAULT_LEXICON, SuffixLexicon
 
 from gradcheck import finite_difference_check
+from reference_beam import full_width_suggest_many
 
 
 @pytest.fixture(scope="session")
@@ -560,6 +561,92 @@ def test_suggest_many_decodes_large_inputs_in_groups(trained, monkeypatch):
     assert [[s.name for s in row] for row in grouped] == [[s.name for s in row] for row in whole]
     for together, apart in zip(whole, grouped):
         np.testing.assert_allclose([s.score for s in apart], [s.score for s in together], rtol=0, atol=1e-9)
+
+
+def exact(suggestions) -> list:
+    return [[(s.name, s.sub_tokens, s.score.hex()) for s in row] for row in suggestions]
+
+
+def all_records(env) -> list:
+    return ordered_records(env.documents, sorted(env.documents))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_suggest_many_equals_the_full_width_search(cli_env, k):
+    records = all_records(cli_env)
+    assert exact(cli_env.model.suggest_many(records, k)) == exact(full_width_suggest_many(cli_env.model, records, k))
+
+
+@settings(max_examples=30)
+@given(k=st.sampled_from([1, 2, 5]), picks=st.lists(st.integers(0, 24), min_size=1, max_size=25))
+def test_suggest_many_equals_the_full_width_search_on_any_subset_and_order(cli_env, k, picks):
+    records = all_records(cli_env)
+    assert len(records) == 25
+    chosen = [records[i] for i in picks]
+    assert exact(cli_env.model.suggest_many(chosen, k)) == exact(full_width_suggest_many(cli_env.model, chosen, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_beam_search_decodes_only_live_rows_and_never_one(cli_env, monkeypatch, k):
+    model = cli_env.model
+    records = all_records(cli_env)
+    rows = []
+    distribution = model._distribution
+    monkeypatch.setattr(
+        model, "_distribution", lambda state, ids, batch: rows.append(len(ids)) or distribution(state, ids, batch)
+    )
+    model.suggest_many(records, k)
+    # Step 0 has one live hypothesis per record, widened to two rows when k >= 2.
+    assert rows[0] == len(records) * min(k, 2)
+    assert max(rows) <= len(records) * k
+    assert sum(rows) < len(rows) * len(records) * k
+    assert 1 not in rows
+
+
+def test_a_last_live_record_decodes_beside_a_finished_one(cli_env, monkeypatch):
+    model = cli_env.model
+    # Memorized training records: greedy decoding emits each one's own name.
+    by_length = sorted(ordered_records(cli_env.documents, cli_env.split.train), key=lambda r: len(r.name))
+    shortest, short, longest = by_length[0], by_length[1], by_length[-1]
+    steps = [len(stream_subtoken_texts(r, "name")) + 1 for r in (shortest, short, longest)]
+    assert steps[2] > max(steps[:2]), "fixture should have one name longer than two others"
+    rows = []
+    distribution = model._distribution
+    monkeypatch.setattr(
+        model, "_distribution", lambda state, ids, batch: rows.append(len(ids)) or distribution(state, ids, batch)
+    )
+    for chosen in ([longest, short, shortest], [shortest, short, longest]):
+        rows.clear()
+        found = exact(model.suggest_many(chosen, 1))
+        # Three rows while all three are live, then two: a lone live record
+        # decodes beside a finished one.
+        assert rows == [3] * min(steps[:2]) + [2] * (steps[2] - min(steps[:2]))
+        assert found == exact(full_width_suggest_many(model, chosen, 1))
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_copy_gate_of_a_row_does_not_depend_on_the_other_rows(cli_env, width):
+    model = cli_env.model
+    prepared = [model.prepare(r) for r in all_records(cli_env)]
+    batch = model._encode(prepared, keep_graph=False)
+    rng = np.random.default_rng(0)
+    n = len(prepared) * width
+    state = Tensor(rng.uniform(-1.0, 1.0, (n, model.config.hidden_dim)))
+    ids = rng.integers(EOS_ID + 1, len(model.vocabularies["output"]), (n, 1))
+    full = model._decode(state, ids, batch, keep_graph=False)[3].data
+    subsets = [[i, i + 1] for i in range(len(prepared) - 1)] + [list(range(0, len(prepared), 3)), [7, 2, 19]]
+    if width > 1:
+        subsets += [[i] for i in range(len(prepared))]
+    for subset in subsets:
+        part = lemname.model._Batch(
+            hidden=Tensor(batch.hidden.data[subset]),
+            mask=batch.mask[subset],
+            source_ext_ids=batch.source_ext_ids[subset],
+            state=Tensor(batch.state.data[subset]),
+        )
+        rows = (np.array(subset)[:, None] * width + np.arange(width)).reshape(-1)
+        p_gen = model._decode(Tensor(state.data[rows]), ids[rows], part, keep_graph=False)[3].data
+        assert np.array_equal(p_gen, full[rows]), f"records {subset}"
 
 
 def test_evaluate_makes_one_suggest_many_call_like_per_record_suggest(trained, monkeypatch):

@@ -221,10 +221,18 @@ _ATOM_POOL = _TOKEN_ATOM_POOL + [
 ]
 
 
-def _random_tree(rng: random.Random, depth: int, pool=_ATOM_POOL):
-    if depth == 0 or rng.random() < 0.4:
+def _random_tree(rng: random.Random, depth: int, pool=_ATOM_POOL, budget=None):
+    """A random tree of at most `depth` levels.
+
+    `budget`, a one-element list, caps the size: once that many nodes are
+    drawn, every further node is an atom. Without it the size is unbounded
+    (at depth 12, up to about 128,000 nodes).
+    """
+    if budget is not None:
+        budget[0] -= 1
+    if depth == 0 or rng.random() < 0.4 or (budget is not None and budget[0] < 0):
         return rng.choice(pool)
-    return tuple(_random_tree(rng, depth - 1, pool) for _ in range(rng.randrange(0, 8)))
+    return tuple(_random_tree(rng, depth - 1, pool, budget) for _ in range(rng.randrange(0, 8)))
 
 
 def same_tree(a, b) -> bool:
@@ -258,9 +266,10 @@ class TestRoundTrip:
         assert render(parsed) == text
 
     def test_parse_render_identity_on_random_trees(self):
+        # Sizes are bounded: deep nesting is the deep-tree test's subject.
         rng = random.Random(42)
         for _ in range(300):
-            tree = _random_tree(rng, depth=12)
+            tree = _random_tree(rng, depth=12, budget=[2000])
             assert parse(render(tree)) == [tree]
 
     def test_render_parse_stability_on_text(self):
