@@ -59,6 +59,7 @@ from .nn import (
     gather_index,
     GruParams,
     gru_sequence,
+    joined,
     linear_init,
     log,
     matmul,
@@ -315,17 +316,21 @@ class LemmaNameModel:
         """Run the encoders over prepared records padded to one batch.
 
         Each stream is one gru_sequence call that runs both directions in
-        one time loop and projects its inputs block by block. Without
+        one time loop and projects its inputs block by block. The streams
+        write their states into consecutive slices of one (B, S, H) array,
+        which is the batch's `hidden`: no concat copy exists. Without
         keep_graph no activations are kept for backward, and the batch
         holds graph-free tensors.
         """
         cfg = self.config
         batch = len(prepared)
         half = cfg.hidden_dim // 2
+        lengths = [max(len(p.stream_ids[stream]) for p in prepared) for stream in cfg.inputs]
+        hidden_data = np.empty((batch, sum(lengths), cfg.hidden_dim))
+        offset = 0
         starts = [0] * batch
         hidden_parts, mask_parts, ext_parts, finals = [], [], [], []
-        for stream in cfg.inputs:
-            length = max(len(p.stream_ids[stream]) for p in prepared)
+        for stream, length in zip(cfg.inputs, lengths):
             ids = np.full((batch, length), PAD_ID, dtype=np.int64)
             ext = np.full((batch, length), PAD_ID, dtype=np.int64)
             mask = np.zeros((batch, length))
@@ -337,7 +342,9 @@ class LemmaNameModel:
                 starts[b] += len(seq)
             emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
             zero = Tensor(np.zeros((batch, cfg.hidden_dim)))
-            states = gru_sequence(emb, mask, zero, self._encoders[stream], keep_graph=keep_graph)
+            out = hidden_data[:, offset : offset + length]
+            offset += length
+            states = gru_sequence(emb, mask, zero, self._encoders[stream], keep_graph=keep_graph, out=out)
             hidden_parts.append(states)
             mask_parts.append(mask)
             ext_parts.append(ext)
@@ -346,9 +353,10 @@ class LemmaNameModel:
             finals.append(concat([states[:, -1, :half], states[:, 0, half:]], axis=1))
         fused = concat(finals, axis=1)
         state = tanh(matmul(fused, self.parameters["comb.w"]) + self.parameters["comb.b"])
-        hidden = concat(hidden_parts, axis=1)
-        if not keep_graph:
-            hidden, state = Tensor(hidden.data), Tensor(state.data)
+        if keep_graph:
+            hidden = joined(hidden_data, hidden_parts, axis=1)
+        else:
+            hidden, state = Tensor(hidden_data), Tensor(state.data)
         return _Batch(
             hidden=hidden,
             mask=np.concatenate(mask_parts, axis=1),

@@ -13,9 +13,14 @@ run checked. A NaN that comes in from outside sets no flag, so
 Parameters.load_state rejects non-finite values. gru_sequence runs one
 or two recurrent directions over a whole sequence as one op, both
 directions in one time loop, and saves for backward only what BPTT
-reads. It is the only GRU the model runs (one call per encoder stream,
-one for the decoder); the tests check it against a chain of single GRU
-steps.
+reads: 4*hidden values per step, direction and row, since BPTT reads
+each previous state from the op's own output (or the initial state) and
+stages its inputs one block of steps at a time. It can write its output
+into a caller's array, so the encoder's streams fill one array that
+`joined` presents as their concat without copying. It is the only GRU
+the model runs (one call per encoder stream, one for the decoder); the
+tests check it against a chain of single GRU steps and, bit for bit,
+against an earlier version that saved the previous states.
 A fixed seed does not make every result bit-reproducible: BLAS may sum
 a product in another order when its thread count or the product's shape
 changes, so checkpoint bytes can depend on the BLAS thread count. Rows
@@ -225,6 +230,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor(out, tuple(tensors), backward)
 
 
+def joined(data: np.ndarray, tensors, axis: int) -> Tensor:
+    """`data` as the concat of `tensors`, whose data already fill it in order along axis.
+
+    Nothing is copied: each tensor's data must be its slice of `data`, as
+    gru_sequence writes it through `out`. Backward is concat's, except
+    that each tensor gets its slice of the gradient as a view.
+    """
+    tensors = tuple(tensors)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    others = data.shape[:axis] + data.shape[axis + 1 :]
+    if offsets[-1] != data.shape[axis] or any(t.shape[:axis] + t.shape[axis + 1 :] != others for t in tensors):
+        raise ShapeMismatch(f"joined: {data.shape} from {[t.shape for t in tensors]} along axis {axis}")
+    lead = (slice(None),) * axis
+
+    def backward(g):
+        return tuple(g[(*lead, slice(a, b))] for a, b in zip(offsets[:-1], offsets[1:]))
+
+    return Tensor(data, tensors, backward)
+
+
 def index(a: Tensor, key) -> Tensor:
     """Basic indexing (ints, slices, tuples thereof); views are disjoint."""
     out = a.data[key]
@@ -321,8 +346,10 @@ def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
     Leaves are tensors without a recorded backward; every parameter is
     one. An intermediate node's gradient is set to None as soon as its
     backward has run, so at most the gradients still to be consumed are
-    alive at once. Gradients of previous calls are discarded for
-    reachable tensors; if a parameter set is given, its unreachable
+    alive at once. Gradients are summed into new arrays, never in place,
+    so an op's backward may hand its parents views of its gradient.
+    Gradients of previous calls are discarded for reachable tensors; if
+    a parameter set is given, its unreachable
     members get zero gradients, so every parameter has a .grad for
     adam_step to read.
     """
@@ -434,35 +461,44 @@ def _step_order(arrays: list) -> list:
     return [a if d == 0 else a[:, ::-1] for d, a in enumerate(arrays)]
 
 
-def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = True) -> Tensor:
+def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = True, out=None) -> Tensor:
     """D = len(params) GRU directions over one padded batch, in one time loop.
 
     x is (B, T, in) and mask (B, T), read by every direction. D is 1 or 2;
     direction 0 runs from the first position to the last, direction 1
     from the last to the first. initial is (B, D*hidden) and the result
-    (B, T, D*hidden), direction d in columns d*hidden:(d+1)*hidden. Where
-    the mask is 0 a direction carries its state unchanged, so
-    out[:, -1, :hidden] and out[:, 0, hidden:] are each row's states after
-    its last real position. Values equal a chain of single GRU steps per
-    direction with that carry. Each step runs every direction at once:
-    one (D, B, hidden) @ (D, hidden, 3*hidden) matmul and the gate
-    arithmetic on (D, B, .) arrays, writing straight into the output. The
-    input projection x @ w_x + b is one GEMM per block of
-    _PROJECTION_BLOCK steps for all directions. Backward is hand-written
-    BPTT over the same loop; after it, dx, dw_x and db are one GEMM or
-    reduction per direction, and dx sums over directions. The initial
-    state's gradient is what the loop carries out of its first step.
-    For BPTT each step saves 5*hidden values per direction and row: the
-    previous state, the reset and update gates, the candidate and the
+    (B, T, D*hidden), direction d in columns d*hidden:(d+1)*hidden. The
+    result is written into `out` when one is given, a float64 array of
+    that shape (a slice of a larger array will do), and the result's data
+    is then `out` itself; BPTT reads it, so it must not change before
+    backward. Where the mask is 0 a direction carries its
+    state unchanged, so out[:, -1, :hidden] and out[:, 0, hidden:] are
+    each row's states after its last real position. Values equal a chain
+    of single GRU steps per direction with that carry. Each step runs
+    every direction at once: one (D, B, hidden) @ (D, hidden, 3*hidden)
+    matmul and the gate arithmetic on (D, B, .) arrays, writing straight
+    into the output. The input projection x @ w_x + b is one GEMM per
+    block of _PROJECTION_BLOCK steps for all directions.
+    Backward is hand-written BPTT over the same loop; after it, dx, dw_x
+    and db are one GEMM or reduction per direction, and dx sums over
+    directions. The initial state's gradient is what the loop carries out
+    of its first step. For BPTT each step saves 4*hidden values per
+    direction and row: the reset and update gates, the candidate and the
     candidate block of h @ w_h (copied out, so the rest of that product
-    is freed). Without keep_graph nothing is saved and the result has no
-    gradient. One direction reads its weights as views, not stacked
-    copies, and a step where no row is padded skips the carry.
+    is freed). A step's previous state is read from the output (the
+    previous step's state, padding included, since padding carries it)
+    or, at the first step, from `initial`. BPTT stages its inputs once
+    per block of _PROJECTION_BLOCK steps: one (steps, D, B, hidden) copy
+    of the block's incoming gradient and one of its previous states.
+    Without keep_graph nothing is saved and the result has no gradient.
+    One direction reads its weights as views, not stacked copies, and a
+    step where no row is padded skips the carry.
     """
     params = tuple(params)
     mask = np.asarray(mask)
     directions = len(params)
     hidden = params[0].w_h.shape[0] if params else 0
+    shape = (*x.shape[:2], directions * hidden)
     if (
         directions not in (1, 2)
         or x.data.ndim != 3
@@ -472,10 +508,12 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             (p.w_x.shape, p.w_h.shape, p.b.shape) != ((x.shape[2], 3 * hidden), (hidden, 3 * hidden), (3 * hidden,))
             for p in params
         )
+        or (out is not None and (out.shape != shape or out.dtype != np.float64))
     ):
         raise ShapeMismatch(
             f"gru_sequence: x {x.shape}, mask {mask.shape}, initial {initial.shape}, "
             + ", ".join(f"w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}" for p in params)
+            + ("" if out is None else f", out {out.shape} {out.dtype}")
         )
     batch, length, width = x.shape
     # One direction's weights are views; two are stacked for the batched products.
@@ -486,10 +524,12 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
     inputs = _step_order([x.data] * directions)
     real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
     padded = ~real.reshape(length, -1).all(axis=1)  # steps where some row carries its state
-    out = np.empty((batch, length, directions, hidden))
-    out_steps = _step_order([out[:, :, d] for d in range(directions)])
-    saved = []  # per step: previous states, reset|update gates, candidates, h @ w_h candidate blocks
-    h = np.ascontiguousarray(initial.data.reshape(batch, directions, hidden).transpose(1, 0, 2))
+    if out is None:
+        out = np.empty(shape)
+    states = out.reshape(batch, length, directions, hidden)  # a view: only the last axis splits
+    out_steps = _step_order([states[:, :, d] for d in range(directions)])
+    saved = []  # per step: reset|update gates, candidates, h @ w_h candidate blocks
+    first = h = np.ascontiguousarray(initial.data.reshape(batch, directions, hidden).transpose(1, 0, 2))
     for start in range(0, length, _PROJECTION_BLOCK):
         stop = min(start + _PROJECTION_BLOCK, length)
         block = np.stack([seq[:, start:stop] for seq in inputs]).reshape(directions, -1, width)
@@ -503,42 +543,53 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
             reset, update = gates[..., :hidden], gates[..., hidden:]
             candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
             if keep_graph:
-                saved.append((h, gates, candidate, gh[..., 2 * hidden :].copy()))
+                saved.append((gates, candidate, gh[..., 2 * hidden :].copy()))
             h_next = update * h + (1.0 - update) * candidate
             h = np.where(real[t], h_next, h) if padded[t] else h_next
             for view, state in zip(out_steps, h):
                 view[:, t] = state
-    out = out.reshape(batch, length, directions * hidden)
     if not keep_graph:
         return Tensor(out)
 
     def backward(g):
-        g = g.reshape(batch, length, directions, hidden)
-        g_steps = np.stack(_step_order([g[:, :, d] for d in range(directions)])).transpose(2, 0, 1, 3)  # (T, D, B, .)
+        g_steps = _step_order([g.reshape(batch, length, directions, hidden)[:, :, d] for d in range(directions)])
         d_gates_x = np.zeros((directions, batch, length, 3 * hidden))
         d_steps = _step_order(list(d_gates_x))
         d_w_h = np.zeros_like(w_h)
         w_h_t = w_h.transpose(0, 2, 1)
         carry = np.zeros((directions, batch, hidden))
-        for t in range(length - 1, -1, -1):
-            h_prev, gates, candidate, gh_candidate = saved[t]
-            reset, update = gates[..., :hidden], gates[..., hidden:]
-            d_h = g_steps[t] + carry
-            d_out = np.where(real[t], d_h, 0.0) if padded[t] else d_h
-            d_candidate = d_out * (1.0 - update) * (1.0 - candidate * candidate)
-            d_step = np.empty((directions, batch, 3 * hidden))
-            d_step[..., :hidden] = d_candidate * gh_candidate
-            d_step[..., hidden : 2 * hidden] = d_out * (h_prev - candidate)
-            d_step[..., : 2 * hidden] *= gates * (1.0 - gates)
-            d_step[..., 2 * hidden :] = d_candidate
-            for view, grad in zip(d_steps, d_step):
-                view[:, t] = grad
-            d_gates_h = d_step  # stored above, so the reset factor may now go in place
-            d_gates_h[..., 2 * hidden :] *= reset
-            d_w_h += np.matmul(h_prev.transpose(0, 2, 1), d_gates_h)
-            carry = d_out * update + np.matmul(d_gates_h, w_h_t)
-            if padded[t]:
-                carry = np.where(real[t], carry, d_h)
+        # Step-major (steps, D, B, hidden) staging, filled once per block.
+        g_block = np.empty((min(_PROJECTION_BLOCK, length), directions, batch, hidden))
+        h_block = np.empty_like(g_block)
+        for start in reversed(range(0, length, _PROJECTION_BLOCK)):
+            stop = min(start + _PROJECTION_BLOCK, length)
+            skip = 1 if start == 0 else 0  # the first step's previous state is the initial one
+            if skip:
+                h_block[0] = first
+            for d in range(directions):
+                g_block[: stop - start, d] = g_steps[d][:, start:stop].swapaxes(0, 1)
+                h_block[skip : stop - start, d] = out_steps[d][:, start - 1 + skip : stop - 1].swapaxes(0, 1)
+            for t in range(stop - 1, start - 1, -1):
+                gates, candidate, gh_candidate = saved[t]
+                h_prev = h_block[t - start]
+                reset, update = gates[..., :hidden], gates[..., hidden:]
+                d_h = g_block[t - start] + carry
+                d_out = np.where(real[t], d_h, 0.0) if padded[t] else d_h
+                d_candidate = d_out * (1.0 - update) * (1.0 - candidate * candidate)
+                d_step = np.empty((directions, batch, 3 * hidden))
+                d_step[..., :hidden] = d_candidate * gh_candidate
+                d_step[..., hidden : 2 * hidden] = d_out * (h_prev - candidate)
+                d_step[..., : 2 * hidden] *= gates * (1.0 - gates)
+                d_step[..., 2 * hidden :] = d_candidate
+                for view, grad in zip(d_steps, d_step):
+                    view[:, t] = grad
+                d_gates_h = d_step  # stored above, so the reset factor may now go in place
+                d_gates_h[..., 2 * hidden :] *= reset
+                d_w_h += np.matmul(h_prev.transpose(0, 2, 1), d_gates_h)
+                carry = d_out * update + np.matmul(d_gates_h, w_h_t)
+                if padded[t]:
+                    carry = np.where(real[t], carry, d_h)
+        del g_block, h_block, h_prev  # the staging, before d_x is made
         flat_x = x.data.reshape(batch * length, width)
         d_flat = d_gates_x.reshape(directions, batch * length, 3 * hidden)
         d_x = d_flat[0] @ w_x[0].T

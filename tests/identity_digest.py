@@ -1,0 +1,108 @@
+"""Print the digests that show whether a change moves any arithmetic.
+
+Run it from the repository root at two commits and compare the outputs:
+
+    python tests/identity_digest.py > before.txt    # at the parent
+    python tests/identity_digest.py > after.txt     # at the change
+    diff before.txt after.txt
+
+It prints, one line each:
+
+- the checkpoint sha256 and the `EpochMetrics` reprs of the benchmark's
+  `train` recipe at seeds 1 and 2 (four corpora per seed);
+- the checkpoint sha256 of the benchmark's `serve` model, and the
+  sha256 of its k = 1 and k = 5 suggestions on the seed-1
+  request files, decoded a file at a time as the server does, with
+  scores written as `float.hex`;
+- the checkpoint sha256 and `EpochMetrics` of the default configuration
+  (`ModelConfig()`, `TrainingConfig(epochs=2)`) on the bundled corpus.
+
+The recipes come from `perfbench/workloads.py`. BLAS runs on one thread,
+as in the benchmark and the tests: checkpoint bytes can depend on the
+thread count. pytest does not collect this file. It runs in seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from lemname import cli as lcli  # noqa: E402
+from lemname import corpus as lcorpus  # noqa: E402
+from lemname import model as lmodel  # noqa: E402
+
+import workloads  # noqa: E402
+
+TRAIN_SEEDS = (1, 2)
+SERVE_SEED = 1
+SERVE_KS = (1, 5)
+
+
+def checkpoint_sha256(checkpoint, workdir: Path) -> str:
+    path = workdir / "digest.ckpt"
+    lmodel.save_checkpoint(path, checkpoint)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def trained(label: str, checkpoint, metrics, workdir: Path) -> None:
+    print(f"{label} checkpoint {checkpoint_sha256(checkpoint, workdir)}")
+    print(f"{label} metrics {metrics!r}")
+
+
+def train_recipe(workdir: Path) -> None:
+    for seed in TRAIN_SEEDS:
+        workload = workloads.TrainWorkload(workloads.Plan(), seed, workdir / f"train{seed}")
+        workload.workdir.mkdir()
+        workload.setup()
+        for part, (documents, split) in enumerate(workload.corpora):
+            checkpoint, metrics = lmodel.train(documents, split, workload.config, workload.training)
+            trained(f"train seed {seed} corpus {part}", checkpoint, metrics, workdir)
+
+
+def serve_recipe(workdir: Path) -> None:
+    workload = workloads.ServeWorkload(workloads.Plan(), SERVE_SEED, workdir / "serve")
+    workload.workdir.mkdir()
+    try:
+        workload.setup()  # trains the model and starts a server, which is not used here
+    finally:
+        workload.close()
+    print(f"serve checkpoint {hashlib.sha256(workload.checkpoint.read_bytes()).hexdigest()}")
+    model = lmodel.load_checkpoint(workload.checkpoint).to_model()
+    paths = [path for files in workload.by_size for path in files]
+    for k in SERVE_KS:
+        digest = hashlib.sha256()
+        lemmas = 0
+        for path in paths:
+            for row in lcli.build_suggestion_report(model, path, k).rows:
+                lemmas += 1
+                scored = " ".join(f"{s.name}:{float.hex(s.score)}" for s in row.suggestions)
+                digest.update(f"{path.relative_to(workload.workdir)} {row.name} {scored}\n".encode())
+        print(f"serve seed {SERVE_SEED} k={k} suggestions of {lemmas} lemmas {digest.hexdigest()}")
+
+
+def default_recipe(workdir: Path) -> None:
+    documents = lcorpus.load_directory(lcorpus.bundled_corpus_dir())
+    split = lcorpus.split_corpus(sorted(documents), seed=0)
+    checkpoint, metrics = lmodel.train(documents, split, lmodel.ModelConfig(), lmodel.TrainingConfig(epochs=2))
+    trained("default config bundled corpus", checkpoint, metrics, workdir)
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        workdir = Path(scratch)
+        train_recipe(workdir)
+        serve_recipe(workdir)
+        default_recipe(workdir)
+
+
+if __name__ == "__main__":
+    main()

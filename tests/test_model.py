@@ -378,6 +378,22 @@ def test_batch_padding_matches_single_encoding(trained):
         assert np.array_equal(batched.source_ext_ids[i][real], one.source_ext_ids)
 
 
+def test_encoder_states_are_held_once(trained):
+    """Each stream writes its states into its slice of `hidden`; no concat copy exists."""
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    prepared = [model.prepare(r) for r in ordered_records(documents, split.train)[:4]]
+    batch = model._encode(prepared, keep_graph=True)
+    streams = batch.hidden._parents
+    assert len(streams) == len(model.config.inputs)
+    for states in streams:
+        assert np.shares_memory(batch.hidden.data, states.data)
+    assert np.array_equal(batch.hidden.data, np.concatenate([states.data for states in streams], axis=1))
+    # The gradient each stream gets is its slice of the gradient of `hidden`.
+    g = np.random.default_rng(0).normal(size=batch.hidden.shape)
+    assert np.array_equal(np.concatenate(batch.hidden._backward(g), axis=1), g)
+
+
 def test_padding_leaks_into_neither_encoder_direction(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()

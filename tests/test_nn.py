@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_difference_check
-from reference_gru import gru_cell, gru_params
+from reference_gru import gru_cell, gru_params, reference_gru_sequence
 from lemname import nn
 from lemname.nn import (
     AdamState,
@@ -23,6 +23,7 @@ from lemname.nn import (
     embedding_lookup,
     gather_index,
     gru_sequence,
+    joined,
     linear_init,
     log,
     matmul,
@@ -191,6 +192,20 @@ class TestGradCheckPrimitives:
 
         finite_difference_check(params, loss, rng, n_coords=10)
 
+    def test_joined_hands_each_tensor_its_slice(self):
+        data = np.arange(24.0).reshape(2, 4, 3)
+        parts = [Tensor(data[:, :1]), Tensor(data[:, 1:])]
+        whole = joined(data, parts, axis=1)
+        assert whole.data is data and whole._parents == tuple(parts)
+        g = np.random.default_rng(7).normal(size=data.shape)
+        first, rest = whole._backward(g)
+        assert np.shares_memory(first, g) and np.shares_memory(rest, g)
+        assert np.array_equal(np.concatenate([first, rest], axis=1), g)
+        with pytest.raises(ShapeMismatch):
+            joined(data, parts[1:], axis=1)
+        with pytest.raises(ShapeMismatch):
+            joined(data, [Tensor(data[:1, :1]), parts[1]], axis=1)
+
     def test_bmm_and_sum_axis(self):
         rng = np.random.default_rng(4)
         params = self._params(rng, {"a": (2, 3, 4), "b": (2, 4, 2)})
@@ -320,8 +335,43 @@ class TestGruSequence:
         params, cells, x, h0, mask, weights = self.make(lengths, steps)
         self.assert_matches_chained_cells(params, cells, x, h0, mask, weights)
 
-    def test_keeps_five_hidden_values_per_step_and_row(self):
-        """What backward reads: the previous state, both gates, the candidate, its h @ w_h block."""
+    @pytest.mark.parametrize("directions", [1, 2], ids=["fwd", "fwd+bwd"])
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("initial", ["zero", "random"])
+    @pytest.mark.parametrize("into", [False, True], ids=["own-output", "out-slice"])
+    def test_equals_the_reference_bit_for_bit(self, directions, batch, initial, into):
+        """Output and every gradient equal the op that saved previous states, over three blocks."""
+        steps, width, hidden = 70, 5, 6
+        rng = np.random.default_rng(batch * 10 + directions)
+        cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        for cell in cells:
+            cell.b.data = rng.normal(size=3 * hidden)
+        x = Tensor(rng.normal(size=(batch, steps, width)))
+        lengths = rng.integers(1, steps + 1, size=batch)
+        lengths[0] = steps  # one row real to the end, the others ragged
+        mask = (np.arange(steps) < lengths[:, None]).astype(float)
+        h0 = Tensor(np.zeros((batch, directions * hidden)) if initial == "zero" else rng.normal(size=(batch, directions * hidden)))
+        g = rng.normal(size=(batch, steps, directions * hidden))
+        expected = reference_gru_sequence(x, mask, h0, cells)
+        frame = np.full((batch, steps + 4, directions * hidden + 3), np.nan)
+        out = frame[:, 2 : 2 + steps, 1 : 1 + directions * hidden] if into else None
+        result = gru_sequence(x, mask, h0, cells, out=out)
+        assert np.array_equal(result.data, expected.data)
+        if into:
+            assert result.data is out
+        grads = result._backward(g)
+        assert len(grads) == 2 + 3 * directions
+        for got, want in zip(grads, expected._backward(g)):
+            assert np.array_equal(got, want)
+
+    def test_out_must_match_the_result(self):
+        _, cells, x, h0, mask, _ = self.make()
+        for out in (np.empty((4, 7, 11)), np.empty((4, 7, 12), dtype=np.float32)):
+            with pytest.raises(ShapeMismatch, match="out"):
+                gru_sequence(x, mask, h0, cells, out=out)
+
+    def test_keeps_four_hidden_values_per_step_and_row(self):
+        """What backward reads: both gates, the candidate and its h @ w_h block; previous states are the output."""
         batch, steps, width, hidden, directions = 16, 128, 32, 32, 2
         rng = np.random.default_rng(3)
         cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
@@ -336,8 +386,32 @@ class TestGruSequence:
         finally:
             tracemalloc.stop()
         assert out._backward is not None
-        budget = (steps * directions * batch * 5 * hidden + batch * steps * directions * hidden) * 8
+        budget = (steps * directions * batch * 4 * hidden + batch * steps * directions * hidden) * 8
         assert held <= 1.1 * budget, f"{held / 2**20:.2f} MiB held, budget {budget / 2**20:.2f} MiB"
+
+    def test_backward_stages_one_block_at_a_time(self):
+        """Backward's rise: d_gates_x, d_x and one block's staged gradient and previous states."""
+        batch, steps, width, hidden, directions = 16, 128, 32, 32, 2
+        rng = np.random.default_rng(4)
+        cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        x = Tensor(rng.normal(size=(batch, steps, width)))
+        h0 = Tensor(np.zeros((batch, directions * hidden)))
+        mask = (np.arange(steps) < rng.integers(1, steps + 1, size=(batch, 1))).astype(float)
+        out = gru_sequence(x, mask, h0, cells)
+        g = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == 2 + 3 * directions
+        d_gates_x = directions * batch * steps * 3 * hidden
+        d_x = batch * steps * width
+        staging = 2 * nn._PROJECTION_BLOCK * directions * batch * hidden
+        budget = (d_gates_x + d_x + staging) * 8
+        assert peak <= 1.1 * budget, f"{peak / 2**20:.2f} MiB peak, budget {budget / 2**20:.2f} MiB"
 
     def test_without_graph_same_values_no_parents(self):
         _, cells, x, h0, mask, _ = self.make()
