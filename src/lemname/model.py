@@ -181,7 +181,7 @@ class PreparedRecord:
     stream_ids: dict  # stream -> (T,) input-vocabulary ids, truncated to max_input_len
     oov_texts: tuple  # source texts absent from the output vocabulary
     source_ext_ids: np.ndarray  # (S,) extended-vocabulary id per source position, streams concatenated
-    target_ext_ids: np.ndarray  # truncated name; -1 where neither generable nor copyable
+    target_ext_ids: np.ndarray | None  # truncated name, -1 where neither generable nor copyable; None untargeted
 
 
 def parameter_shapes(config: ModelConfig, vocabularies: dict) -> dict:
@@ -277,15 +277,14 @@ class LemmaNameModel:
     def prepare(self, record, texts: dict | None = None) -> PreparedRecord:
         """Chop, sub-tokenize and encode one record for this model.
 
-        `texts` may pass the record's `record_texts` of the input streams
-        and the name when the caller has them already, so no record is
-        sub-tokenized twice. Otherwise each input stream is sub-tokenized
-        only as far as `max_input_len`.
+        `texts` may pass the record's `record_texts` of the input streams,
+        and of the name if a loss will read the target, when the caller
+        has them already, so no record is sub-tokenized twice. Otherwise
+        each input stream is sub-tokenized only as far as `max_input_len`,
+        and the name not at all: the record then has no target.
         """
         cfg = self.config
-        texts = texts or record_texts(
-            record, (*cfg.inputs, STREAM_NAME), self.chop_config, self.lexicon, cfg.max_input_len
-        )
+        texts = texts or record_texts(record, cfg.inputs, self.chop_config, self.lexicon, cfg.max_input_len)
         stream_ids, source = {}, []
         for stream in cfg.inputs:
             seq = texts[stream][: cfg.max_input_len]
@@ -298,16 +297,16 @@ class LemmaNameModel:
         for position, ext_id in enumerate(source_ext_ids):
             if ext_id is None:
                 source_ext_ids[position] = copy_ids.setdefault(source[position], base + len(copy_ids))
-        target = texts[STREAM_NAME][: cfg.max_output_len]
-        target_ext_ids = [
-            copy_ids.get(text, -1) if ext_id is None else ext_id
-            for text, ext_id in zip(target, out_vocab.ids_of(target, None))
-        ]
+        target_ext_ids = None
+        if STREAM_NAME in texts:  # only a loss reads the target
+            target = texts[STREAM_NAME][: cfg.max_output_len]
+            pairs = zip(target, out_vocab.ids_of(target, None))
+            target_ext_ids = np.array([copy_ids.get(t, -1) if i is None else i for t, i in pairs], dtype=np.int64)
         return PreparedRecord(
             stream_ids=stream_ids,
             oov_texts=tuple(copy_ids),
             source_ext_ids=np.array(source_ext_ids, dtype=np.int64),
-            target_ext_ids=np.array(target_ext_ids, dtype=np.int64),
+            target_ext_ids=target_ext_ids,
         )
 
     # ------------------------------------------------------------------ encoder
@@ -434,6 +433,8 @@ class LemmaNameModel:
         """Teacher-forced loss: one decoder pass over (records x steps) rows."""
         if not prepared:
             raise EmptyTrainingSet("loss of an empty batch")
+        if any(p.target_ext_ids is None for p in prepared):
+            raise ValueError("a record prepared without its name has no target to score")
         batch = self._encode(prepared, keep_graph=True)
         n = len(prepared)
         steps = max(len(p.target_ext_ids) for p in prepared) + 1  # final step predicts EOS
@@ -459,9 +460,15 @@ class LemmaNameModel:
         nll = neg(log(prob + _LOG_FLOOR)) * Tensor(step_mask.reshape(-1))
         return sum_(nll) * (1.0 / token_count), token_count
 
+    def _targeted(self, record) -> PreparedRecord:
+        """The record prepared as a loss reads it, with its name split into the target."""
+        cfg = self.config
+        texts = record_texts(record, (*cfg.inputs, STREAM_NAME), self.chop_config, self.lexicon, cfg.max_input_len)
+        return self.prepare(record, texts)
+
     def loss(self, records) -> Tensor:
         """Mean negative log-likelihood per target sub-token (incl. EOS)."""
-        return self._loss_batch([self.prepare(r) for r in records])[0]
+        return self._loss_batch([self._targeted(r) for r in records])[0]
 
     # ------------------------------------------------------------ public surface
 
@@ -469,7 +476,6 @@ class LemmaNameModel:
         """Top-k name suggestions for one record; see suggest_many."""
         return self.suggest_many([record], k)[0]
 
-    @checked()
     def suggest_many(self, records, k: int) -> list:
         """Top-k names per record by one beam search over (records x k) slots.
 
@@ -479,7 +485,8 @@ class LemmaNameModel:
         exact greedy decoding. The first step cannot end a name, so no
         name is empty. Scores are mean log-probability per emitted
         sub-token (end marker included); ties break lexicographically on
-        the sub-tokens; names are deduplicated.
+        the sub-tokens; names are deduplicated. Validation runs the same
+        search at k = 1, pruned by the records' names (_greedy_hits).
 
         Each step decodes only the records that still have a live
         hypothesis, and of each only the prefix of its slots that live
@@ -491,14 +498,34 @@ class LemmaNameModel:
         """
         if k < 1:
             raise ValueError("k must be positive")
-        prepared = [r if isinstance(r, PreparedRecord) else self.prepare(r) for r in records]
+        return self._search([r if isinstance(r, PreparedRecord) else self.prepare(r) for r in records], k)
+
+    def _greedy_hits(self, prepared, names) -> int:
+        """How many records' greedy top-1 names equal `names`.
+
+        A record leaves the search as soon as its hypothesis no longer
+        spells a prefix of its name, since no later step can make it a
+        hit. At k = 1 this leaves every other row bit for bit as it was,
+        just as a finished record does (see suggest_many).
+        """
+        return sum(bool(s) and s[0].name == name for s, name in zip(self._search(prepared, 1, names), names))
+
+    @checked()
+    def _search(self, prepared, k: int, names=None) -> list:
+        """suggest_many's beam search; with `names` (k = 1 only), a pruned record gets no suggestion."""
+        if names is not None and k != 1:
+            raise ValueError("only a greedy search can be pruned by names")
         if not prepared:
             return []
         if len(prepared) > _DECODE_GROUP:
             return [
                 suggestions
                 for start in range(0, len(prepared), _DECODE_GROUP)
-                for suggestions in self.suggest_many(prepared[start : start + _DECODE_GROUP], k)
+                for suggestions in self._search(
+                    prepared[start : start + _DECODE_GROUP],
+                    k,
+                    None if names is None else names[start : start + _DECODE_GROUP],
+                )
             ]
         out_texts = self.vocabularies["output"].texts
         base = len(out_texts)
@@ -545,6 +572,8 @@ class LemmaNameModel:
                     if ext_id == EOS_ID:  # the end marker counts as a step
                         done[r].append((texts[:-1], score, len(texts)))
                         continue
+                    if names is not None and not names[r].startswith("".join(texts)):  # can no longer be a hit
+                        continue
                     slots.append(r * k + len(beams[r]))
                     beams[r].append((texts, score))
                     parents.append(row)
@@ -590,7 +619,10 @@ def train(
     Builds vocabularies from the training documents only, then optimizes
     mean sub-token cross-entropy. After each epoch the greedy top-1
     accuracy on the validation documents decides the checkpoint to keep;
-    ties keep the later epoch. With no validation documents the last
+    ties keep the later epoch. Validation stops decoding a record once
+    its greedy prefix can no longer spell its name (_greedy_hits), which
+    changes no hit; every record still runs its encoder and first decoder
+    step under the numerical check. With no validation documents the last
     epoch's parameters are kept, and they must first score the training
     records without a numerical fault. At most one batch's autodiff graph
     is alive: each is dropped right after its backward, before the Adam
@@ -636,9 +668,7 @@ def train(
             del loss  # the batch's graph: nothing reads it after backward
             adam_step(model.parameters, optimizer, lr=training.learning_rate)
         if val_records:
-            predicted = model.suggest_many(val_prepared, 1)
-            hits = sum(s[0].name == r.name for s, r in zip(predicted, val_records))
-            val_top1 = hits / len(val_records)
+            val_top1 = model._greedy_hits(val_prepared, [r.name for r in val_records]) / len(val_records)
         else:
             val_top1 = 0.0
         if val_top1 >= best_top1:

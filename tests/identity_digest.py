@@ -15,7 +15,10 @@ It prints, one line each:
   request files, decoded a file at a time as the server does, with
   scores written as `float.hex`;
 - the checkpoint sha256 and `EpochMetrics` of the default configuration
-  (`ModelConfig()`, `TrainingConfig(epochs=2)`) on the bundled corpus.
+  (`ModelConfig()`, `TrainingConfig(epochs=2)`) on the bundled corpus;
+- the checkpoint sha256 and `EpochMetrics` of a recipe whose validation
+  top-1 is above zero in most epochs, so a change to how validation
+  counts hits shows in the kept checkpoint and the metrics.
 
 The recipes come from `perfbench/workloads.py`. BLAS runs on one thread,
 as in the benchmark and the tests: checkpoint bytes can depend on the
@@ -96,12 +99,27 @@ def default_recipe(workdir: Path) -> None:
     trained("default config bundled corpus", checkpoint, metrics, workdir)
 
 
+def hits_recipe(workdir: Path) -> None:
+    data = workdir / "hits"
+    lcorpus.generate_synthetic_corpus(data, seed=12, n_docs=5, lemmas_per_doc=5)
+    documents = lcorpus.load_directory(data)
+    doc_ids = sorted(documents)
+    split = lcorpus.DatasetSplit(train=tuple(doc_ids[:3]), validation=(doc_ids[3],), test=(doc_ids[4],))
+    config = lmodel.ModelConfig(
+        inputs=lmodel.INPUT_CONFIGS["stmt+ckt"], embed_dim=32, hidden_dim=64, max_input_len=128
+    )
+    training = lmodel.TrainingConfig(epochs=60, batch_size=8, learning_rate=1e-2)
+    checkpoint, metrics = lmodel.train(documents, split, config, training)
+    trained("validation hits", checkpoint, metrics, workdir)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
         train_recipe(workdir)
         serve_recipe(workdir)
         default_recipe(workdir)
+        hits_recipe(workdir)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lemname.corpus
 from lemname import InvalidValue, cli
 from lemname.cli import (
     _CONFIG_KEYS,
@@ -444,6 +445,23 @@ def test_suggest_naming_planted_file_exits_one(cli_env, tmp_path, capsys):
     assert len(bad[0]["suggestions"]) == 5
     scores = [s["score"] for s in bad[0]["suggestions"]]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_suggest_naming_compares_a_two_million_character_name_without_splitting_it(
+    cli_env, tmp_path, capsys, monkeypatch
+):
+    """Suggesting reads no target, so a name is compared as a string and never sub-tokenized."""
+    long_name = "mul" + "g" * 2_000_000
+    path = tmp_path / "long.lemmas.sexp"
+    text = cli_env.clean_file.read_text(encoding="utf-8")
+    path.write_text(text.replace(f"(name {cli_env.replaced_name})", f"(name {long_name})", 1), encoding="utf-8")
+    splits = []
+    split = lemname.corpus.subtokenize_name
+    monkeypatch.setattr(lemname.corpus, "subtokenize_name", lambda *args: splits.append(args) or split(*args))
+    code = main(["suggest_naming", "--file", str(path), "--model", str(cli_env.checkpoint_path)])
+    assert code == 1
+    assert long_name in capsys.readouterr().out
+    assert splits == []
 
 
 def test_suggest_naming_printed_report_lists_nonconforming_first(cli_env, capsys):

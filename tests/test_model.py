@@ -6,6 +6,7 @@ import itertools
 import json
 import struct
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,8 +172,10 @@ def test_training_subtokenizes_each_record_stream_once(tiny_corpus, monkeypatch)
     monkeypatch.setattr(lemname.corpus, "stream_subtoken_texts", counting)
     config = small_config()
     train(documents, split, config, TrainingConfig(epochs=3, batch_size=8, seed=0))
-    records = ordered_records(documents, split.train + split.validation)
-    assert len(calls) == len(records) * (len(config.inputs) + 1)
+    train_records = ordered_records(documents, split.train)
+    val_records = ordered_records(documents, split.validation)
+    # Validation compares names as strings, so only training records split theirs.
+    assert len(calls) == len(train_records) * (len(config.inputs) + 1) + len(val_records) * len(config.inputs)
     assert set(calls.values()) == {1}
 
 
@@ -188,7 +191,7 @@ def test_training_holds_one_batch_graph(tiny_corpus, monkeypatch):
 
         return wrapper
 
-    for name in ("_loss_batch", "suggest_many"):
+    for name in ("_loss_batch", "_greedy_hits"):  # _greedy_hits: the validation pass
         monkeypatch.setattr(LemmaNameModel, name, counting(getattr(LemmaNameModel, name)))
     gc.collect()  # garbage other tests left must not be collected mid-count
     train(documents, split, small_config(), TrainingConfig(epochs=2, batch_size=4, seed=0))
@@ -277,7 +280,9 @@ def test_prepare_reads_the_prefix_of_the_whole_streams(trained, max_input_len):
     model = LemmaNameModel(config, checkpoint.chop_config, checkpoint.lexicon, checkpoint.vocabularies)
     for record in ordered_records(documents, documents):
         whole = record_texts(record, (*config.inputs, "name"), model.chop_config, model.lexicon)
-        assert_same_prepared(model.prepare(record), model.prepare(record, whole))
+        assert_same_prepared(model._targeted(record), model.prepare(record, whole))
+        inputs = {stream: whole[stream] for stream in config.inputs}
+        assert_same_prepared(model.prepare(record), model.prepare(record, inputs))
 
 
 def test_prepare_splits_only_as_far_as_the_encoder_reads(cli_env, deep_lemma_file, monkeypatch):
@@ -287,7 +292,7 @@ def test_prepare_splits_only_as_far_as_the_encoder_reads(cli_env, deep_lemma_fil
     splits = []
     monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: splits.append(text) or split(text, lexicon))
     lemname.subtok._cached_split.cache_clear()
-    prepared = model.prepare(record)
+    prepared = model._targeted(record)
     # At most max_input_len tokens per input stream, and the name once.
     assert 0 < len(splits) <= len(model.config.inputs) * model.config.max_input_len + 1
     whole = record_texts(record, (*model.config.inputs, "name"), model.chop_config, model.lexicon)
@@ -445,7 +450,7 @@ def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()
     record = ordered_records(documents, split.test)[0]
-    prepared = model.prepare(record)
+    prepared = model._targeted(record)
     source = truncated_source(model, record)
     out_vocab = model.vocabularies["output"]
     base = len(out_vocab)
@@ -541,7 +546,7 @@ def test_loss_agrees_with_stepwise_inference(trained, overrides):
         if value.shape == tensor.shape:
             tensor.data = value.copy()
     records = ordered_records(documents, split.train + split.validation + split.test)
-    prepared = [model.prepare(r) for r in records]
+    prepared = [model._targeted(r) for r in records]
     base = len(model.vocabularies["output"])
     assert any((p.target_ext_ids >= base).any() for p in prepared), "fixture should have copy-only targets"
     for record, one in zip(records, prepared):
@@ -638,6 +643,70 @@ def test_a_last_live_record_decodes_beside_a_finished_one(cli_env, monkeypatch):
         # decodes beside a finished one.
         assert rows == [3] * min(steps[:2]) + [2] * (steps[2] - min(steps[:2]))
         assert found == exact(full_width_suggest_many(model, chosen, 1))
+
+
+@pytest.fixture(scope="module")
+def greedy_names(cli_env) -> list:
+    """Each cli_env record's greedy top-1 name, decoded with all the records."""
+    return [row[0].name for row in cli_env.model.suggest_many(all_records(cli_env), 1)]
+
+
+NAME_KINDS = ("own", "prefix", "longer", "other")
+
+
+@settings(max_examples=40)
+@given(
+    group=st.sampled_from([3, 32]),
+    picks=st.lists(
+        st.tuples(st.integers(0, 24), st.sampled_from(NAME_KINDS), st.integers(0, 24)), min_size=1, max_size=25
+    ),
+)
+def test_pruned_greedy_hits_equal_the_top1_matches(cli_env, greedy_names, group, picks):
+    model = cli_env.model
+    records = all_records(cli_env)
+    prepared, names = [], []
+    for index, kind, other in picks:
+        own = greedy_names[index]
+        prepared.append(model.prepare(records[index]))
+        names.append(
+            {
+                "own": own,  # its greedy name: a hit
+                "prefix": own[: other % len(own)],  # a proper prefix, possibly empty
+                "longer": own + "_" + records[other].name,
+                "other": records[other].name,
+            }[kind]
+        )
+    with mock.patch.object(lemname.model, "_DECODE_GROUP", group):
+        found = model.suggest_many(prepared, 1)
+        hits = model._greedy_hits(prepared, names)
+    assert hits == sum(row[0].name == name for row, name in zip(found, names))
+
+
+def test_a_search_for_names_nothing_spells_takes_one_step(cli_env, monkeypatch):
+    model = cli_env.model
+    prepared = [model.prepare(r) for r in all_records(cli_env)]
+    rows = []
+    distribution = model._distribution
+    monkeypatch.setattr(
+        model, "_distribution", lambda state, ids, batch: rows.append(len(ids)) or distribution(state, ids, batch)
+    )
+    assert model._greedy_hits(prepared, ["\0"] * len(prepared)) == 0  # no sub-token holds a NUL
+    assert rows == [len(prepared)]
+
+
+def test_only_a_greedy_search_is_pruned_by_names(cli_env):
+    prepared = [cli_env.model.prepare(r) for r in all_records(cli_env)[:2]]
+    with pytest.raises(ValueError, match="greedy"):
+        cli_env.model._search(prepared, 2, ["a", "b"])
+
+
+def test_a_record_prepared_without_its_name_has_no_loss(cli_env):
+    model = cli_env.model
+    record = all_records(cli_env)[0]
+    untargeted = model.prepare(record)
+    assert untargeted.target_ext_ids is None
+    with pytest.raises(ValueError, match="no target"):
+        model._loss_batch([model._targeted(record), untargeted])
 
 
 @pytest.mark.parametrize("width", [1, 3])
