@@ -110,6 +110,8 @@ def load_config(project_root) -> ToolConfig:
     path = Path(project_root) / CONFIG_FILE_NAME
     values: dict = {}
     if path.exists():
+        if not path.is_file():  # unread: a FIFO could block forever, /dev/zero never end
+            raise DomainError(f"{path}: not a regular file")
         data = path.read_bytes()
         try:
             text = data.decode("utf-8")

@@ -36,6 +36,7 @@ from .subtok import (
 log = logging.getLogger(__name__)
 
 DOCUMENT_SUFFIX = ".lemmas.sexp"
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, validation, test
 
 PAD_ID = 0
 UNK_ID = 1
@@ -200,21 +201,19 @@ class DatasetSplit:
     test: frozenset
 
 
-def split_corpus(doc_ids, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
+def split_corpus(doc_ids, seed: int = 0) -> DatasetSplit:
     """Partition documents by shuffled assignment with floor arithmetic.
 
-    Train and validation get floor(ratio * n) documents each; the
-    remainder goes to test, so no document is dropped.
+    Train and validation get floor(ratio * n) documents each, by
+    SPLIT_RATIOS; the remainder goes to test, so no document is dropped.
     """
     docs = sorted(doc_ids)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three positive numbers summing to 1: {ratios}")
     if len(docs) < 3:
         raise TooFewDocuments(f"need at least 3 documents to split, have {len(docs)}")
     rng = random.Random(seed)
     rng.shuffle(docs)
-    n_train = int(len(docs) * ratios[0])
-    n_val = int(len(docs) * ratios[1])
+    n_train = int(len(docs) * SPLIT_RATIOS[0])
+    n_val = int(len(docs) * SPLIT_RATIOS[1])
     return DatasetSplit(
         train=frozenset(docs[:n_train]),
         validation=frozenset(docs[n_train : n_train + n_val]),

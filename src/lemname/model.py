@@ -372,9 +372,9 @@ class LemmaNameModel:
         loss, 1 for a beam step), then the attention/output/copy head runs
         over the N * T rows in row-then-step order, attending per record so
         encoder states are never tiled. Returns (states (N, T, H), vocab
-        dist, attention, p_gen), the last three over the N * T rows. The
-        copy gate is a row-wise product and sum, so with two or more rows,
-        no row's values depend on the other rows.
+        dist, attention, p_gen), the last three over the N * T rows. As
+        every product runs through nn._product, no row's values depend on
+        the other rows.
         """
         cfg = self.config
         params = self.parameters
@@ -397,10 +397,7 @@ class LemmaNameModel:
         p_gen = None
         if cfg.use_copy:
             gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
-            # A row-wise product and sum, not a one-column matmul: BLAS sends
-            # that to gemv, whose rounding of a row depends on the other rows.
-            gate = sum_(gate_in * transpose(params["copy.w"], (1, 0)), axis=1, keepdims=True)
-            p_gen = sigmoid(gate + params["copy.b"])
+            p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
         logits = matmul(features, params["out.w"]) + params["out.b"]
         return states, softmax(logits, axis=1), attention, p_gen
 
@@ -490,11 +487,9 @@ class LemmaNameModel:
 
         Each step decodes only the records that still have a live
         hypothesis, and of each only the prefix of its slots that live
-        hypotheses fill, widened to the widest such prefix and, for k >= 2,
-        to two rows. At k = 1 a last live record decodes beside a finished
-        one. So with more than one record no product has one row, and as
-        every decoder row is computed apart from the others (see _decode),
-        the result equals decoding every slot at every step, bit for bit.
+        hypotheses fill, widened to the widest such prefix. As every
+        decoder row is computed apart from the others (see _decode), the
+        result equals decoding every slot at every step, bit for bit.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -543,9 +538,7 @@ class LemmaNameModel:
             live = [r for r, beam in enumerate(beams) if beam]
             if not live:
                 break
-            width = max(min(k, 2), *(len(beams[r]) for r in live))
-            if width == 1 and len(live) == 1 and len(prepared) > 1:
-                live = sorted((live[0], 1 if live[0] == 0 else 0))  # two rows, never one
+            width = max(len(beams[r]) for r in live)
             if live != decoded:
                 decoded = live
                 sub_batch = batch if len(live) == len(prepared) else batch.records(live)

@@ -22,17 +22,11 @@ the model runs (one call per encoder stream, one for the decoder); the
 tests check it against a chain of single GRU steps and, bit for bit,
 against an earlier version that saved the previous states.
 A fixed seed does not make every result bit-reproducible: BLAS may sum
-a product in another order when its thread count or the product's shape
-changes, so checkpoint bytes can depend on the BLAS thread count. Rows
-of a product with two or more rows round as they would among any other
-rows, but a one-row or one-column product goes to gemv, which rounds
-differently. So the model's copy gate is a row-wise product and sum, not
-a one-column product, and beam search decodes more than one row whenever
-it decodes more than one record. A lemma's suggestion scores can still
-depend, in the last bits, on its batch in two ways: on the padded length
-(attention reduces over padding), and on whether it is decoded alone (a
-batch of one record runs its encoder, and at k = 1 its decoder, through
-one-row products).
+a product in another order when its thread count changes, so checkpoint
+bytes can depend on the BLAS thread count. Every matrix product runs
+through _product, so each row of a product rounds as it would among any
+other rows; a lemma's suggestion scores still depend, in the last bits,
+on its batch's padded length (attention reduces over padding).
 """
 
 from __future__ import annotations
@@ -157,25 +151,35 @@ def neg(a: Tensor) -> Tensor:
     return Tensor(-a.data, (a,), lambda g: (-g,))
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D or stacked operands, each row rounded as among any other rows.
+
+    BLAS sums a one-row or one-column product in gemv, in another order than
+    GEMM; so a one-column b is a row-wise product and sum, a one-row a runs twice.
+    """
+    if b.shape[-1] == 1:
+        return (a * np.swapaxes(b, -1, -2)).sum(axis=-1, keepdims=True)
+    if a.shape[-2] == 1:
+        return np.matmul(np.concatenate([a, a], axis=-2), b)[..., :1, :]
+    return np.matmul(a, b)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    return Tensor(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    out = _product(a.data, b.data)
+    return Tensor(out, (a, b), lambda g: (_product(g, b.data.T), _product(a.data.T, g)))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul over stacks of matrices: (B,m,k) @ (B,k,n)."""
     if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeMismatch(f"bmm {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+    out = _product(a.data, b.data)
     return Tensor(
         out,
         (a, b),
-        lambda g: (
-            np.matmul(g, b.data.transpose(0, 2, 1)),
-            np.matmul(a.data.transpose(0, 2, 1), g),
-        ),
+        lambda g: (_product(g, b.data.transpose(0, 2, 1)), _product(a.data.transpose(0, 2, 1), g)),
     )
 
 
@@ -533,12 +537,12 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
     for start in range(0, length, _PROJECTION_BLOCK):
         stop = min(start + _PROJECTION_BLOCK, length)
         block = np.stack([seq[:, start:stop] for seq in inputs]).reshape(directions, -1, width)
-        gates_x = np.matmul(block, w_x)
+        gates_x = _product(block, w_x)
         gates_x += bias  # in place: no second projection-sized array
         gates_x = gates_x.reshape(directions, batch, stop - start, 3 * hidden)
         for t in range(start, stop):
             gx = gates_x[:, :, t - start]
-            gh = np.matmul(h, w_h)
+            gh = _product(h, w_h)
             gates = _sigmoid(gx[..., : 2 * hidden] + gh[..., : 2 * hidden])
             reset, update = gates[..., :hidden], gates[..., hidden:]
             candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
@@ -585,17 +589,17 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
                     view[:, t] = grad
                 d_gates_h = d_step  # stored above, so the reset factor may now go in place
                 d_gates_h[..., 2 * hidden :] *= reset
-                d_w_h += np.matmul(h_prev.transpose(0, 2, 1), d_gates_h)
-                carry = d_out * update + np.matmul(d_gates_h, w_h_t)
+                d_w_h += _product(h_prev.transpose(0, 2, 1), d_gates_h)
+                carry = d_out * update + _product(d_gates_h, w_h_t)
                 if padded[t]:
                     carry = np.where(real[t], carry, d_h)
         del g_block, h_block, h_prev  # the staging, before d_x is made
         flat_x = x.data.reshape(batch * length, width)
         d_flat = d_gates_x.reshape(directions, batch * length, 3 * hidden)
-        d_x = d_flat[0] @ w_x[0].T
+        d_x = _product(d_flat[0], w_x[0].T)
         for d in range(1, directions):
-            d_x += d_flat[d] @ w_x[d].T
-        per_direction = [(flat_x.T @ d_flat[d], d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
+            d_x += _product(d_flat[d], w_x[d].T)
+        per_direction = [(_product(flat_x.T, d_flat[d]), d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
         return (
             d_x.reshape(batch, length, width),
             carry.transpose(1, 0, 2).reshape(batch, directions * hidden),

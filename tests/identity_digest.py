@@ -13,7 +13,9 @@ It prints, one line each:
 - the checkpoint sha256 of the benchmark's `serve` model, and the
   sha256 of its k = 1 and k = 5 suggestions on the seed-1
   request files, decoded a file at a time as the server does, with
-  scores written as `float.hex`;
+  scores written as `float.hex`, and of the suggested names alone; one
+  line each for the one-lemma files, whose lemmas decode alone, and for
+  the other files;
 - the checkpoint sha256 and `EpochMetrics` of the default configuration
   (`ModelConfig()`, `TrainingConfig(epochs=2)`) on the bundled corpus;
 - the checkpoint sha256 and `EpochMetrics` of a recipe whose validation
@@ -80,16 +82,22 @@ def serve_recipe(workdir: Path) -> None:
         workload.close()
     print(f"serve checkpoint {hashlib.sha256(workload.checkpoint.read_bytes()).hexdigest()}")
     model = lmodel.load_checkpoint(workload.checkpoint).to_model()
-    paths = [path for files in workload.by_size for path in files]
+    groups = {"one-lemma files": [], "other files": []}
+    for size, files in zip(workload.plan.serve_file_sizes, workload.by_size):
+        groups["one-lemma files" if size == 1 else "other files"].extend(files)
     for k in SERVE_KS:
-        digest = hashlib.sha256()
-        lemmas = 0
-        for path in paths:
-            for row in lcli.build_suggestion_report(model, path, k).rows:
-                lemmas += 1
-                scored = " ".join(f"{s.name}:{float.hex(s.score)}" for s in row.suggestions)
-                digest.update(f"{path.relative_to(workload.workdir)} {row.name} {scored}\n".encode())
-        print(f"serve seed {SERVE_SEED} k={k} suggestions of {lemmas} lemmas {digest.hexdigest()}")
+        for label, paths in groups.items():
+            digest, names = hashlib.sha256(), hashlib.sha256()
+            lemmas = 0
+            for path in paths:
+                for row in lcli.build_suggestion_report(model, path, k).rows:
+                    lemmas += 1
+                    where = f"{path.relative_to(workload.workdir)} {row.name}"
+                    scored = " ".join(f"{s.name}:{float.hex(s.score)}" for s in row.suggestions)
+                    digest.update(f"{where} {scored}\n".encode())
+                    names.update(f"{where} {' '.join(s.name for s in row.suggestions)}\n".encode())
+            print(f"serve seed {SERVE_SEED} k={k} {label}: suggestions of {lemmas} lemmas {digest.hexdigest()}")
+            print(f"serve seed {SERVE_SEED} k={k} {label}: names of {lemmas} lemmas {names.hexdigest()}")
 
 
 def default_recipe(workdir: Path) -> None:

@@ -4,7 +4,8 @@ gru_cell is one step composed of the autodiff primitives, so its
 gradients come from the generic backward pass, while gru_sequence runs
 its own hand-written BPTT. reference_gru_sequence is an earlier
 gru_sequence, which saved more for backward; the current op must give
-the same bits.
+the same bits. Both run their products through nn._product, so the
+comparison checks how BPTT is laid out, not how BLAS routes a product.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from lemname.nn import (
     Rng,
     ShapeMismatch,
     Tensor,
+    _product,
     _sigmoid,
     _step_order,
     add,
@@ -99,12 +101,12 @@ def reference_gru_sequence(x: Tensor, mask, initial: Tensor, params) -> Tensor:
     for start in range(0, length, _PROJECTION_BLOCK):
         stop = min(start + _PROJECTION_BLOCK, length)
         block = np.stack([seq[:, start:stop] for seq in inputs]).reshape(directions, -1, width)
-        gates_x = np.matmul(block, w_x)
+        gates_x = _product(block, w_x)
         gates_x += bias  # in place: no second projection-sized array
         gates_x = gates_x.reshape(directions, batch, stop - start, 3 * hidden)
         for t in range(start, stop):
             gx = gates_x[:, :, t - start]
-            gh = np.matmul(h, w_h)
+            gh = _product(h, w_h)
             gates = _sigmoid(gx[..., : 2 * hidden] + gh[..., : 2 * hidden])
             reset, update = gates[..., :hidden], gates[..., hidden:]
             candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
@@ -138,16 +140,16 @@ def reference_gru_sequence(x: Tensor, mask, initial: Tensor, params) -> Tensor:
                 view[:, t] = grad
             d_gates_h = d_step  # stored above, so the reset factor may now go in place
             d_gates_h[..., 2 * hidden :] *= reset
-            d_w_h += np.matmul(h_prev.transpose(0, 2, 1), d_gates_h)
-            carry = d_out * update + np.matmul(d_gates_h, w_h_t)
+            d_w_h += _product(h_prev.transpose(0, 2, 1), d_gates_h)
+            carry = d_out * update + _product(d_gates_h, w_h_t)
             if padded[t]:
                 carry = np.where(real[t], carry, d_h)
         flat_x = x.data.reshape(batch * length, width)
         d_flat = d_gates_x.reshape(directions, batch * length, 3 * hidden)
-        d_x = d_flat[0] @ w_x[0].T
+        d_x = _product(d_flat[0], w_x[0].T)
         for d in range(1, directions):
-            d_x += d_flat[d] @ w_x[d].T
-        per_direction = [(flat_x.T @ d_flat[d], d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
+            d_x += _product(d_flat[d], w_x[d].T)
+        per_direction = [(_product(flat_x.T, d_flat[d]), d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
         return (
             d_x.reshape(batch, length, width),
             carry.transpose(1, 0, 2).reshape(batch, directions * hidden),

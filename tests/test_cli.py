@@ -7,13 +7,16 @@ import json
 import os
 import shutil
 import struct
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lemname
 import lemname.corpus
 from lemname import InvalidValue, cli
 from lemname.cli import (
@@ -179,6 +182,20 @@ def test_odd_config_file_exits_two_with_one_error_line(tmp_path, capsys):
     write_config(tmp_path, "k: 2\ndata_dir: data\n")
     assert main(["train", "--data", str(tmp_path), "--project", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {CONFIG_FILE_NAME}:2: unknown key 'data_dir'\n"
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_a_config_that_is_not_a_regular_file_exits_two(command, tmp_path):
+    """In a child with a timeout: reading the FIFO would block it forever."""
+    os.mkfifo(tmp_path / CONFIG_FILE_NAME)
+    argv = [sys.executable, "-c", "from lemname.cli import console_main; console_main()", command]
+    argv += ["--project", str(tmp_path)]
+    if command == "suggest_naming":
+        argv += ["--file", str(tmp_path / "doc.lemmas.sexp")]
+    source = str(Path(lemname.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stderr) == (2, f"error: {tmp_path / CONFIG_FILE_NAME}: not a regular file\n")
 
 
 # -------------------------------------------------------------------- help/usage

@@ -608,7 +608,14 @@ def test_suggest_many_equals_the_full_width_search_on_any_subset_and_order(cli_e
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_beam_search_decodes_only_live_rows_and_never_one(cli_env, monkeypatch, k):
+def test_a_record_alone_gets_what_it_gets_beside_itself(cli_env, k):
+    model = cli_env.model
+    for record in all_records(cli_env):
+        assert exact(model.suggest_many([record], k)) == exact(model.suggest_many([record, record], k)[:1]), record.name
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_beam_search_decodes_only_live_rows(cli_env, monkeypatch, k):
     model = cli_env.model
     records = all_records(cli_env)
     rows = []
@@ -617,14 +624,13 @@ def test_beam_search_decodes_only_live_rows_and_never_one(cli_env, monkeypatch, 
         model, "_distribution", lambda state, ids, batch: rows.append(len(ids)) or distribution(state, ids, batch)
     )
     model.suggest_many(records, k)
-    # Step 0 has one live hypothesis per record, widened to two rows when k >= 2.
-    assert rows[0] == len(records) * min(k, 2)
+    # Step 0 has one live hypothesis per record.
+    assert rows[0] == len(records)
     assert max(rows) <= len(records) * k
     assert sum(rows) < len(rows) * len(records) * k
-    assert 1 not in rows
 
 
-def test_a_last_live_record_decodes_beside_a_finished_one(cli_env, monkeypatch):
+def test_a_lone_live_record_decodes_one_row(cli_env, monkeypatch):
     model = cli_env.model
     # Memorized training records: greedy decoding emits each one's own name.
     by_length = sorted(ordered_records(cli_env.documents, cli_env.split.train), key=lambda r: len(r.name))
@@ -639,9 +645,9 @@ def test_a_last_live_record_decodes_beside_a_finished_one(cli_env, monkeypatch):
     for chosen in ([longest, short, shortest], [shortest, short, longest]):
         rows.clear()
         found = exact(model.suggest_many(chosen, 1))
-        # Three rows while all three are live, then two: a lone live record
-        # decodes beside a finished one.
-        assert rows == [3] * min(steps[:2]) + [2] * (steps[2] - min(steps[:2]))
+        # One row per record still live; the longest name decodes its last steps alone.
+        assert rows == [sum(step < s for s in steps) for step in range(steps[2])]
+        assert rows[-1] == 1
         assert found == exact(full_width_suggest_many(model, chosen, 1))
 
 
@@ -720,8 +726,7 @@ def test_copy_gate_of_a_row_does_not_depend_on_the_other_rows(cli_env, width):
     ids = rng.integers(EOS_ID + 1, len(model.vocabularies["output"]), (n, 1))
     full = model._decode(state, ids, batch, keep_graph=False)[3].data
     subsets = [[i, i + 1] for i in range(len(prepared) - 1)] + [list(range(0, len(prepared), 3)), [7, 2, 19]]
-    if width > 1:
-        subsets += [[i] for i in range(len(prepared))]
+    subsets += [[i] for i in range(len(prepared))]
     for subset in subsets:
         part = lemname.model._Batch(
             hidden=Tensor(batch.hidden.data[subset]),

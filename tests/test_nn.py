@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import finite_difference_check
 from reference_gru import gru_cell, gru_params, reference_gru_sequence
@@ -278,6 +280,31 @@ class TestGru:
         finite_difference_check(params, loss, np_rng, n_coords=20)
 
 
+
+MODEL_SHAPES = [(32, 96), (64, 192), (128, 64), (64, 37)]  # K x N of the model's products
+
+
+@settings(max_examples=80)
+@given(
+    rows=st.integers(1, 40),
+    shape=st.sampled_from(MODEL_SHAPES),
+    column=st.booleans(),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_each_row_of_a_product_is_that_row_alone(rows, shape, column, stacked, seed):
+    """Bit for bit at any row count, also for a one-column b and for stacks of two."""
+    inner, width = shape
+    rng = np.random.default_rng(seed)
+    lead = (2,) if stacked else ()
+    a = rng.normal(size=(*lead, rows, inner))
+    b = rng.normal(size=(*lead, inner, 1 if column else width))
+    whole = nn._product(a, b)
+    np.testing.assert_allclose(whole, np.matmul(a, b), rtol=1e-12, atol=1e-12)
+    for i in range(rows):
+        assert np.array_equal(whole[..., i : i + 1, :], nn._product(a[..., i : i + 1, :], b)), f"row {i}"
+
+
 def _chained_gru(x, mask, h, cell, reverse):
     """Reference: gru_cell per position from state h, padding carries the state."""
     batch, length, _ = x.shape
@@ -312,10 +339,7 @@ class TestGruSequence:
         backward(sum_(reference * weights[:, :, :width]), params)
         expected = {name: t.grad.copy() for name, t in params.items()}
         out = gru_sequence(x, mask, h0[:, :width], cells)
-        if x.shape[0] > 1:
-            assert np.array_equal(out.data, reference.data)
-        else:  # numpy takes a one-row product to gemv, whose sums round apart from the op's GEMM
-            np.testing.assert_allclose(out.data, reference.data, rtol=0, atol=1e-14)
+        assert np.array_equal(out.data, reference.data)
         backward(sum_(out * weights[:, :, :width]), params)
         names = ["x", "h0"] + [f"g{d}.{w}" for d in range(len(cells)) for w in ("w_x", "w_h", "b")]
         for name in names:
