@@ -15,12 +15,11 @@ lemma, 2 any error: one `error:` line for input rejected on purpose (a
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import DomainError, InvalidValue, __version__
+from . import DomainError, InvalidValue, __version__, canonical_json
 from .baseline import RetrievalBaseline
 from .chop import ChopConfig
 from .corpus import (
@@ -202,7 +201,7 @@ class SuggestionReport:
         lines = []
         for row in self.rows:
             lines.append(
-                json.dumps(
+                canonical_json(
                     {
                         "file": row.file,
                         "line": row.line,
@@ -211,9 +210,7 @@ class SuggestionReport:
                         "suggestions": [
                             {"name": s.name, "score": s.score} for s in row.suggestions
                         ],
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
+                    }
                 )
             )
         return "\n".join(lines) + ("\n" if lines else "")

@@ -24,7 +24,7 @@ import math
 import os
 from urllib.parse import unquote, urlparse
 
-from . import DomainError, InvalidValue, __version__
+from . import DomainError, InvalidValue, __version__, canonical_json
 from .cli import _load_model, build_suggestion_report
 
 log = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ def read_message(stream) -> bytes | None:
 
 
 def write_message(stream, payload: dict) -> None:
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = canonical_json(payload).encode("utf-8")
     stream.write(f"Content-Length: {len(body)}\r\n\r\n".encode("ascii"))
     stream.write(body)
     stream.flush()

@@ -8,12 +8,11 @@ report aggregates arithmetic means over the test set.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
-from . import DomainError
+from . import DomainError, canonical_json
 from .subtok import subtokenize_name
 
 
@@ -135,7 +134,7 @@ class EvalReport:
         lines = []
         for row in self.rows:
             lines.append(
-                _canonical(
+                canonical_json(
                     {
                         "name": row.name,
                         "suggestions": [
@@ -149,7 +148,7 @@ class EvalReport:
                 )
             )
         lines.append(
-            _canonical(
+            canonical_json(
                 {
                     "aggregate": True,
                     "lemmas": len(self.rows),
@@ -162,10 +161,6 @@ class EvalReport:
             )
         )
         return "\n".join(lines) + "\n"
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def evaluate(suggester, records, k: int = 5) -> EvalReport:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import DomainError, InvalidValue
+from . import DomainError, InvalidValue, canonical_json
 from .chop import ChopConfig
 from .corpus import (
     BOS_ID,
@@ -43,9 +43,7 @@ from .corpus import (
 from .subtok import DEFAULT_LEXICON, SuffixLexicon
 from .nn import (
     AdamState,
-    Parameters,
     Rng,
-    ShapeMismatch,
     Tensor,
     adam_step,
     backward,
@@ -146,12 +144,16 @@ class TrainingConfig:
     output_min_frequency: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise InvalidValue("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise InvalidValue("batch_size must be positive")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise InvalidValue(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        lowest = {"epochs": 0, "batch_size": 1, "seed": 0, "min_frequency": 1, "output_min_frequency": 1}
+        for name, low in lowest.items():
+            value = getattr(self, name)
+            if name == "output_min_frequency" and value is None:
+                continue
+            if type(value) is not int or value < low:  # a bool is no count
+                raise InvalidValue(f"{name} must be an integer of at least {low}, got {value!r}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate < math.inf:
+            raise InvalidValue(f"learning_rate must be finite and positive, got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,9 @@ def parameter_shapes(config: ModelConfig, vocabularies: dict) -> dict:
     A bias (`.b`) starts at zero, an embedding (`.embed`) uniform in +-0.1,
     any other weight Glorot-uniform.
     """
+    missing = [name for name in (*config.inputs, "output") if name not in vocabularies]
+    if missing:
+        raise ValueError(f"vocabularies missing entries: {missing}")
     embed, hidden, out = config.embed_dim, config.hidden_dim, len(vocabularies["output"])
     shapes = {}
 
@@ -240,34 +245,23 @@ class LemmaNameModel:
         seed: int = 0,
         parameter_state: dict | None = None,
     ):
-        missing = [s for s in (*config.inputs, "output") if s not in vocabularies]
-        if missing:
-            raise ValueError(f"vocabularies missing entries: {missing}")
-        shapes = parameter_shapes(config, vocabularies)
-        if parameter_state is not None:
-            # Compared before anything is allocated: a config can imply any size.
-            found = {name: np.shape(value) for name, value in parameter_state.items()}
-            if found != shapes:
-                name = min(n for n in found.keys() | shapes.keys() if found.get(n) != shapes.get(n))
-                raise ShapeMismatch(f"parameter {name}: {found.get(name)} != {shapes.get(name)}")
         self.config = config
         self.chop_config = chop_config
         self.lexicon = lexicon
         self.vocabularies = vocabularies
-        self.parameters = Parameters()
-        rng = Rng(seed)
-        for name, shape in shapes.items():
-            if name.endswith(".b"):
-                data = np.zeros(shape)
-            elif name.endswith(".embed"):
-                data = embedding_init(rng, *shape)
-            else:
-                data = linear_init(rng, *shape)
-            self.parameters.add(name, data)
+        if parameter_state is None:
+            rng, parameter_state = Rng(seed), {}
+            for name, shape in parameter_shapes(config, vocabularies).items():
+                if name.endswith(".b"):
+                    parameter_state[name] = np.zeros(shape)
+                elif name.endswith(".embed"):
+                    parameter_state[name] = embedding_init(rng, *shape)
+                else:
+                    parameter_state[name] = linear_init(rng, *shape)
+        # A given state is taken as it is: load_checkpoint checks a loaded one.
+        self.parameters = {name: Tensor(np.array(value, dtype=np.float64)) for name, value in parameter_state.items()}
         self._encoders = {stream: [self._gru(f"enc.{stream}.{d}") for d in ("fwd", "bwd")] for stream in config.inputs}
         self._decoder_cell = self._gru("dec.gru")
-        if parameter_state is not None:
-            self.parameters.load_state(parameter_state)
 
     def _gru(self, prefix: str) -> GruParams:
         return GruParams(*(self.parameters[f"{prefix}.{part}"] for part in ("w_x", "w_h", "b")))
@@ -477,13 +471,13 @@ class LemmaNameModel:
         """Top-k names per record by one beam search over (records x k) slots.
 
         More than _DECODE_GROUP records decode as one search per group of
-        that many, so memory stays bounded. Records may be given already
-        prepared. Finished hypotheses occupy beam slots, so k = 1 is
-        exact greedy decoding. The first step cannot end a name, so no
-        name is empty. Scores are mean log-probability per emitted
-        sub-token (end marker included); ties break lexicographically on
-        the sub-tokens; names are deduplicated. Validation runs the same
-        search at k = 1, pruned by the records' names (_greedy_hits).
+        that many, so memory stays bounded. Finished hypotheses occupy
+        beam slots, so k = 1 is exact greedy decoding. The first step
+        cannot end a name, so no name is empty. Scores are mean
+        log-probability per emitted sub-token (end marker included); ties
+        break lexicographically on the sub-tokens; names are deduplicated.
+        Validation runs the same search at k = 1, pruned by the records'
+        names (_greedy_hits).
 
         Each step decodes only the records that still have a live
         hypothesis, and of each only the prefix of its slots that live
@@ -493,7 +487,7 @@ class LemmaNameModel:
         """
         if k < 1:
             raise ValueError("k must be positive")
-        return self._search([r if isinstance(r, PreparedRecord) else self.prepare(r) for r in records], k)
+        return self._search([self.prepare(r) for r in records], k)
 
     def _greedy_hits(self, prepared, names) -> int:
         """How many records' greedy top-1 names equal `names`.
@@ -645,7 +639,7 @@ def train(
     val_prepared = [model.prepare(r) for r in val_records]
     optimizer = AdamState()
     shuffle_rng = Rng(training.seed)
-    best_state = model.parameters.state()
+    best_state = {name: t.data.copy() for name, t in model.parameters.items()}
     best_top1 = -1.0
     metrics = []
     for epoch in range(1, training.epochs + 1):
@@ -666,7 +660,7 @@ def train(
             val_top1 = 0.0
         if val_top1 >= best_top1:
             best_top1 = val_top1
-            best_state = model.parameters.state()
+            best_state = {name: t.data.copy() for name, t in model.parameters.items()}
         metrics.append(
             EpochMetrics(epoch=epoch, train_loss=total_nll / total_tokens, validation_top1=val_top1)
         )
@@ -697,23 +691,15 @@ class ModelCheckpoint:
     parameter_state: dict
 
     def to_model(self) -> LemmaNameModel:
-        try:
-            return LemmaNameModel(
-                self.config, self.chop_config, self.lexicon, self.vocabularies, parameter_state=self.parameter_state
-            )
-        except (ShapeMismatch, ValueError) as err:
-            raise CorruptCheckpoint(f"unusable parameters: {err}") from err
-
-
-def _canonical_json(value) -> bytes:
-    """Sorted keys, no whitespace; a set is written as its sorted list."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=sorted).encode("utf-8")
+        return LemmaNameModel(
+            self.config, self.chop_config, self.lexicon, self.vocabularies, parameter_state=self.parameter_state
+        )
 
 
 def _header_digest(header: dict) -> str:
     """sha256 of the canonical JSON header without its own digest entry."""
     rest = {k: v for k, v in header.items() if k != "header_digest"}
-    return hashlib.sha256(_canonical_json(rest)).hexdigest()
+    return hashlib.sha256(canonical_json(rest).encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
@@ -736,7 +722,7 @@ def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:
         ],
     }
     header["header_digest"] = _header_digest(header)
-    blob = _canonical_json(header)
+    blob = canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -757,7 +743,14 @@ def _section(cls, data):
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    """Read and validate a checkpoint written by save_checkpoint."""
+    """Read and validate a checkpoint written by save_checkpoint.
+
+    Every check of the parameters happens here, so to_model trusts them:
+    the header's index must equal the shapes its config and vocabularies
+    imply (compared before any value is read, since a config can imply
+    any size), and every value must be finite. The state holds read-only
+    views of the file's bytes; the model copies them.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:4] != CHECKPOINT_MAGIC:
@@ -781,13 +774,15 @@ def load_checkpoint(path) -> ModelCheckpoint:
         lexicon = _section(SuffixLexicon, header["lexicon"])
         vocabularies = {name: _section(Vocabulary, v) for name, v in header["vocabularies"].items()}
         entries = [(e["name"], e["shape"]) for e in header["parameters"]]
+        expected = parameter_shapes(config, vocabularies)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise CorruptCheckpoint(f"malformed header: {err}") from err
     offset = header_end
-    state = {}
+    state = {}  # read-only views of the blocks: nothing is copied or read yet
     for name, shape in entries:
         if not (
             isinstance(name, str)
+            and name not in state
             and isinstance(shape, list)
             and all(type(n) is int and n >= 0 for n in shape)  # a bool is no dimension
         ):
@@ -796,12 +791,19 @@ def load_checkpoint(path) -> ModelCheckpoint:
         if end > len(data):
             raise CorruptCheckpoint(f"truncated parameter block: {name}")
         try:
-            state[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).astype(np.float64)
+            state[name] = np.frombuffer(data, dtype="<f8", count=(end - offset) // 8, offset=offset).reshape(shape)
         except ValueError as err:  # an empty shape with more or larger dimensions than numpy holds
             raise CorruptCheckpoint(f"malformed parameter entry: name {name!r}, shape {shape!r}") from err
         offset = end
     if offset != len(data):
         raise CorruptCheckpoint("trailing bytes after parameter blocks")
+    found = {name: block.shape for name, block in state.items()}
+    if found != expected:
+        name = min(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
+        raise CorruptCheckpoint(f"unusable parameters: parameter {name}: {found.get(name)} != {expected.get(name)}")
+    for name, block in state.items():  # a NaN sets no flag in nn.checked, so it is caught here
+        if not np.isfinite(block).all():
+            raise CorruptCheckpoint(f"unusable parameters: parameter {name} holds non-finite values")
     return ModelCheckpoint(
         config=config,
         chop_config=chop_config,

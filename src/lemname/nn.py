@@ -10,7 +10,7 @@ overflows, divides by zero or makes a NaN, and the NonFiniteValue it
 becomes names that operation ("overflow encountered in matmul"). No op
 scans its output; backward, adam_step and the model's loss and decoder
 run checked. A NaN that comes in from outside sets no flag, so
-Parameters.load_state rejects non-finite values. gru_sequence runs one
+model.load_checkpoint rejects non-finite parameters. gru_sequence runs one
 or two recurrent directions over a whole sequence as one op, both
 directions in one time loop, and saves for backward only what BPTT
 reads: 4*hidden values per step, direction and row, since BPTT reads
@@ -221,25 +221,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeMismatch("concat of no tensors")
-    sizes = [t.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(sizes))
-        )
-
-    return Tensor(out, tuple(tensors), backward)
+    return joined(np.concatenate([t.data for t in tensors], axis=axis), tensors, axis)
 
 
 def joined(data: np.ndarray, tensors, axis: int) -> Tensor:
     """`data` as the concat of `tensors`, whose data already fill it in order along axis.
 
     Nothing is copied: each tensor's data must be its slice of `data`, as
-    gru_sequence writes it through `out`. Backward is concat's, except
-    that each tensor gets its slice of the gradient as a view.
+    gru_sequence writes it through `out` (concat passes a fresh copy).
+    Backward hands each tensor its slice of the gradient as a view.
     """
     tensors = tuple(tensors)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
@@ -344,7 +334,7 @@ def _topological_order(root: Tensor) -> list:
 
 
 @checked()
-def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
+def backward(loss: Tensor, parameters: dict | None = None) -> None:
     """Populate .grad on every leaf the loss depends on.
 
     Leaves are tensors without a recorded backward; every parameter is
@@ -353,9 +343,8 @@ def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
     alive at once. Gradients are summed into new arrays, never in place,
     so an op's backward may hand its parents views of its gradient.
     Gradients of previous calls are discarded for reachable tensors; if
-    a parameter set is given, its unreachable
-    members get zero gradients, so every parameter has a .grad for
-    adam_step to read.
+    a {name: Tensor} parameter dict is given, its unreachable members get
+    zero gradients, so every parameter has a .grad for adam_step to read.
     """
     if loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -378,47 +367,9 @@ def backward(loss: Tensor, parameters: "Parameters | None" = None) -> None:
             parent.grad = grad if parent.grad is None else parent.grad + grad
     if parameters is not None:
         reachable = {id(node) for node in order}
-        for _, tensor in parameters.items():
+        for tensor in parameters.values():
             if id(tensor) not in reachable:
                 tensor.grad = np.zeros_like(tensor.data)
-
-
-class Parameters:
-    """Named trainable tensors, iterated in insertion order."""
-
-    def __init__(self):
-        self._tensors: dict = {}
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter name: {name}")
-        tensor = Tensor(np.array(data, dtype=np.float64))
-        self._tensors[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def items(self):
-        return self._tensors.items()
-
-    def state(self) -> dict:
-        return {name: t.data.copy() for name, t in self._tensors.items()}
-
-    def load_state(self, state: dict) -> None:
-        """All or nothing; rejects non-finite values, which would set no flag in `checked`."""
-        missing, extra = set(self._tensors) - set(state), set(state) - set(self._tensors)
-        if missing or extra:
-            raise ValueError(f"parameter names differ: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        values = {name: np.array(state[name], dtype=np.float64) for name in self._tensors}
-        for name, value in values.items():
-            shape = self._tensors[name].data.shape
-            if value.shape != shape:
-                raise ShapeMismatch(f"parameter {name}: {value.shape} != {shape}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"parameter {name} holds non-finite values")
-        for name, value in values.items():
-            self._tensors[name].data = value
 
 
 class Rng:
@@ -621,7 +572,7 @@ class AdamState:
 
 @checked()
 def adam_step(
-    parameters: Parameters,
+    parameters: dict,
     state: AdamState,
     lr: float = 1e-3,
     beta1: float = 0.9,

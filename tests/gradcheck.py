@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from lemname.nn import Parameters, backward
+from lemname.nn import backward
 
 
 def finite_difference_check(
-    parameters: Parameters,
+    parameters: dict,
     build_loss,
     rng: np.random.Generator,
     n_coords: int = 20,

@@ -15,7 +15,6 @@ import numpy as np
 from lemname.nn import (
     _PROJECTION_BLOCK,
     GruParams,
-    Parameters,
     Rng,
     ShapeMismatch,
     Tensor,
@@ -30,13 +29,15 @@ from lemname.nn import (
 )
 
 
-def gru_params(parameters: Parameters, prefix: str, rng: Rng, input_dim: int, hidden_dim: int) -> GruParams:
-    """Fresh GRU weights added to `parameters`: w_x, then w_h, drawn from rng, and a zero bias."""
-    return GruParams(
-        w_x=parameters.add(f"{prefix}.w_x", linear_init(rng, input_dim, 3 * hidden_dim)),
-        w_h=parameters.add(f"{prefix}.w_h", linear_init(rng, hidden_dim, 3 * hidden_dim)),
-        b=parameters.add(f"{prefix}.b", np.zeros(3 * hidden_dim)),
+def gru_params(parameters: dict, prefix: str, rng: Rng, input_dim: int, hidden_dim: int) -> GruParams:
+    """Fresh GRU weights added to the `parameters` dict: w_x, then w_h, drawn from rng, and a zero bias."""
+    cell = GruParams(
+        w_x=Tensor(linear_init(rng, input_dim, 3 * hidden_dim)),
+        w_h=Tensor(linear_init(rng, hidden_dim, 3 * hidden_dim)),
+        b=Tensor(np.zeros(3 * hidden_dim)),
     )
+    parameters.update({f"{prefix}.{part}": tensor for part, tensor in vars(cell).items()})
+    return cell
 
 
 def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:

@@ -98,10 +98,7 @@ def _primitive_checks():
     """
 
     def params_of(rng, shapes):
-        params = nn.Parameters()
-        for name, shape in shapes.items():
-            params.add(name, rng.normal(size=shape))
-        return params
+        return {name: nn.Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
 
     def build(shapes, make_loss):
         def builder(rng):
@@ -192,13 +189,13 @@ def test_criterion_01_gradient_correctness(tmp_path):
         checked.append(name)
 
     # GRU cell: two chained steps, gradients through inputs and both states.
-    params = nn.Parameters()
+    params = {}
     init = nn.Rng(77)
     cell = gru_params(params, "gru", init, input_dim=5, hidden_dim=6)
     draw = np.random.default_rng(78)
-    params.add("x0", draw.normal(size=(3, 5)))
-    params.add("x1", draw.normal(size=(3, 5)))
-    params.add("h0", draw.normal(size=(3, 6)))
+    params["x0"] = nn.Tensor(draw.normal(size=(3, 5)))
+    params["x1"] = nn.Tensor(draw.normal(size=(3, 5)))
+    params["h0"] = nn.Tensor(draw.normal(size=(3, 6)))
 
     def gru_loss():
         hidden = gru_cell(params["x0"], params["h0"], cell)
@@ -211,12 +208,12 @@ def test_criterion_01_gradient_correctness(tmp_path):
     # GRU sequence: both directions in one call over a ragged mask, from a
     # non-zero initial state per direction; gradients through the inputs,
     # the initial state and every weight.
-    params = nn.Parameters()
+    params = {}
     directions = [gru_params(params, name, init, input_dim=5, hidden_dim=6) for name in ("fwd", "bwd")]
-    params.add("x", draw.normal(size=(3, 6, 5)))
+    params["x"] = nn.Tensor(draw.normal(size=(3, 6, 5)))
     mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in (6, 3, 1)])
     weights = nn.Tensor(draw.normal(size=(3, 6, 12)))
-    params.add("h0", draw.normal(size=(3, 12)))
+    params["h0"] = nn.Tensor(draw.normal(size=(3, 12)))
 
     def sequence_loss():
         states = nn.gru_sequence(params["x"], mask, params["h0"], directions)

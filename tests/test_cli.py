@@ -693,9 +693,9 @@ def test_checkpoint_that_does_not_fit_its_vocabulary_exits_two(command, cli_env,
     "entry",
     [
         {"shape": ["a"]}, {"shape": "xy"}, {"shape": [2.5]}, {"shape": [-1, -1]}, {"name": 7},
-        {"shape": [0, 2**70]}, {"shape": [0] * 70},
+        {"shape": [0, 2**70]}, {"shape": [0] * 70}, {"name": "comb.b"},
     ],
-    ids=["letter", "string", "float", "negative", "name", "huge-empty", "many-dimensions"],
+    ids=["letter", "string", "float", "negative", "name", "huge-empty", "many-dimensions", "duplicate-name"],
 )
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])
 def test_checkpoint_with_malformed_parameter_entry_exits_two(

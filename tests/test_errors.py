@@ -11,6 +11,8 @@ import lemname
 from lemname import DomainError, InvalidValue, cli
 
 # Raised only when the program itself is wrong, never by outside input.
+# ShapeMismatch comes from nn's ops; load_checkpoint compares a checkpoint's
+# parameter shapes with its config first, so a bad checkpoint is CorruptCheckpoint.
 # _RecordDefect never leaves corpus: load_document turns it into a skipped record.
 DEFECT_TYPES = {"ShapeMismatch", "EmptyReference", "_RecordDefect"}
 

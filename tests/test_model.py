@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import lemname.corpus
 import lemname.model
 import lemname.subtok
+from lemname import InvalidValue, canonical_json
 from lemname.baseline import RetrievalBaseline
 from lemname.chop import ChopConfig
 from lemname.corpus import (
@@ -45,7 +46,6 @@ from lemname.model import (
     Suggestion,
     TrainingConfig,
     VersionMismatch,
-    _canonical_json,
     _header_digest,
     _section,
     load_checkpoint,
@@ -134,6 +134,19 @@ def test_input_configs_cover_expected_combinations():
 def test_training_config_rejects_negative_epochs():
     with pytest.raises(ValueError):
         TrainingConfig(epochs=-1)
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", 0), ("seed", -1), ("seed", "0"),
+        ("min_frequency", 0), ("output_min_frequency", 0), ("output_min_frequency", 1.0), ("learning_rate", "0.1"),
+        ("learning_rate", True),
+    ],
+)
+def test_training_config_checks_every_field(field_name, value):
+    with pytest.raises(InvalidValue, match=field_name):
+        TrainingConfig(**{"epochs": 1, field_name: value})
 
 
 # ------------------------------------------------------------------- training
@@ -683,7 +696,7 @@ def test_pruned_greedy_hits_equal_the_top1_matches(cli_env, greedy_names, group,
             }[kind]
         )
     with mock.patch.object(lemname.model, "_DECODE_GROUP", group):
-        found = model.suggest_many(prepared, 1)
+        found = model._search(prepared, 1)
         hits = model._greedy_hits(prepared, names)
     assert hits == sum(row[0].name == name for row, name in zip(found, names))
 
@@ -957,7 +970,7 @@ def test_checkpoint_vocabulary_tamper(trained, tmp_path):
     ids=lambda settings: type(settings).__name__,
 )
 def test_settings_round_trip_through_the_header(settings):
-    data = json.loads(_canonical_json(dataclasses.asdict(settings)))
+    data = json.loads(canonical_json(dataclasses.asdict(settings)))
     assert _section(type(settings), data) == settings
 
 
@@ -983,9 +996,8 @@ def small_checkpoint_bytes(tmp_path_factory):
     config = ModelConfig(inputs=("statement",), embed_dim=2, hidden_dim=2, max_input_len=4, max_output_len=2)
     model = LemmaNameModel(config, ChopConfig(), DEFAULT_LEXICON, vocabularies)
     path = tmp_path_factory.mktemp("small_checkpoint") / "small.ckpt"
-    save_checkpoint(
-        path, ModelCheckpoint(config, ChopConfig(), DEFAULT_LEXICON, vocabularies, model.parameters.state())
-    )
+    state = {name: t.data for name, t in model.parameters.items()}
+    save_checkpoint(path, ModelCheckpoint(config, ChopConfig(), DEFAULT_LEXICON, vocabularies, state))
     return path.read_bytes()
 
 
@@ -1008,9 +1020,76 @@ def test_tampered_checkpoint_loads_or_fails_as_corrupt(data, small_checkpoint_by
     path = tmp_path_factory.getbasetemp() / "tampered.ckpt"
     path.write_bytes(bytes(edited))
     try:
-        load_checkpoint(path).to_model()
+        checkpoint = load_checkpoint(path)
     except (CorruptCheckpoint, VersionMismatch):
-        pass
+        return
+    checkpoint.to_model()  # a checkpoint that loads always makes a model
+
+
+def rewrite_header(data: bytes, edit) -> bytes:
+    """The checkpoint `data` with its header edited by `edit` and a matching digest."""
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + header_len])
+    edit(header)
+    header["header_digest"] = _header_digest(header)
+    blob = canonical_json(header).encode("utf-8")
+    return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + header_len :]
+
+
+def reshape_first_entry(header):
+    entry = header["parameters"][0]
+    entry["shape"] = [1, *entry["shape"]]  # the same bytes, another shape
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (reshape_first_entry, "attn.w"),
+        (lambda header: header["parameters"][0].update(name="attn.v"), "attn.v"),  # one name extra, one missing
+        (lambda header: header["config"].update(embed_dim=3), "copy.w"),
+        (lambda header: header["vocabularies"]["output"]["tokens"].pop(), "dec.embed"),
+    ],
+    ids=["index", "renamed", "config", "vocabulary"],
+)
+def test_load_checkpoint_rejects_an_index_that_does_not_fit_the_config(edit, name, small_checkpoint_bytes, tmp_path):
+    path = tmp_path / "index.ckpt"
+    path.write_bytes(rewrite_header(small_checkpoint_bytes, edit))
+    with pytest.raises(CorruptCheckpoint, match=f"unusable parameters: parameter {name}: "):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_missing_vocabulary(small_checkpoint_bytes, tmp_path):
+    path = tmp_path / "vocabulary.ckpt"
+    path.write_bytes(rewrite_header(small_checkpoint_bytes, lambda header: header["vocabularies"].pop("output")))
+    with pytest.raises(CorruptCheckpoint, match=r"malformed header: vocabularies missing entries: \['output'\]"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_load_checkpoint_rejects_a_non_finite_block(bad, small_checkpoint_bytes, tmp_path):
+    data = bytearray(small_checkpoint_bytes)
+    struct.pack_into("<d", data, len(data) - 8, bad)  # the last value of the last block
+    path = tmp_path / "non_finite.ckpt"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptCheckpoint, match="parameter out.w_c holds non-finite values"):
+        load_checkpoint(path)
+
+
+def test_to_model_draws_nothing(small_checkpoint_bytes, tmp_path, monkeypatch):
+    path = tmp_path / "small.ckpt"
+    path.write_bytes(small_checkpoint_bytes)
+    checkpoint = load_checkpoint(path)
+
+    def draw(*args):
+        raise AssertionError("a loaded model drew an initial value")
+
+    monkeypatch.setattr(lemname.model, "linear_init", draw)
+    monkeypatch.setattr(lemname.model, "embedding_init", draw)
+    model = checkpoint.to_model()
+    assert model.parameters.keys() == checkpoint.parameter_state.keys()
+    for name, value in checkpoint.parameter_state.items():
+        assert np.array_equal(model.parameters[name].data, value)
+        assert model.parameters[name].data.flags.writeable  # its own copy, not a view of the file
 
 
 HEADER_VALUES = (None, True, False, 0, -1, 2, 1.5, "", "no", [], ["x"], {})
@@ -1041,7 +1120,7 @@ def test_every_mistyped_settings_field_fails_as_corrupt_or_keeps_its_type(small_
             edited = json.loads(json.dumps(header))
             header_sections(edited)[index][field_name] = value
             edited["header_digest"] = _header_digest(edited)
-            blob = _canonical_json(edited)
+            blob = canonical_json(edited).encode("utf-8")
             path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + header_len :])
             try:
                 checkpoint = load_checkpoint(path)

@@ -13,7 +13,6 @@ from lemname import nn
 from lemname.nn import (
     AdamState,
     NonFiniteValue,
-    Parameters,
     Rng,
     ShapeMismatch,
     Tensor,
@@ -136,10 +135,8 @@ class TestBackward:
         assert np.allclose(x.grad, [1.0])
 
     def test_unreachable_parameter_gets_zero_gradient(self):
-        params = Parameters()
-        used = params.add("used", np.ones(3))
-        unused = params.add("unused", np.ones(2))
-        backward(sum_(used * used), params)
+        used, unused = Tensor(np.ones(3)), Tensor(np.ones(2))
+        backward(sum_(used * used), {"used": used, "unused": unused})
         assert np.allclose(used.grad, 2.0 * np.ones(3))
         assert np.array_equal(unused.grad, np.zeros(2))
 
@@ -155,10 +152,7 @@ class TestGradCheckPrimitives:
     """Finite-difference validation of every differentiable primitive."""
 
     def _params(self, rng, shapes):
-        params = Parameters()
-        for name, shape in shapes.items():
-            params.add(name, rng.normal(size=shape))
-        return params
+        return {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
 
     def test_elementwise_and_matmul(self):
         rng = np.random.default_rng(1)
@@ -235,39 +229,27 @@ class TestGradCheckPrimitives:
 
 class TestGru:
     def test_zero_parameters_halve_the_state(self):
-        params = Parameters()
-        cell = nn.GruParams(
-            w_x=params.add("w_x", np.zeros((3, 12))),
-            w_h=params.add("w_h", np.zeros((4, 12))),
-            b=params.add("b", np.zeros(12)),
-        )
+        cell = nn.GruParams(w_x=Tensor(np.zeros((3, 12))), w_h=Tensor(np.zeros((4, 12))), b=Tensor(np.zeros(12)))
         h = Tensor(np.arange(8.0).reshape(2, 4))
         out = gru_cell(Tensor(np.ones((2, 3))), h, cell)
         assert np.allclose(out.data, 0.5 * h.data)
 
     def test_saturated_update_gate_keeps_state(self):
-        params = Parameters()
         bias = np.zeros(12)
         bias[4:8] = 50.0  # update-gate block
-        cell = nn.GruParams(
-            w_x=params.add("w_x", np.zeros((3, 12))),
-            w_h=params.add("w_h", np.zeros((4, 12))),
-            b=params.add("b", bias),
-        )
+        cell = nn.GruParams(w_x=Tensor(np.zeros((3, 12))), w_h=Tensor(np.zeros((4, 12))), b=Tensor(bias))
         h = Tensor(np.arange(8.0).reshape(2, 4))
         out = gru_cell(Tensor(np.ones((2, 3))), h, cell)
         assert np.allclose(out.data, h.data)
 
     def test_shape_validation(self):
-        params = Parameters()
-        rng = Rng(0)
-        cell = gru_params(params, "g", rng, input_dim=3, hidden_dim=4)
+        cell = gru_params({}, "g", Rng(0), input_dim=3, hidden_dim=4)
         with pytest.raises(ShapeMismatch):
             gru_cell(Tensor(np.ones((2, 5))), Tensor(np.ones((2, 4))), cell)
 
     def test_gradcheck_through_two_steps(self):
         np_rng = np.random.default_rng(6)
-        params = Parameters()
+        params = {}
         cell = gru_params(params, "g", Rng(1), input_dim=3, hidden_dim=4)
         xs = [Tensor(np_rng.normal(size=(2, 3))) for _ in range(2)]
 
@@ -319,13 +301,13 @@ def _chained_gru(x, mask, h, cell, reverse):
 class TestGruSequence:
     def make(self, lengths=(7, 2, 5, 1), steps=7):
         rng = np.random.default_rng(12)
-        params = Parameters()
+        params = {}
         cells = [gru_params(params, f"g{d}", Rng(4 + d), input_dim=5, hidden_dim=6) for d in range(2)]
         for cell in cells:
             cell.b.data = rng.normal(size=18)
         batch = len(lengths)
-        x = params.add("x", rng.normal(size=(batch, steps, 5)))
-        h0 = params.add("h0", rng.normal(size=(batch, 12)))  # distinct non-zero state per direction
+        x = params["x"] = Tensor(rng.normal(size=(batch, steps, 5)))
+        h0 = params["h0"] = Tensor(rng.normal(size=(batch, 12)))  # distinct non-zero state per direction
         mask = np.array([[1.0] * n + [0.0] * (steps - n) for n in lengths])
         weights = Tensor(rng.normal(size=(batch, steps, 12)))
         return params, cells, x, h0, mask, weights
@@ -367,7 +349,7 @@ class TestGruSequence:
         """Output and every gradient equal the op that saved previous states, over three blocks."""
         steps, width, hidden = 70, 5, 6
         rng = np.random.default_rng(batch * 10 + directions)
-        cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
         for cell in cells:
             cell.b.data = rng.normal(size=3 * hidden)
         x = Tensor(rng.normal(size=(batch, steps, width)))
@@ -398,7 +380,7 @@ class TestGruSequence:
         """What backward reads: both gates, the candidate and its h @ w_h block; previous states are the output."""
         batch, steps, width, hidden, directions = 16, 128, 32, 32, 2
         rng = np.random.default_rng(3)
-        cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
         x = Tensor(rng.normal(size=(batch, steps, width)))
         h0 = Tensor(np.zeros((batch, directions * hidden)))
         mask = np.ones((batch, steps))
@@ -417,7 +399,7 @@ class TestGruSequence:
         """Backward's rise: d_gates_x, d_x and one block's staged gradient and previous states."""
         batch, steps, width, hidden, directions = 16, 128, 32, 32, 2
         rng = np.random.default_rng(4)
-        cells = [gru_params(Parameters(), "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
         x = Tensor(rng.normal(size=(batch, steps, width)))
         h0 = Tensor(np.zeros((batch, directions * hidden)))
         mask = (np.arange(steps) < rng.integers(1, steps + 1, size=(batch, 1))).astype(float)
@@ -492,29 +474,27 @@ class TestGruSequence:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        params = Parameters()
-        p = params.add("p", np.zeros(4))
+        p = Tensor(np.zeros(4))
         p.grad = np.array([0.3, -0.7, 2.0, -0.001])
-        adam_step(params, AdamState(), lr=1e-3)
+        adam_step({"p": p}, AdamState(), lr=1e-3)
         assert np.allclose(p.data, -1e-3 * np.sign(p.grad), atol=1e-5)
 
     def test_moments_accumulate_deterministically(self):
         def run():
-            params = Parameters()
-            p = params.add("p", np.ones((2, 2)))
+            p = Tensor(np.ones((2, 2)))
             state = AdamState()
             for step in range(5):
                 p.grad = np.full((2, 2), 0.1 * (step + 1))
-                adam_step(params, state)
-            return params["p"].data
+                adam_step({"p": p}, state)
+            return p.data
 
         assert np.array_equal(run(), run())
 
     def test_gradient_shape_checked(self):
-        params = Parameters()
-        params.add("p", np.zeros(4)).grad = np.zeros(5)
+        p = Tensor(np.zeros(4))
+        p.grad = np.zeros(5)
         with pytest.raises(ShapeMismatch):
-            adam_step(params, AdamState())
+            adam_step({"p": p}, AdamState())
 
 
 class TestRngAndInit:
@@ -537,43 +517,3 @@ class TestRngAndInit:
         assert e.shape == (10, 5)
         assert np.all(np.abs(e) <= 0.1)
 
-
-class TestParameters:
-    def test_duplicate_name_rejected(self):
-        params = Parameters()
-        params.add("p", np.zeros(1))
-        with pytest.raises(ValueError):
-            params.add("p", np.zeros(1))
-
-    def test_state_round_trip(self):
-        params = Parameters()
-        params.add("a", np.arange(4.0))
-        saved = params.state()
-        params["a"].data[:] = 0.0
-        params.load_state(saved)
-        assert np.array_equal(params["a"].data, np.arange(4.0))
-
-    def test_load_state_checks_shapes(self):
-        params = Parameters()
-        params.add("a", np.zeros(3))
-        with pytest.raises(ShapeMismatch):
-            params.load_state({"a": np.zeros(4)})
-
-    def test_load_state_rejects_missing_and_extra_names(self):
-        params = Parameters()
-        params.add("a", np.zeros(3))
-        with pytest.raises(ValueError, match="missing"):
-            params.load_state({})
-        with pytest.raises(ValueError, match="unexpected"):
-            params.load_state({"a": np.zeros(3), "b": np.zeros(1)})
-        assert np.array_equal(params["a"].data, np.zeros(3))
-
-    def test_load_state_rejects_non_finite_values(self):
-        params = Parameters()
-        params.add("a", np.zeros(3))
-        params.add("b", np.zeros(2))
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="b holds non-finite values"):
-                params.load_state({"a": np.ones(3), "b": np.array([1.0, bad])})
-        assert np.array_equal(params["a"].data, np.zeros(3))
-        assert np.array_equal(params["b"].data, np.zeros(2))
