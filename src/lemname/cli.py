@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import DomainError, InvalidValue, __version__, canonical_json
@@ -255,24 +255,16 @@ def cmd_suggest_naming(args, config: ToolConfig) -> int:
     return 0 if not report.nonconforming else 1
 
 
+def _given(args, settings_type) -> dict:
+    """The flags given for a settings type's fields; its own defaults fill in the rest."""
+    return {f.name: getattr(args, f.name) for f in fields(settings_type) if f.name in args}
+
+
 def cmd_train(args, config: ToolConfig) -> int:
     documents = load_directory(args.data)
     split = split_corpus(sorted(documents), seed=args.split_seed)
-    model_config = ModelConfig(
-        inputs=INPUT_CONFIGS[args.config_name],
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        max_input_len=args.max_input_len,
-        max_output_len=args.max_output_len,
-    )
-    training = TrainingConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        min_frequency=args.min_frequency,
-        output_min_frequency=args.output_min_frequency,
-    )
+    model_config = ModelConfig(inputs=INPUT_CONFIGS[args.config_name], **_given(args, ModelConfig))
+    training = TrainingConfig(**_given(args, TrainingConfig))
     checkpoint, metrics = train(documents, split, model_config, training, config.chop, config.lexicon)
     save_checkpoint(args.out, checkpoint)
     log_path = args.log if args.log else f"{args.out}.log"
@@ -293,10 +285,12 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
         train_records = ordered_records(documents, split.train)
         suggester = RetrievalBaseline(
             train_records,
-            inputs=INPUT_CONFIGS[args.config_name],
+            inputs=INPUT_CONFIGS[args.config_name or DEFAULT_INPUT_CONFIG],
             chop_config=config.chop,
             lexicon=config.lexicon,
         )
+    elif args.config_name is not None:
+        raise DomainError("--config-name picks the baseline's input streams; a model reads its own checkpoint's")
     else:
         suggester = _load_model(config.model_path)
     report = evaluate(suggester, test_records, k=config.k)
@@ -353,7 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     suggest.add_argument("--report", help="write the structured JSONL report here")
     suggest.set_defaults(func=cmd_suggest_naming)
 
-    fit = commands.add_parser("train", parents=[settings], help="train a naming model on a dataset directory")
+    # Settings flags not given are left out, so ModelConfig and TrainingConfig supply their defaults.
+    fit = commands.add_parser(
+        "train",
+        parents=[settings],
+        argument_default=argparse.SUPPRESS,
+        help="train a naming model on a dataset directory",
+    )
     fit.add_argument("--data", required=True, help="directory of *.lemmas.sexp documents")
     fit.add_argument(
         "--config-name",
@@ -361,19 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(INPUT_CONFIGS),
         help="input streams to encode",
     )
-    fit.add_argument("--seed", type=_nonnegative_int, default=0, help="training seed")
+    fit.add_argument("--seed", type=_nonnegative_int, help="training seed")
     fit.add_argument("--epochs", type=_nonnegative_int, default=30)
     fit.add_argument("--out", default="model.ckpt", help="checkpoint output path")
-    fit.add_argument("--log", help="epoch metrics log path (default: <out>.log)")
+    fit.add_argument("--log", default=None, help="epoch metrics log path (default: <out>.log)")
     fit.add_argument("--split-seed", type=_nonnegative_int, default=0)
-    fit.add_argument("--batch-size", type=_positive_int, default=32)
-    fit.add_argument("--learning-rate", type=float, default=1e-3)
-    fit.add_argument("--embed-dim", type=_positive_int, default=64)
-    fit.add_argument("--hidden-dim", type=_positive_int, default=128)
-    fit.add_argument("--max-input-len", type=_positive_int, default=512)
-    fit.add_argument("--max-output-len", type=_positive_int, default=16)
-    fit.add_argument("--min-frequency", type=_positive_int, default=1)
-    fit.add_argument("--output-min-frequency", type=_positive_int, default=None)
+    fit.add_argument("--batch-size", type=_positive_int)
+    fit.add_argument("--learning-rate", type=float)
+    fit.add_argument("--embed-dim", type=_positive_int)
+    fit.add_argument("--hidden-dim", type=_positive_int)
+    fit.add_argument("--max-input-len", type=_positive_int)
+    fit.add_argument("--max-output-len", type=_positive_int)
+    fit.add_argument("--min-frequency", type=_positive_int)
+    fit.add_argument("--output-min-frequency", type=_positive_int)
     fit.set_defaults(func=cmd_train)
 
     score = commands.add_parser("evaluate", parents=[settings], help="score a model or the retrieval baseline")
@@ -384,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("-k", "--k", type=int, help=f"suggestions per lemma (1 to {MAX_K})")
     score.add_argument(
         "--config-name",
-        default=DEFAULT_INPUT_CONFIG,
         choices=sorted(INPUT_CONFIGS),
-        help="input streams for the baseline",
+        help=f"input streams for the baseline (default: {DEFAULT_INPUT_CONFIG})",
     )
     score.add_argument("--split-seed", type=_nonnegative_int, default=0)
     score.add_argument("--report", help="write the structured JSONL report here")

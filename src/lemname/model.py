@@ -50,10 +50,8 @@ from .nn import (
     bmm,
     checked,
     concat,
-    div,
     embedding_init,
     embedding_lookup,
-    exp,
     gather_index,
     GruParams,
     gru_sequence,
@@ -61,7 +59,6 @@ from .nn import (
     linear_init,
     log,
     matmul,
-    neg,
     reshape,
     sigmoid,
     softmax,
@@ -381,9 +378,7 @@ class LemmaNameModel:
         width = rows // records
         query = reshape(matmul(flat, params["attn.w"]), (records, width, cfg.hidden_dim))
         scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
-        shift = Tensor(scores.data.max(axis=1, keepdims=True))
-        weights = exp(scores - shift) * Tensor(np.repeat(batch.mask, width, axis=0))
-        attention = div(weights, sum_(weights, axis=1, keepdims=True))
+        attention = softmax(scores, axis=1, mask=np.repeat(batch.mask, width, axis=0))
         context = reshape(
             bmm(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
         )
@@ -443,13 +438,13 @@ class LemmaNameModel:
         prob = gather_index(vocab_dist, target_ids.reshape(-1))
         if self.config.use_copy:
             gate = reshape(p_gen, (n * steps,))
-            match = (targets[:, :, None] == batch.source_ext_ids[:, None, :]) * batch.mask[:, None, :]
+            match = targets[:, :, None] == batch.source_ext_ids[:, None, :]  # attention is 0 at padding
             copied = sum_(attention * Tensor(match.reshape(n * steps, -1)), axis=1)
             in_vocab = (generable * step_mask).reshape(-1)
             prob = gate * (prob * Tensor(in_vocab)) + (1.0 - gate) * copied
         token_count = int(step_mask.sum())
-        nll = neg(log(prob + _LOG_FLOOR)) * Tensor(step_mask.reshape(-1))
-        return sum_(nll) * (1.0 / token_count), token_count
+        log_likelihood = sum_(log(prob + _LOG_FLOOR) * Tensor(step_mask.reshape(-1)))
+        return log_likelihood * (-1.0 / token_count), token_count
 
     def _targeted(self, record) -> PreparedRecord:
         """The record prepared as a loss reads it, with its name split into the target."""

@@ -21,12 +21,14 @@ into a caller's array, so the encoder's streams fill one array that
 the model runs (one call per encoder stream, one for the decoder); the
 tests check it against a chain of single GRU steps and, bit for bit,
 against an earlier version that saved the previous states.
+One softmax normalizes both the output vocabulary and the decoder's
+attention; attention passes a 0/1 mask, so padding gets exactly 0.
 A fixed seed does not make every result bit-reproducible: BLAS may sum
 a product in another order when its thread count changes, so checkpoint
 bytes can depend on the BLAS thread count. Every matrix product runs
 through _product, so each row of a product rounds as it would among any
 other rows; a lemma's suggestion scores still depend, in the last bits,
-on its batch's padded length (attention reduces over padding).
+on its batch's padded length (attention's max and sum run over padding).
 """
 
 from __future__ import annotations
@@ -135,22 +137,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    return Tensor(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, (a,), lambda g: (-g,))
-
-
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-D or stacked operands, each row rounded as among any other rows.
 
@@ -195,11 +181,6 @@ def _sigmoid(data: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -268,9 +249,19 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
+def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
+    """exp(a) normalized along axis; entries where a 0/1 mask is 0 are exactly 0.
+
+    The shift is the maximum over every entry, masked ones included, and
+    the mask multiplies the exps before they are summed. Each row needs a
+    mask-1 entry (attention has one: every record has a real position); a
+    fully masked row sums to 0 and under checked() raises NonFiniteValue.
+    The backward, (g - sum(g * out)) * out, is 0 wherever out is.
+    """
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
+    if mask is not None:
+        exps *= mask
     out = exps / exps.sum(axis=axis, keepdims=True)
 
     def backward(g):

@@ -6,8 +6,18 @@ Run it from the repository root at two commits and compare the outputs:
     python tests/identity_digest.py > after.txt     # at the change
     diff before.txt after.txt
 
+Its output at the current commit is committed as
+`tests/identity_digest.golden.txt`, which `tests/test_golden.py` compares
+in tier-1. A change that moves the arithmetic on purpose regenerates that
+file with this script's stdout:
+
+    python tests/identity_digest.py > tests/identity_digest.golden.txt
+
 It prints, one line each:
 
+- a header of lines starting with `#`: the numpy version, the BLAS
+  build and the SIMD extensions numpy found, and the BLAS thread
+  variables; the digests hold only for that build and thread count;
 - the checkpoint sha256 and the `EpochMetrics` reprs of the benchmark's
   `train` recipe at seeds 1 and 2 (four corpora per seed);
 - the checkpoint sha256 of the benchmark's `serve` model, and the
@@ -15,7 +25,9 @@ It prints, one line each:
   request files, decoded a file at a time as the server does, with
   scores written as `float.hex`, and of the suggested names alone; one
   line each for the one-lemma files, whose lemmas decode alone, and for
-  the other files;
+  the other files; and the sha256 of the server's output for one
+  session on that model (initialize, one `roosterize/suggestNaming` on
+  a 20-lemma request file, shutdown, exit);
 - the checkpoint sha256 and `EpochMetrics` of the default configuration
   (`ModelConfig()`, `TrainingConfig(epochs=2)`) on the bundled corpus;
 - the checkpoint sha256 and `EpochMetrics` of a recipe whose validation
@@ -24,25 +36,30 @@ It prints, one line each:
 
 The recipes come from `perfbench/workloads.py`. BLAS runs on one thread,
 as in the benchmark and the tests: checkpoint bytes can depend on the
-thread count. pytest does not collect this file. It runs in seconds.
+thread count. pytest does not collect this file. It runs in about 10 s.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARIABLES:
     os.environ.setdefault(_var, "1")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 from lemname import cli as lcli  # noqa: E402
 from lemname import corpus as lcorpus  # noqa: E402
+from lemname import diagserver as ldiag  # noqa: E402
 from lemname import model as lmodel  # noqa: E402
 
 import workloads  # noqa: E402
@@ -50,6 +67,15 @@ import workloads  # noqa: E402
 TRAIN_SEEDS = (1, 2)
 SERVE_SEED = 1
 SERVE_KS = (1, 5)
+
+
+def build_header() -> None:
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    print(f"# numpy {np.__version__}")
+    print(f"# blas {blas.get('name')} {blas.get('version')} ({blas.get('openblas configuration', 'no configuration')})")
+    print(f"# simd {' '.join(config['SIMD Extensions']['found'])}")
+    print(f"# threads {' '.join(f'{name}={os.environ[name]}' for name in THREAD_VARIABLES)}")
 
 
 def checkpoint_sha256(checkpoint, workdir: Path) -> str:
@@ -98,6 +124,22 @@ def serve_recipe(workdir: Path) -> None:
                     names.update(f"{where} {' '.join(s.name for s in row.suggestions)}\n".encode())
             print(f"serve seed {SERVE_SEED} k={k} {label}: suggestions of {lemmas} lemmas {digest.hexdigest()}")
             print(f"serve seed {SERVE_SEED} k={k} {label}: names of {lemmas} lemmas {names.hexdigest()}")
+    path = workload.by_size[-1][0]
+    requests, replies = io.BytesIO(), io.BytesIO()
+    for message in (
+        {"jsonrpc": "2.0", "id": 0, "method": "initialize", "params": {}},
+        {"jsonrpc": "2.0", "id": 1, "method": ldiag.SUGGEST_METHOD, "params": {"uri": path.as_uri()}},
+        {"jsonrpc": "2.0", "id": 2, "method": "shutdown"},
+        {"jsonrpc": "2.0", "method": "exit"},
+    ):
+        ldiag.write_message(requests, message)
+    requests.seek(0)
+    ldiag.serve(requests, replies, lcli.ToolConfig(model_path=str(workload.checkpoint)))
+    transcript = replies.getvalue()
+    print(
+        f"serve seed {SERVE_SEED} transcript of {path.relative_to(workload.workdir)}: "
+        f"{len(transcript)} bytes {hashlib.sha256(transcript).hexdigest()}"
+    )
 
 
 def default_recipe(workdir: Path) -> None:
@@ -124,6 +166,7 @@ def hits_recipe(workdir: Path) -> None:
 def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
+        build_header()
         train_recipe(workdir)
         serve_recipe(workdir)
         default_recipe(workdir)

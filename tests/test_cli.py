@@ -34,7 +34,14 @@ from lemname.chop import ChopConfig
 from lemname.corpus import bundled_corpus_dir, load_directory, ordered_records, split_corpus
 from lemname.diagserver import SUGGEST_METHOD, read_message, write_message
 from lemname.metrics import evaluate
-from lemname.model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, CorruptCheckpoint, load_checkpoint
+from lemname.model import (
+    DEFAULT_INPUT_CONFIG,
+    INPUT_CONFIGS,
+    CorruptCheckpoint,
+    ModelConfig,
+    TrainingConfig,
+    load_checkpoint,
+)
 from lemname.subtok import DEFAULT_LEXICON
 from mutation import EDITS, mutated
 
@@ -309,6 +316,29 @@ def test_train_without_validation_checks_kept_parameters(cli_env, tmp_path, caps
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, model_fields, training_fields",
+    [
+        ([], {}, {}),
+        (["--hidden-dim", "12", "--seed", "3"], {"hidden_dim": 12}, {"seed": 3}),
+    ],
+)
+def test_train_leaves_unset_flags_to_the_settings_types(flags, model_fields, training_fields, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def recording_train(documents, split, config, training, *rest):
+        raise Built(config, training)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    with pytest.raises(Built) as built:
+        main(["train", "--data", str(bundled_corpus_dir()), "--epochs", "1", *flags])
+    assert built.value.args == (
+        ModelConfig(inputs=INPUT_CONFIGS["stmt+ckt"], **model_fields),
+        TrainingConfig(epochs=1, **training_fields),
+    )
+
+
 def test_train_missing_data_dir(tmp_path):
     assert main(["train", "--data", str(tmp_path / "nowhere"), "--epochs", "1"]) == 2
 
@@ -360,6 +390,16 @@ def test_evaluate_model(cli_env, tmp_path, capsys):
     )
     assert code == 0
     assert "lemmas evaluated:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["stmt", DEFAULT_INPUT_CONFIG])
+def test_evaluate_model_rejects_config_name(name, cli_env, capsys):
+    code = main(
+        ["evaluate", "--data", str(cli_env.data_dir), "--model", str(cli_env.checkpoint_path), "--config-name", name]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config-name") and err.count("\n") == 1
 
 
 def test_evaluate_k1_top5_equals_top1(cli_env, tmp_path):

@@ -459,6 +459,22 @@ def test_decode_distribution_sums_to_one(trained):
         previous = np.argmax(probs[:, :base], axis=1)
 
 
+def test_attention_is_the_masked_softmax_of_its_scores(cli_env):
+    """_decode's attention is bit for bit the normalization it once wrote out by hand."""
+    model = cli_env.model
+    prepared = [model.prepare(r) for r in ordered_records(cli_env.documents, cli_env.split.train)]
+    batch = model._encode(prepared, keep_graph=False)
+    assert len({int(row.sum()) for row in batch.mask}) > 1, "fixture should mix record lengths"
+    for steps, keep_graph in ((1, False), (3, True)):
+        input_ids = np.full((len(prepared), steps), BOS_ID)
+        _, _, attention, _ = model._decode(batch.state, input_ids, batch, keep_graph=keep_graph)
+        (scores,) = attention._parents
+        mask = np.repeat(batch.mask, steps, axis=0)
+        e = np.exp(scores.data - scores.data.max(axis=1, keepdims=True)) * mask
+        assert np.array_equal(attention.data, e / e.sum(axis=1, keepdims=True))
+        assert not attention.data[mask == 0].any()
+
+
 def test_extended_texts_cover_out_of_vocabulary_sources(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()

@@ -54,6 +54,30 @@ class TestForward:
         rows = softmax(x, axis=1).data.sum(axis=1)
         assert np.all(np.abs(rows - 1.0) < 1e-12)
 
+    def test_softmax_with_all_ones_mask_is_softmax(self):
+        x = Tensor(np.random.default_rng(4).normal(size=(5, 7)) * 10.0)
+        assert np.array_equal(softmax(x, axis=1, mask=np.ones((5, 7))).data, softmax(x, axis=1).data)
+
+    def test_masked_softmax_is_exactly_zero_where_masked(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(6, 8)) * 10.0)
+        mask = (rng.random((6, 8)) < 0.6).astype(float)
+        mask[:, 0] = 1.0  # every row keeps a real entry
+        out = softmax(x, axis=1, mask=mask).data
+        assert np.all(out[mask == 0] == 0.0)
+        assert np.all(out[mask == 1] > 0.0)
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
+
+    def test_masked_softmax_gradient_is_zero_where_masked(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(4, 6)))
+        mask = np.ones((4, 6))
+        mask[:, 4:] = 0.0
+        mask[2, 1] = 0.0
+        backward(sum_(softmax(x, axis=1, mask=mask) * Tensor(rng.normal(size=(4, 6)))))
+        assert np.all(x.grad[mask == 0] == 0.0)
+        assert np.all(x.grad[mask == 1] != 0.0)
+
     def test_embedding_picks_rows(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
         out = embedding_lookup(table, np.array([2, 0]))
@@ -101,13 +125,13 @@ class TestNonFinite:
         with pytest.raises(NonFiniteValue, match="divide by zero encountered in log"), nn.checked():
             log(Tensor([0.0]))
 
-    def test_exp_overflow(self):
-        with pytest.raises(NonFiniteValue, match="overflow encountered in exp"), nn.checked():
-            nn.exp(Tensor([1000.0]))
+    def test_matmul_overflow(self):
+        with pytest.raises(NonFiniteValue, match="overflow encountered in matmul"), nn.checked():
+            matmul(Tensor(np.full((2, 2), 1e200)), Tensor(np.full((2, 2), 1e200)))
 
-    def test_div_by_zero(self):
-        with pytest.raises(NonFiniteValue, match="divide by zero encountered in divide"), nn.checked():
-            nn.div(Tensor([1.0]), Tensor([0.0]))
+    def test_fully_masked_softmax_row(self):
+        with pytest.raises(NonFiniteValue, match="invalid value encountered in divide"), nn.checked():
+            softmax(Tensor(np.ones((2, 3))), axis=1, mask=np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
 
 
 class TestBackward:
@@ -165,14 +189,16 @@ class TestGradCheckPrimitives:
 
         finite_difference_check(params, loss, rng, n_coords=20)
 
-    def test_softmax_log_exp_div(self):
+    def test_softmax_masked_softmax_log(self):
         rng = np.random.default_rng(2)
         params = self._params(rng, {"a": (4, 5), "b": (4, 5)})
+        mask = np.ones((4, 5))
+        mask[:, 3:] = 0.0
 
         def loss():
             p = softmax(params["a"], axis=1)
-            q = nn.exp(params["b"] * 0.1)
-            return sum_(log(p + 1e-3) * q + nn.div(p, q))
+            q = softmax(params["b"], axis=1, mask=mask)
+            return sum_(log(p + 1e-3) * q + p * p)
 
         finite_difference_check(params, loss, rng, n_coords=20)
 
