@@ -20,12 +20,12 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 from . import DomainError, InvalidValue
 from .chop import ChopConfig, chop
-from .sexp import SExp, SExpError, iter_linearized, parse, render
+from .sexp import SExp, SExpError, linearize, parse, render
 from .subtok import (
     DEFAULT_LEXICON,
     SuffixLexicon,
@@ -238,22 +238,22 @@ def stream_subtoken_texts(
 ) -> list:
     """The canonical sub-token text sequence of one stream of a record.
 
-    Tree streams are chopped and linearized first; the name stream uses
-    suffix peeling. An input stream is split token by token and stops
-    after `limit` sub-tokens, so no token past the limit is split; the
-    name is always whole.
+    The name stream uses suffix peeling and is always whole. An input
+    stream is one walk that splits the statement's tokens, or a chopped
+    tree's atoms between its parens, in turn; with a `limit` it checks after
+    each split and stops once `limit` sub-tokens are out.
     """
     if stream == STREAM_NAME:
         return subtokenize_name(record.name, lexicon)
     if stream == STREAM_STATEMENT:
-        tokens = record.statement_tokens
+        forms = record.statement_tokens
     elif stream == STREAM_SYNTAX:
-        tokens = iter_linearized(chop(record.syntax_tree, chop_config or ChopConfig()))
+        forms = (chop(record.syntax_tree, chop_config or ChopConfig()),)
     elif stream == STREAM_KERNEL:
-        tokens = iter_linearized(chop(record.kernel_tree, chop_config or ChopConfig()))
+        forms = (chop(record.kernel_tree, chop_config or ChopConfig()),)
     else:
         raise ValueError(f"unknown stream: {stream!r}")
-    return list(islice(chain.from_iterable(map(split_statement_token, tokens)), limit))
+    return linearize(*forms, pieces=split_statement_token, limit=limit)
 
 
 def record_texts(

@@ -4,12 +4,13 @@ Trees are plain Python values: an atom is a ``str``, a list is a ``tuple``
 of sub-expressions. ``parse`` and ``render`` are exact inverses on that
 domain, so trees survive arbitrarily many round trips through text.
 
-``parse`` splits the text into tokens with one compiled regular
-expression, ``_TOKEN``, the one definition of the grammar, and builds the
-trees in one loop over the tokens, in time linear in the text on any input.
-Malformed text raises an SExpError at the character offset of its first
-fault. A quoted atom keeps every character between its quotes but the
-escapes, carriage returns included.
+``_TOKEN``, one compiled regular expression, is the grammar. ``parse``
+tokenizes with str methods, which run in C, where that is exact and
+cheaper, and with ``_TOKEN.findall`` elsewhere; one loop over the tokens
+builds the trees, in time linear in the text on any input. Malformed text
+raises an SExpError at the character offset of its first fault. A quoted
+atom keeps every character between its quotes but the escapes, carriage
+returns included.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ SExp = Union[str, tuple]
 # Exactly these separate tokens; every other character, \x85, \xa0 and
 # \u2028 included, belongs to an atom.
 _SPACE = " \t\n\r\x0b\x0c"
-# A paren, a quoted atom, or a bare atom. A quoted atom's escapes are \",
-# \\ and \n, and its closing quote is optional, so no alternative can fail
-# once it starts and matching never backtracks: a quoted atom that is not
-# closed is a token that stops at the end of the text or at the backslash
-# of a bad escape, and parse reports it.
-_TOKEN = re.compile(rf'[()]|"[^"\\]*(?:\\["\\n][^"\\]*)*"?|[^()"{_SPACE}]+')
+# The other characters that str.split splits at; they belong to atoms.
+_ATOM_SPACES = "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+_ATOM_SPACES += "\u2028\u2029\u202f\u205f\u3000"
+# A quoted atom (escapes \", \\ and \n). Its closing quote is optional, so no
+# alternative of _TOKEN fails once it starts and matching never backtracks: an
+# unclosed quoted atom stops at the end of the text or at a bad escape's backslash.
+_QUOTED = r'"[^"\\]*(?:\\["\\n][^"\\]*)*"?'
+_TOKEN = re.compile(rf'[()]|{_QUOTED}|[^()"{_SPACE}]+')  # a paren, a quoted atom, or a bare atom
+_QUOTED_CUT = re.compile(f"({_QUOTED})")  # splits text into bare runs and the quoted atoms between
 # What render may write without quotes: a bare atom holding no backslash.
 _PLAIN = re.compile(rf'[^()"\\{_SPACE}]+')
 _ESCAPE = re.compile(r'\\(["\\n])')
@@ -67,7 +71,7 @@ def parse(text: str) -> list:
     """
     stack: list = []  # the children of each enclosing open list, innermost last
     children: list = []  # the children of the innermost open list, or the top level
-    for token in _TOKEN.findall(text):
+    for token in _tokenize(text):
         if token == "(":
             stack.append(children)
             children = []
@@ -87,6 +91,26 @@ def parse(text: str) -> list:
     if stack:
         _raise_first_fault(text)
     return children
+
+
+def _tokenize(text: str) -> list:
+    """``_TOKEN.findall(text)``, by ``_split_tokens`` where that is exact and cheaper."""
+    # _split_tokens spends a Python step on each quoted atom, where findall spends one
+    # match: past one quote to two open parens, that costs more than splitting saves.
+    if text.count('"') * 2 > text.count("(") or any(space in text for space in _ATOM_SPACES):
+        return _TOKEN.findall(text)
+    return _split_tokens(text)
+
+
+def _split_tokens(text: str) -> list:
+    """``_TOKEN.findall(text)`` for text that holds none of ``_ATOM_SPACES``."""
+    tokens = []
+    for piece in _QUOTED_CUT.split(text):
+        if piece[:1] == '"':
+            tokens.append(piece)
+        else:  # a bare run, which holds no quote: its words, once each paren stands apart
+            tokens += piece.replace("(", " ( ").replace(")", " ) ").split()
+    return tokens
 
 
 def _raise_first_fault(text: str):
@@ -124,27 +148,29 @@ def _unquote(token: str):
 
 def render(expr: SExp) -> str:
     """Serialize a tree to text such that parse(render(t)) == [t]."""
-    return "".join(_joined(_tokens(expr, _render_atom)))
+    # No written atom holds a newline or starts or ends with a paren, so the newlines
+    # joined in are the gaps between tokens: those after "(" or before ")" close.
+    text = "\n".join(linearize(expr, pieces=_render_atom))
+    return text.replace("(\n", "(").replace("\n)", ")").replace("\n", " ")
 
 
-def iter_linearized(expr: SExp):
-    """A tree's depth-first tokens with explicit parens, made one at a time.
+def linearize(*forms: SExp, pieces, limit: int | None = None) -> list:
+    """The forms' depth-first tokens, in turn, with explicit parens, in one list.
 
-    Atom texts appear unquoted; every list contributes a "(" and ")" pair,
-    so the output is always balanced. A reader can stop early.
+    Every list contributes a "(" and ")" pair and every atom the tokens
+    `pieces(atom)`. With a `limit`, the walk checks after each atom and
+    stops once `limit` tokens are out.
     """
-    return _tokens(expr, lambda atom: atom)
-
-
-def _tokens(expr: SExp, atom_fn):
-    # One iterator per open list; the bottom one holds the root.
-    stack = [iter((expr,))]
+    out = []
+    stack = [iter(forms)]  # one iterator per open list; the bottom one holds the forms
     while stack:
         for node in stack[-1]:
             if isinstance(node, str):
-                yield atom_fn(node)
+                out += pieces(node)
+                if limit is not None and len(out) >= limit:
+                    return out[:limit]
             elif isinstance(node, tuple):
-                yield "("
+                out.append("(")
                 stack.append(iter(node))
                 break
             else:
@@ -152,19 +178,11 @@ def _tokens(expr: SExp, atom_fn):
         else:
             stack.pop()
             if stack:
-                yield ")"
+                out.append(")")
+    return out[:limit]
 
 
-def _joined(tokens):
-    previous = None
-    for tok in tokens:
-        if previous is not None and previous != "(" and tok != ")":
-            yield " "
-        yield tok
-        previous = tok
-
-
-def _render_atom(atom: str) -> str:
+def _render_atom(atom: str) -> tuple:
     if _PLAIN.fullmatch(atom):
-        return atom
-    return '"' + "".join(_UNESCAPES.get(c, c) for c in atom) + '"'
+        return (atom,)
+    return ('"' + "".join(_UNESCAPES.get(c, c) for c in atom) + '"',)

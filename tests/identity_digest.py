@@ -33,6 +33,12 @@ It prints, one line each:
 - the checkpoint sha256 and `EpochMetrics` of a recipe whose validation
   top-1 is above zero in most epochs, so a change to how validation
   counts hits shows in the kept checkpoint and the metrics.
+- the sha256 of `record_texts` (the three input streams and the name)
+  of every record of the bundled corpus and of the seed-1 corpus of the
+  benchmark's `baseline_eval`, whole and cut at 128 sub-tokens, so a
+  change to parsing, chopping or sub-tokenizing shows; and the sha256 of
+  the `evaluate --baseline` report that `baseline_eval` checks on that
+  corpus.
 
 The recipes come from `perfbench/workloads.py`. BLAS runs on one thread,
 as in the benchmark and the tests: checkpoint bytes can depend on the
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -58,15 +65,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 from lemname import cli as lcli  # noqa: E402
+from lemname import chop as lchop  # noqa: E402
 from lemname import corpus as lcorpus  # noqa: E402
 from lemname import diagserver as ldiag  # noqa: E402
 from lemname import model as lmodel  # noqa: E402
+from lemname import subtok as lsubtok  # noqa: E402
 
 import workloads  # noqa: E402
 
 TRAIN_SEEDS = (1, 2)
 SERVE_SEED = 1
 SERVE_KS = (1, 5)
+BASELINE_SEED = 1
+PREPROCESS_LIMITS = (None, 128)
 
 
 def build_header() -> None:
@@ -163,6 +174,29 @@ def hits_recipe(workdir: Path) -> None:
     trained("validation hits", checkpoint, metrics, workdir)
 
 
+def preprocess_recipe(workdir: Path) -> None:
+    workload = workloads.BaselineWorkload(workloads.Plan(), BASELINE_SEED, workdir / "baseline")
+    workload.workdir.mkdir()
+    workload.setup()
+    streams = (*lcorpus.INPUT_STREAMS, lcorpus.STREAM_NAME)
+    corpora = {"bundled corpus": lcorpus.bundled_corpus_dir(), f"baseline_eval seed {BASELINE_SEED}": workload.data}
+    for label, data in corpora.items():
+        documents = lcorpus.load_directory(data)
+        records = lcorpus.ordered_records(documents, documents)
+        digest = hashlib.sha256()
+        for record in records:
+            for limit in PREPROCESS_LIMITS:
+                texts = lcorpus.record_texts(record, streams, lchop.ChopConfig(), lsubtok.DEFAULT_LEXICON, limit)
+                digest.update(json.dumps([limit, texts], ensure_ascii=False).encode() + b"\n")
+        print(f"{label}: record_texts of {len(records)} records {digest.hexdigest()}")
+    workload.op(0, 0)  # one evaluate --baseline run, checked as the benchmark checks it
+    report = workload.report.read_bytes()
+    print(
+        f"baseline_eval seed {BASELINE_SEED} evaluate --baseline report: "
+        f"{len(report)} bytes {hashlib.sha256(report).hexdigest()}"
+    )
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
@@ -171,6 +205,7 @@ def main() -> None:
         serve_recipe(workdir)
         default_recipe(workdir)
         hits_recipe(workdir)
+        preprocess_recipe(workdir)
 
 
 if __name__ == "__main__":

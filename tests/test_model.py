@@ -313,6 +313,30 @@ def test_prepare_splits_only_as_far_as_the_encoder_reads(cli_env, deep_lemma_fil
     assert_same_prepared(prepared, model.prepare(record, whole))
 
 
+def test_prepare_splits_at_most_max_input_len_atoms_of_a_wide_tree(cli_env, lemma_file, monkeypatch):
+    """The walk checks the limit after each atom, not only between lists.
+
+    The kernel tree is one list of distinct atoms, so the split cache
+    cannot hide a split past the limit.
+    """
+    atoms = [f"a{index}" for index in range(100_000)]
+    (record,) = load_document(lemma_file("(" + " ".join(atoms) + ")"))
+    model = cli_env.model
+    split = lemname.subtok._split
+    splits = []
+    monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: splits.append(text) or split(text, lexicon))
+    lemname.subtok._cached_split.cache_clear()
+    prepared = model.prepare(record)
+    kernel = set(atoms)
+    assert 0 < sum(text in kernel for text in splits) <= model.config.max_input_len
+    inputs = record_texts(record, model.config.inputs, model.chop_config, model.lexicon)
+    assert len(inputs["chopped_kernel_tree"]) == 2 * len(atoms) + 2
+    assert_same_prepared(prepared, model.prepare(record, inputs))
+    for n in (1, 2, 3, 95, 96, 97, 1000):
+        limited = record_texts(record, model.config.inputs, model.chop_config, model.lexicon, limit=n)
+        assert limited == {stream: texts[:n] for stream, texts in inputs.items()}
+
+
 @pytest.mark.parametrize("entry", ["record_texts", "prepare", "train", "RetrievalBaseline.suggest"])
 def test_empty_stream_raises(tiny_corpus, entry):
     """A stream with no sub-tokens fails the same way through every caller of record_texts."""

@@ -124,6 +124,36 @@ class TestAgainstReference:
         assert outcome(parse, text) == outcome(reference_sexp.parse, text)
 
 
+# Parens, quotes, escapes, every character str.split splits at, letters and
+# a character outside the Basic Multilingual Plane.
+TOKEN_TEXT = st.text(
+    alphabet=st.sampled_from(list('()"\\n') + list(sexp._SPACE + sexp._ATOM_SPACES) + ["a", "Z", "\U0001d400"]),
+    max_size=60,
+)
+
+
+class TestTokenize:
+    """The split-based tokens are `_TOKEN.findall`'s, malformed text included."""
+
+    @settings(max_examples=2000)
+    @given(TOKEN_TEXT)
+    @example('(a "b c" d)').via("a quoted atom between bare runs")
+    @example('x"a\\tb" (').via("a bad escape ends a quoted atom at its backslash")
+    @example('a\xa0b ("\u2028")').via("spaces that str.split takes and the grammar does not")
+    def test_tokens_are_findall(self, text):
+        assert sexp._tokenize(text) == sexp._TOKEN.findall(text)
+        # The split path on the same text without the spaces that make it fall back.
+        bare = text.translate(dict.fromkeys(map(ord, sexp._ATOM_SPACES)))
+        assert sexp._split_tokens(bare) == sexp._TOKEN.findall(bare)
+
+    def test_the_fallback_spaces_are_the_other_str_split_spaces(self):
+        characters = list(map(chr, range(0x110000)))
+        spaces = {c for c in characters if c.isspace()}
+        assert {c for c in characters if len(f"a{c}b".split()) == 2} == spaces
+        assert len(sexp._ATOM_SPACES) == len(set(sexp._ATOM_SPACES))
+        assert set(sexp._ATOM_SPACES) == spaces - set(sexp._SPACE)
+
+
 class TestLinearTime:
     """Inputs on which a backtracking tokenizer takes quadratic time.
 
@@ -140,8 +170,13 @@ class TestLinearTime:
             '"a\\' * 100_000,
             '"' + "x" * 2_000_000 + '"',
             '"' + "x" * 2_000_000,
+            " ".join(f'"a{index}"' for index in range(50_000)),
+            '(((("a\\n b"))))' * 20_000,
         ],
-        ids=["quote-backslash", "quotes", "open-parens", "quote-a-backslash", "long-atom", "long-open-atom"],
+        ids=[
+            "quote-backslash", "quotes", "open-parens", "quote-a-backslash", "long-atom", "long-open-atom",
+            "all-quoted", "quoted-in-lists",
+        ],
     )
     def test_adversarial_input(self, text):
         assert outcome(parse, text) == outcome(reference_sexp.parse, text)
