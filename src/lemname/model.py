@@ -47,12 +47,10 @@ from .nn import (
     Tensor,
     adam_step,
     backward,
-    bmm,
     checked,
     concat,
     embedding_init,
     embedding_lookup,
-    gather_index,
     GruParams,
     gru_sequence,
     joined,
@@ -377,10 +375,10 @@ class LemmaNameModel:
         records, length = batch.mask.shape
         width = rows // records
         query = reshape(matmul(flat, params["attn.w"]), (records, width, cfg.hidden_dim))
-        scores = reshape(bmm(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
-        attention = softmax(scores, axis=1, mask=np.repeat(batch.mask, width, axis=0))
+        scores = reshape(matmul(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
+        attention = softmax(scores, mask=np.repeat(batch.mask, width, axis=0))
         context = reshape(
-            bmm(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
+            matmul(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
         )
         features = tanh(matmul(concat([flat, context], axis=1), params["out.w_c"]))
         p_gen = None
@@ -388,7 +386,7 @@ class LemmaNameModel:
             gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
             p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
         logits = matmul(features, params["out.w"]) + params["out.b"]
-        return states, softmax(logits, axis=1), attention, p_gen
+        return states, softmax(logits), attention, p_gen
 
     def _distribution(self, state: Tensor, input_ids: np.ndarray, batch: _Batch):
         """One graph-free decoder step for inference.
@@ -435,7 +433,7 @@ class LemmaNameModel:
         input_ids = np.full((n, steps), BOS_ID, dtype=np.int64)
         input_ids[:, 1:] = np.where(step_mask[:, 1:] > 0, target_ids[:, :-1], PAD_ID)
         _, vocab_dist, attention, p_gen = self._decode(batch.state, input_ids, batch, keep_graph=True)
-        prob = gather_index(vocab_dist, target_ids.reshape(-1))
+        prob = vocab_dist[np.arange(n * steps), target_ids.reshape(-1)]
         if self.config.use_copy:
             gate = reshape(p_gen, (n * steps,))
             match = targets[:, :, None] == batch.source_ext_ids[:, None, :]  # attention is 0 at padding

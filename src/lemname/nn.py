@@ -21,14 +21,19 @@ into a caller's array, so the encoder's streams fill one array that
 the model runs (one call per encoder stream, one for the decoder); the
 tests check it against a chain of single GRU steps and, bit for bit,
 against an earlier version that saved the previous states.
-One softmax normalizes both the output vocabulary and the decoder's
-attention; attention passes a 0/1 mask, so padding gets exactly 0.
+Each concept has one op. matmul multiplies 2-D operands or equal stacks
+of them; index takes basic keys and gather keys such as
+(np.arange(rows), ids); softmax normalizes the last axis, for both the
+output vocabulary and the decoder's attention, which passes a 0/1 mask
+so padding gets exactly 0.
 A fixed seed does not make every result bit-reproducible: BLAS may sum
 a product in another order when its thread count changes, so checkpoint
-bytes can depend on the BLAS thread count. Every matrix product runs
-through _product, so each row of a product rounds as it would among any
-other rows; a lemma's suggestion scores still depend, in the last bits,
-on its batch's padded length (attention's max and sum run over padding).
+bytes can depend on the BLAS thread count. Every matrix product in nn
+and model runs through _product (matmul, gru_sequence), so each row of a
+product rounds as it would among any other rows; tests/test_nn.py checks
+that no other product appears in the two modules. A lemma's suggestion
+scores still depend, in the last bits, on its batch's padded length
+(attention's max and sum run over padding).
 """
 
 from __future__ import annotations
@@ -90,9 +95,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
     def __rsub__(self, other):
         return sub(_wrap(other), self)
 
@@ -151,21 +153,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(m, k) @ (k, n), or equal stacks of such operands, e.g. (B, m, k) @ (B, k, n).
+
+    Forward and backward run through _product, so a stacked product equals
+    the 2-D products of its slices bit for bit.
+    """
+    if a.data.ndim < 2 or b.data.ndim != a.data.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    out = _product(a.data, b.data)
-    return Tensor(out, (a, b), lambda g: (_product(g, b.data.T), _product(a.data.T, g)))
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over stacks of matrices: (B,m,k) @ (B,k,n)."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeMismatch(f"bmm {a.shape} @ {b.shape}")
     out = _product(a.data, b.data)
     return Tensor(
         out,
         (a, b),
-        lambda g: (_product(g, b.data.transpose(0, 2, 1)), _product(a.data.transpose(0, 2, 1), g)),
+        lambda g: (_product(g, np.swapaxes(b.data, -1, -2)), _product(np.swapaxes(a.data, -1, -2), g)),
     )
 
 
@@ -226,7 +225,12 @@ def joined(data: np.ndarray, tensors, axis: int) -> Tensor:
 
 
 def index(a: Tensor, key) -> Tensor:
-    """Basic indexing (ints, slices, tuples thereof); views are disjoint."""
+    """a.data[key] for basic keys (ints, slices) and gather keys (integer arrays).
+
+    `Tensor[(np.arange(rows), ids)]` picks one entry per row. The backward
+    assigns the gradient into a zero array, so a key must select each entry
+    at most once; embedding_lookup is the op for repeated ids (it adds).
+    """
     out = a.data[key]
 
     def backward(g):
@@ -237,20 +241,20 @@ def index(a: Tensor, key) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def backward(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return Tensor(out, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """exp(a) normalized along axis; entries where a 0/1 mask is 0 are exactly 0.
+def softmax(a: Tensor, mask=None) -> Tensor:
+    """exp(a) normalized over the last axis; entries where a 0/1 mask is 0 are exactly 0.
 
     The shift is the maximum over every entry, masked ones included, and
     the mask multiplies the exps before they are summed. Each row needs a
@@ -258,14 +262,14 @@ def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
     fully masked row sums to 0 and under checked() raises NonFiniteValue.
     The backward, (g - sum(g * out)) * out, is 0 wherever out is.
     """
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     if mask is not None:
         exps *= mask
-    out = exps / exps.sum(axis=axis, keepdims=True)
+    out = exps / exps.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
 
     return Tensor(out, (a,), backward)
@@ -286,22 +290,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (np.bincount(cells, weights=g.ravel(), minlength=rows * width).reshape(rows, width),)
 
     return Tensor(out, (table,), backward)
-
-
-def gather_index(a: Tensor, ids) -> Tensor:
-    """Pick one column per row of a (B, V) tensor: out[b] = a[b, ids[b]]."""
-    ids = np.asarray(ids)
-    if a.data.ndim != 2 or ids.shape != (a.shape[0],):
-        raise ShapeMismatch(f"gather_index on {a.shape} with ids {ids.shape}")
-    rows = np.arange(a.shape[0])
-    out = a.data[rows, ids]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[rows, ids] = g
-        return (full,)
-
-    return Tensor(out, (a,), backward)
 
 
 def _topological_order(root: Tensor) -> list:
@@ -370,7 +358,7 @@ class Rng:
         self._gen = np.random.Generator(np.random.Philox(seed))
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(np.float64)
+        return self._gen.uniform(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -561,15 +549,12 @@ class AdamState:
         self.v: dict = {}
 
 
+# Adam's moment decays and denominator floor; no caller sets others.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @checked()
-def adam_step(
-    parameters: dict,
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(parameters: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place, from each parameter's .grad.
 
     backward(loss, parameters) gives every parameter a .grad, zero where
@@ -586,10 +571,10 @@ def adam_step(
         if m is None:
             m = np.zeros_like(tensor.data)
             v = np.zeros_like(tensor.data)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m = _BETA1 * m + (1.0 - _BETA1) * grad
+        v = _BETA2 * v + (1.0 - _BETA2) * grad * grad
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + _EPS)

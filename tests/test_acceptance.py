@@ -116,9 +116,9 @@ def _primitive_checks():
             {"a": (4, 6), "b": (6, 3)},
             lambda p: nn.sum_(nn.tanh(nn.matmul(p["a"], p["b"]))),
         ),
-        "bmm": build(
+        "matmul (stacked)": build(
             {"a": (2, 3, 4), "b": (2, 4, 3)},
-            lambda p: nn.sum_(nn.tanh(nn.bmm(p["a"], p["b"]))),
+            lambda p: nn.sum_(nn.tanh(nn.matmul(p["a"], p["b"]))),
         ),
         "tanh": build({"a": (4, 6)}, lambda p: nn.sum_(nn.mul(nn.tanh(p["a"]), nn.tanh(p["a"])))),
         "sigmoid": build({"a": (4, 6)}, lambda p: nn.sum_(nn.mul(nn.sigmoid(p["a"]), p["a"]))),
@@ -148,11 +148,11 @@ def _primitive_checks():
         ),
         "softmax": build(
             two,
-            lambda p: nn.sum_(nn.mul(nn.softmax(p["a"], axis=1), p["b"])),
+            lambda p: nn.sum_(nn.mul(nn.softmax(p["a"]), p["b"])),
         ),
         "masked softmax": build(
             two,
-            lambda p: nn.sum_(nn.mul(nn.softmax(p["a"], axis=1, mask=np.arange(24).reshape(4, 6) % 3 > 0), p["b"])),
+            lambda p: nn.sum_(nn.mul(nn.softmax(p["a"], mask=np.arange(24).reshape(4, 6) % 3 > 0), p["b"])),
         ),
         "embedding_lookup": build(
             {"table": (8, 5)},
@@ -163,14 +163,9 @@ def _primitive_checks():
                 )
             ),
         ),
-        "gather_index": build(
+        "index (gather)": build(
             {"a": (5, 7)},
-            lambda p: nn.sum_(
-                nn.log(
-                    nn.gather_index(nn.softmax(p["a"], axis=1), np.array([2, 0, 6, 1, 3]))
-                    + 1e-3
-                )
-            ),
+            lambda p: nn.sum_(nn.log(nn.softmax(p["a"])[np.arange(5), np.array([2, 0, 6, 1, 3])] + 1e-3)),
         ),
     }
     return checks

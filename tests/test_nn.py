@@ -1,6 +1,8 @@
 """Autodiff primitives, GRU cell, Adam, and reproducibility checks."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from gradcheck import finite_difference_check
 from reference_gru import gru_cell, gru_params, reference_gru_sequence
-from lemname import nn
+from lemname import model, nn
 from lemname.nn import (
     AdamState,
     NonFiniteValue,
@@ -18,12 +20,11 @@ from lemname.nn import (
     Tensor,
     adam_step,
     backward,
-    bmm,
     concat,
     embedding_init,
     embedding_lookup,
-    gather_index,
     gru_sequence,
+    index,
     joined,
     linear_init,
     log,
@@ -51,19 +52,19 @@ class TestForward:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 9)) * 50.0)
-        rows = softmax(x, axis=1).data.sum(axis=1)
+        rows = softmax(x).data.sum(axis=1)
         assert np.all(np.abs(rows - 1.0) < 1e-12)
 
     def test_softmax_with_all_ones_mask_is_softmax(self):
         x = Tensor(np.random.default_rng(4).normal(size=(5, 7)) * 10.0)
-        assert np.array_equal(softmax(x, axis=1, mask=np.ones((5, 7))).data, softmax(x, axis=1).data)
+        assert np.array_equal(softmax(x, mask=np.ones((5, 7))).data, softmax(x).data)
 
     def test_masked_softmax_is_exactly_zero_where_masked(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(6, 8)) * 10.0)
         mask = (rng.random((6, 8)) < 0.6).astype(float)
         mask[:, 0] = 1.0  # every row keeps a real entry
-        out = softmax(x, axis=1, mask=mask).data
+        out = softmax(x, mask=mask).data
         assert np.all(out[mask == 0] == 0.0)
         assert np.all(out[mask == 1] > 0.0)
         assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
@@ -74,7 +75,7 @@ class TestForward:
         mask = np.ones((4, 6))
         mask[:, 4:] = 0.0
         mask[2, 1] = 0.0
-        backward(sum_(softmax(x, axis=1, mask=mask) * Tensor(rng.normal(size=(4, 6)))))
+        backward(sum_(softmax(x, mask=mask) * Tensor(rng.normal(size=(4, 6)))))
         assert np.all(x.grad[mask == 0] == 0.0)
         assert np.all(x.grad[mask == 1] != 0.0)
 
@@ -97,7 +98,10 @@ class TestForward:
 
     def test_gather_index(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        assert np.array_equal(gather_index(x, np.array([2, 0])).data, np.array([2.0, 3.0]))
+        picked = index(x, (np.arange(2), np.array([2, 0])))
+        assert np.array_equal(picked.data, np.array([2.0, 3.0]))
+        (grad,) = picked._backward(np.array([5.0, 7.0]))
+        assert np.array_equal(grad, np.array([[0.0, 0.0, 5.0], [7.0, 0.0, 0.0]]))
 
 
 class TestShapeErrors:
@@ -105,9 +109,11 @@ class TestShapeErrors:
         with pytest.raises(ShapeMismatch):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
-    def test_bmm_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            bmm(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((3, 3, 1))))
+    def test_stacked_matmul_mismatch(self):
+        # 2-D @ 3-D, unequal stack sizes, mismatched inner dimensions
+        for a, b in [((2, 3), (2, 3, 4)), ((2, 1, 3), (3, 3, 1)), ((2, 4, 3), (2, 4, 3))]:
+            with pytest.raises(ShapeMismatch):
+                matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
     def test_embedding_id_out_of_range(self):
         with pytest.raises(ShapeMismatch):
@@ -131,7 +137,7 @@ class TestNonFinite:
 
     def test_fully_masked_softmax_row(self):
         with pytest.raises(NonFiniteValue, match="invalid value encountered in divide"), nn.checked():
-            softmax(Tensor(np.ones((2, 3))), axis=1, mask=np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+            softmax(Tensor(np.ones((2, 3))), mask=np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
 
 
 class TestBackward:
@@ -196,8 +202,8 @@ class TestGradCheckPrimitives:
         mask[:, 3:] = 0.0
 
         def loss():
-            p = softmax(params["a"], axis=1)
-            q = softmax(params["b"], axis=1, mask=mask)
+            p = softmax(params["a"])
+            q = softmax(params["b"], mask=mask)
             return sum_(log(p + 1e-3) * q + p * p)
 
         finite_difference_check(params, loss, rng, n_coords=20)
@@ -228,12 +234,12 @@ class TestGradCheckPrimitives:
         with pytest.raises(ShapeMismatch):
             joined(data, [Tensor(data[:1, :1]), parts[1]], axis=1)
 
-    def test_bmm_and_sum_axis(self):
+    def test_stacked_matmul_and_sum_axis(self):
         rng = np.random.default_rng(4)
         params = self._params(rng, {"a": (2, 3, 4), "b": (2, 4, 2)})
 
         def loss():
-            prod = bmm(params["a"], params["b"])
+            prod = matmul(params["a"], params["b"])
             return sum_(tanh(sum_(prod, axis=1)))
 
         finite_difference_check(params, loss, rng, n_coords=15)
@@ -247,7 +253,7 @@ class TestGradCheckPrimitives:
         def loss():
             hidden = embedding_lookup(params["table"], ids)
             logits = matmul(hidden, params["w"])
-            picked = gather_index(softmax(logits, axis=1), targets)
+            picked = softmax(logits)[np.arange(3), targets]
             return sum_(picked)
 
         finite_difference_check(params, loss, rng, n_coords=20)
@@ -311,6 +317,55 @@ def test_each_row_of_a_product_is_that_row_alone(rows, shape, column, stacked, s
     np.testing.assert_allclose(whole, np.matmul(a, b), rtol=1e-12, atol=1e-12)
     for i in range(rows):
         assert np.array_equal(whole[..., i : i + 1, :], nn._product(a[..., i : i + 1, :], b)), f"row {i}"
+
+
+@pytest.mark.parametrize("rows, inner, cols", [(3, 4, 5), (1, 4, 5), (3, 4, 1), (1, 4, 1)])
+def test_stacked_matmul_equals_its_slices(rows, inner, cols):
+    """Forward and both gradients, bit for bit; 1-row and 1-column slices take _product's branches."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    a = rng.normal(size=(3, rows, inner))
+    b = rng.normal(size=(3, inner, cols))
+    g = rng.normal(size=(3, rows, cols))
+    stacked = matmul(Tensor(a), Tensor(b))
+    d_a, d_b = stacked._backward(g)
+    for i in range(3):
+        alone = matmul(Tensor(a[i]), Tensor(b[i]))
+        d_a_i, d_b_i = alone._backward(g[i])
+        assert np.array_equal(stacked.data[i], alone.data), f"forward, slice {i}"
+        assert np.array_equal(d_a[i], d_a_i), f"gradient of a, slice {i}"
+        assert np.array_equal(d_b[i], d_b_i), f"gradient of b, slice {i}"
+
+
+_PRODUCT_CALLS = {"matmul", "dot", "einsum", "inner", "tensordot", "vdot"}
+
+
+def _products_outside(path, exempt):
+    """Line numbers of `@` and np.matmul/dot/einsum/inner/tensordot/vdot outside the function `exempt`."""
+    found = []
+
+    def visit(node, inside):
+        inside = inside or (isinstance(node, ast.FunctionDef) and node.name == exempt)
+        if not inside:
+            matmult = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            numpy_product = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+                and node.attr in _PRODUCT_CALLS
+            )
+            if matmult or numpy_product:
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text()), False)
+    return found
+
+
+@pytest.mark.parametrize("module, exempt", [(nn, "_product"), (model, None)], ids=["nn", "model"])
+def test_every_product_runs_through_product(module, exempt):
+    """The one product rule: in nn and model only nn._product multiplies matrices."""
+    assert _products_outside(Path(module.__file__), exempt) == []
 
 
 def _chained_gru(x, mask, h, cell, reverse):
@@ -511,7 +566,7 @@ class TestAdam:
             state = AdamState()
             for step in range(5):
                 p.grad = np.full((2, 2), 0.1 * (step + 1))
-                adam_step({"p": p}, state)
+                adam_step({"p": p}, state, lr=1e-3)
             return p.data
 
         assert np.array_equal(run(), run())
@@ -520,7 +575,7 @@ class TestAdam:
         p = Tensor(np.zeros(4))
         p.grad = np.zeros(5)
         with pytest.raises(ShapeMismatch):
-            adam_step({"p": p}, AdamState())
+            adam_step({"p": p}, AdamState(), lr=1e-3)
 
 
 class TestRngAndInit:
