@@ -186,6 +186,8 @@ def load_document(path) -> list:
 def load_directory(data_dir) -> dict:
     """Load every document in a directory, keyed by file name."""
     data_dir = Path(data_dir)
+    if not data_dir.is_dir():
+        raise DomainError(f"no such dataset directory: {data_dir}")
     documents = {}
     for path in sorted(data_dir.glob(f"*{DOCUMENT_SUFFIX}")):
         documents[path.name] = load_document(path)

@@ -46,13 +46,15 @@ class OversizedFrame(DomainError):
 
 
 def uri_to_path(uri: str) -> str:
-    """Accept both file:// URIs and plain filesystem paths."""
+    """Accept both file:// URIs on this host (empty or `localhost`) and plain filesystem paths."""
     try:
         parsed = urlparse(uri)
     except ValueError as err:  # such as an unclosed '[' in the host
         raise InvalidValue(f"unreadable uri {uri!r}: {err}") from None
     if parsed.scheme and parsed.scheme != "file":
         raise InvalidValue(f"unsupported uri scheme: {parsed.scheme!r}")
+    if parsed.scheme and parsed.netloc.lower() not in ("", "localhost"):
+        raise InvalidValue(f"file uri names another host: {parsed.netloc!r}")
     path = unquote(parsed.path) if parsed.scheme else uri
     try:
         encoded = os.fsencode(path)
@@ -83,9 +85,10 @@ def read_message(stream) -> bytes | None:
             break
         name, _, value = line.partition(b":")
         if name.strip().lower() == b"content-length":
+            value = value.strip()
             try:
-                length = int(value.strip())
-            except ValueError:
+                length = int(value) if value.isdigit() else -1  # int() also takes a sign and underscores
+            except ValueError:  # more digits than int() converts
                 length = -1
             if length < 0:  # read(-1) would wait for the client to close its end
                 log.warning("ignoring unreadable Content-Length header: %r", value)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and configuration file handling."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -339,8 +340,15 @@ def test_train_leaves_unset_flags_to_the_settings_types(flags, model_fields, tra
     )
 
 
-def test_train_missing_data_dir(tmp_path):
-    assert main(["train", "--data", str(tmp_path / "nowhere"), "--epochs", "1"]) == 2
+def test_train_missing_data_dir(tmp_path, capsys):
+    nowhere = tmp_path / "nowhere"
+    assert main(["train", "--data", str(nowhere), "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == f"error: no such dataset directory: {nowhere}\n"
+
+
+def test_evaluate_data_that_is_a_file(cli_env, capsys):
+    assert main(["evaluate", "--data", str(cli_env.clean_file), "--baseline"]) == 2
+    assert capsys.readouterr().err == f"error: no such dataset directory: {cli_env.clean_file}\n"
 
 
 def test_train_and_baseline_use_the_project_preprocessing(cli_env, tmp_path, monkeypatch):
@@ -854,3 +862,63 @@ def test_report_rows_keep_document_order(cli_env):
 
 def test_default_lexicon_is_shared_default():
     assert ToolConfig().lexicon == DEFAULT_LEXICON
+
+
+# ------------------------------------------------------------ cyclic collector
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run a block with the cyclic collector on or off; restore it afterwards."""
+    was = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "corpus")
+    with collector(enabled):
+        assert main(["gen_corpus", "--out", out, "--docs", "3", "--lemmas-per-doc", "2"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["evaluate", "--data", str(tmp_path / "nowhere"), "--baseline"]) == 2
+        assert gc.isenabled() is enabled
+
+        def defect(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_gen_corpus", defect)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["gen_corpus", "--out", out])
+        assert gc.isenabled() is enabled
+
+
+def test_batch_commands_pause_the_collector_and_serve_keeps_it(cli_env, tmp_path, monkeypatch):
+    from lemname.diagserver import DiagnosticServer
+
+    seen = []
+    generate = cli.generate_synthetic_corpus
+    handle = DiagnosticServer.handle
+
+    def probed_generate(*args, **kwargs):
+        seen.append(("gen_corpus", gc.isenabled()))
+        return generate(*args, **kwargs)
+
+    def probed_handle(self, message):
+        seen.append(("serve", gc.isenabled()))
+        return handle(self, message)
+
+    monkeypatch.setattr(cli, "generate_synthetic_corpus", probed_generate)
+    monkeypatch.setattr(DiagnosticServer, "handle", probed_handle)
+    requests = io.BytesIO()
+    write_message(requests, {"jsonrpc": "2.0", "id": 1, "method": "initialize"})
+    write_message(requests, {"jsonrpc": "2.0", "method": "exit"})
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(requests.getvalue())))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+    with collector(True):
+        assert main(["gen_corpus", "--out", str(tmp_path / "corpus"), "--docs", "3"]) == 0
+        assert main(["serve", "--model", str(cli_env.checkpoint_path)]) == 0
+    assert seen == [("gen_corpus", False), ("serve", True), ("serve", True)]

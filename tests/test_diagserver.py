@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lemname import InvalidValue
 from lemname.cli import MissingModel, ToolConfig, build_suggestion_report
 from lemname.diagserver import (
     INTERNAL_ERROR,
@@ -106,6 +107,23 @@ def test_read_message_negative_length_is_never_read(caplog):
     assert "Content-Length" in caplog.text
 
 
+@pytest.mark.parametrize("length", [b"1_0", b"+10"])
+def test_read_message_length_of_other_than_digits_is_end_of_input(length, caplog):
+    body = b'{"a":1234}'
+    assert len(body) == 10  # what int() reads both spellings as
+    stream = PipeWithWriterOpen(b"Content-Length: " + length + b"\r\n\r\n" + body)
+    with caplog.at_level(logging.WARNING, logger="lemname.diagserver"):
+        assert read_message(stream) is None
+    assert "unreadable Content-Length" in caplog.text
+
+
+def test_read_message_length_past_int_digit_limit_is_end_of_input(caplog):
+    stream = PipeWithWriterOpen(b"Content-Length: " + b"1" * 5000 + b"\r\n\r\n" + frame(request("exit")))
+    with caplog.at_level(logging.WARNING, logger="lemname.diagserver"):
+        assert read_message(stream) is None
+    assert "unreadable Content-Length" in caplog.text
+
+
 class PipeCappedAtOneFrame(PipeWithWriterOpen):
     """A pipe that also fails any read larger than the frame cap."""
 
@@ -178,6 +196,20 @@ def test_uri_to_path_plain_path():
 def test_uri_to_path_rejects_other_schemes():
     with pytest.raises(ValueError):
         uri_to_path("http://example.com/doc")
+
+
+def test_uri_to_path_takes_file_uris_of_this_host_only():
+    assert uri_to_path("file://localhost/tmp/a.sexp") == "/tmp/a.sexp"
+    assert uri_to_path("file://LocalHost/tmp/a.sexp") == "/tmp/a.sexp"
+    assert uri_to_path("file:/tmp/a.sexp") == "/tmp/a.sexp"
+    with pytest.raises(InvalidValue, match="another host: 'remote'"):
+        uri_to_path("file://remote/tmp/a.sexp")
+
+
+def test_file_uri_of_another_host_is_server_error(cli_env):
+    uri = "file://remote" + str(cli_env.clean_file)  # the local file exists
+    responses = run_server(cli_env, request(SUGGEST_METHOD, request_id=7, params={"uri": uri}))
+    assert responses[0]["error"] == {"code": SERVER_ERROR, "message": "file uri names another host: 'remote'"}
 
 
 # --------------------------------------------------------------------- methods
