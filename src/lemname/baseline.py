@@ -21,7 +21,11 @@ from .subtok import DEFAULT_LEXICON, subtokenize_name
 
 
 class RetrievalBaseline:
-    """TF-IDF + cosine retrieval with corpus-order tie breaking."""
+    """TF-IDF + cosine retrieval with corpus-order tie breaking.
+
+    `records` is read once and may be a generator: of each record only its
+    name and bag of sub-tokens are kept, so a streamed corpus is not held.
+    """
 
     def __init__(
         self,
@@ -30,20 +34,21 @@ class RetrievalBaseline:
         chop_config: ChopConfig | None = None,
         lexicon=DEFAULT_LEXICON,
     ):
-        records = list(records)
-        if not records:
-            raise EmptyTrainingSet("retrieval baseline needs at least one record")
         self.inputs = tuple(inputs)
         self.chop_config = chop_config or ChopConfig()
         self.lexicon = lexicon
-        self._names = [record.name for record in records]
+        self._names, bags = [], []
+        for record in records:
+            self._names.append(record.name)
+            bags.append(self._bag(record))
+        if not bags:
+            raise EmptyTrainingSet("retrieval baseline needs at least one record")
 
-        bags = [self._bag(record) for record in records]
         document_frequency = Counter()
         for bag in bags:
             document_frequency.update(set(bag))
         self._index = {text: i for i, text in enumerate(sorted(document_frequency))}
-        n_docs = len(records)
+        n_docs = len(bags)
         self._idf = np.zeros(len(self._index))
         for text, column in self._index.items():
             self._idf[column] = math.log((1 + n_docs) / (1 + document_frequency[text])) + 1.0

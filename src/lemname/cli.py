@@ -32,9 +32,9 @@ from . import DomainError, InvalidValue, __version__, canonical_json
 from .baseline import RetrievalBaseline
 from .chop import ChopConfig
 from .corpus import (
+    document_paths,
     load_directory,
     load_document,
-    ordered_records,
     split_corpus,
     generate_synthetic_corpus,
 )
@@ -287,20 +287,32 @@ def cmd_train(args, config: ToolConfig) -> int:
 
 
 def cmd_evaluate(args, config: ToolConfig) -> int:
-    documents = load_directory(args.data)
-    split = split_corpus(sorted(documents), seed=args.split_seed)
-    test_records = ordered_records(documents, split.test)
+    paths = document_paths(args.data)
+    split = split_corpus([path.name for path in paths], seed=args.split_seed)
+    if not args.baseline and args.config_name is not None:
+        raise DomainError("--config-name picks the baseline's input streams; a model reads its own checkpoint's")
+    test_records = []
+
+    def train_records():
+        """Yield the training records; read every document in sorted order, so a malformed one fails the run."""
+        for path in paths:  # no name holds a document's records while the next is parsed
+            if path.name in split.test:
+                test_records.extend(load_document(path))
+            elif path.name in split.train:
+                yield from load_document(path)
+            else:
+                load_document(path)
+
     if args.baseline:
-        train_records = ordered_records(documents, split.train)
         suggester = RetrievalBaseline(
-            train_records,
+            train_records(),
             inputs=INPUT_CONFIGS[args.config_name or DEFAULT_INPUT_CONFIG],
             chop_config=config.chop,
             lexicon=config.lexicon,
         )
-    elif args.config_name is not None:
-        raise DomainError("--config-name picks the baseline's input streams; a model reads its own checkpoint's")
     else:
+        for _ in train_records():  # read for their errors: a model needs no training records
+            pass
         suggester = _load_model(config.model_path)
     report = evaluate(suggester, test_records, k=config.k)
     sys.stdout.write(report.to_text())

@@ -183,15 +183,17 @@ def load_document(path) -> list:
     return records
 
 
-def load_directory(data_dir) -> dict:
-    """Load every document in a directory, keyed by file name."""
+def document_paths(data_dir) -> list:
+    """A dataset directory's documents in sorted order: load_directory loads them all, evaluate one at a time."""
     data_dir = Path(data_dir)
     if not data_dir.is_dir():
         raise DomainError(f"no such dataset directory: {data_dir}")
-    documents = {}
-    for path in sorted(data_dir.glob(f"*{DOCUMENT_SUFFIX}")):
-        documents[path.name] = load_document(path)
-    return documents
+    return sorted(data_dir.glob(f"*{DOCUMENT_SUFFIX}"))
+
+
+def load_directory(data_dir) -> dict:
+    """Every document of document_paths, loaded in that order and keyed by file name."""
+    return {path.name: load_document(path) for path in document_paths(data_dir)}
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -463,10 +464,10 @@ class LemmaNameModel:
     def suggest_many(self, records, k: int) -> list:
         """Top-k names per record by one beam search over (records x k) slots.
 
-        More than _DECODE_GROUP records decode as one search per group of
-        that many, so memory stays bounded. Finished hypotheses occupy
-        beam slots, so k = 1 is exact greedy decoding. The first step
-        cannot end a name, so no name is empty. Scores are mean
+        Records are prepared and decoded one group of _DECODE_GROUP at a
+        time, so memory is bounded by a group, not by `records`. Finished
+        hypotheses occupy beam slots, so k = 1 is exact greedy decoding. The
+        first step cannot end a name, so no name is empty. Scores are mean
         log-probability per emitted sub-token (end marker included); ties
         break lexicographically on the sub-tokens; names are deduplicated.
         Validation runs the same search at k = 1, pruned by the records'
@@ -480,7 +481,7 @@ class LemmaNameModel:
         """
         if k < 1:
             raise ValueError("k must be positive")
-        return self._search([self.prepare(r) for r in records], k)
+        return self._search(map(self.prepare, records), k)
 
     def _greedy_hits(self, prepared, names) -> int:
         """How many records' greedy top-1 names equal `names`.
@@ -492,23 +493,22 @@ class LemmaNameModel:
         """
         return sum(bool(s) and s[0].name == name for s, name in zip(self._search(prepared, 1, names), names))
 
-    @checked()
     def _search(self, prepared, k: int, names=None) -> list:
-        """suggest_many's beam search; with `names` (k = 1 only), a pruned record gets no suggestion."""
+        """suggest_many's beam search, drawing `prepared` (any iterable) one _DECODE_GROUP at a time.
+
+        With `names` (k = 1 only), a pruned record gets no suggestion.
+        """
         if names is not None and k != 1:
             raise ValueError("only a greedy search can be pruned by names")
-        if not prepared:
-            return []
-        if len(prepared) > _DECODE_GROUP:
-            return [
-                suggestions
-                for start in range(0, len(prepared), _DECODE_GROUP)
-                for suggestions in self._search(
-                    prepared[start : start + _DECODE_GROUP],
-                    k,
-                    None if names is None else names[start : start + _DECODE_GROUP],
-                )
-            ]
+        found, prepared = [], iter(prepared)
+        while group := list(islice(prepared, _DECODE_GROUP)):
+            start = len(found)
+            found += self._search_group(group, k, None if names is None else names[start : start + len(group)])
+            del group  # freed before the next group is prepared
+        return found
+
+    @checked()
+    def _search_group(self, prepared, k: int, names) -> list:
         out_texts = self.vocabularies["output"].texts
         base = len(out_texts)
         ext_texts = [out_texts + p.oov_texts for p in prepared]

@@ -38,7 +38,8 @@ It prints, one line each:
   benchmark's `baseline_eval`, whole and cut at 128 sub-tokens, so a
   change to parsing, chopping or sub-tokenizing shows; and the sha256 of
   the `evaluate --baseline` report that `baseline_eval` checks on that
-  corpus.
+  corpus, and of the `evaluate --model` report of the `serve` model on
+  it at k = 5.
 
 The recipes come from `perfbench/workloads.py`. BLAS runs on one thread,
 as in the benchmark and the tests: checkpoint bytes can depend on the
@@ -53,6 +54,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -110,7 +112,8 @@ def train_recipe(workdir: Path) -> None:
             trained(f"train seed {seed} corpus {part}", checkpoint, metrics, workdir)
 
 
-def serve_recipe(workdir: Path) -> None:
+def serve_recipe(workdir: Path) -> Path:
+    """Print the serve digests and return the served checkpoint."""
     workload = workloads.ServeWorkload(workloads.Plan(), SERVE_SEED, workdir / "serve")
     workload.workdir.mkdir()
     try:
@@ -151,6 +154,7 @@ def serve_recipe(workdir: Path) -> None:
         f"serve seed {SERVE_SEED} transcript of {path.relative_to(workload.workdir)}: "
         f"{len(transcript)} bytes {hashlib.sha256(transcript).hexdigest()}"
     )
+    return workload.checkpoint
 
 
 def default_recipe(workdir: Path) -> None:
@@ -174,7 +178,7 @@ def hits_recipe(workdir: Path) -> None:
     trained("validation hits", checkpoint, metrics, workdir)
 
 
-def preprocess_recipe(workdir: Path) -> None:
+def preprocess_recipe(workdir: Path, serve_checkpoint: Path) -> None:
     workload = workloads.BaselineWorkload(workloads.Plan(), BASELINE_SEED, workdir / "baseline")
     workload.workdir.mkdir()
     workload.setup()
@@ -195,6 +199,15 @@ def preprocess_recipe(workdir: Path) -> None:
         f"baseline_eval seed {BASELINE_SEED} evaluate --baseline report: "
         f"{len(report)} bytes {hashlib.sha256(report).hexdigest()}"
     )
+    argv = ["evaluate", "--data", str(workload.data), "--model", str(serve_checkpoint), "-k", "5"]
+    argv += ["--project", str(workload.workdir), "--report", str(workload.report)]
+    with redirect_stdout(io.StringIO()):
+        code = lcli.main(argv)
+    report = workload.report.read_bytes()
+    print(
+        f"baseline_eval seed {BASELINE_SEED} evaluate --model report of the serve model: "
+        f"exit {code}, {len(report)} bytes {hashlib.sha256(report).hexdigest()}"
+    )
 
 
 def main() -> None:
@@ -202,10 +215,10 @@ def main() -> None:
         workdir = Path(scratch)
         build_header()
         train_recipe(workdir)
-        serve_recipe(workdir)
+        serve_checkpoint = serve_recipe(workdir)
         default_recipe(workdir)
         hits_recipe(workdir)
-        preprocess_recipe(workdir)
+        preprocess_recipe(workdir, serve_checkpoint)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,17 @@ def baseline(corpus):
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSet):
         RetrievalBaseline([])
+    with pytest.raises(EmptyTrainingSet):
+        RetrievalBaseline(record for record in ())
+
+
+def test_a_generator_of_records_builds_the_baseline_a_list_does(baseline, corpus):
+    train, _ = corpus
+    streamed = RetrievalBaseline(record for record in train)
+    assert streamed._names == baseline._names
+    assert streamed._index == baseline._index
+    assert streamed._idf.tobytes() == baseline._idf.tobytes()
+    assert streamed._matrix.tobytes() == baseline._matrix.tobytes()
 
 
 def test_unknown_stream_rejected(corpus):

@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,7 +33,15 @@ from lemname.cli import (
 )
 from lemname.baseline import RetrievalBaseline
 from lemname.chop import ChopConfig
-from lemname.corpus import bundled_corpus_dir, load_directory, ordered_records, split_corpus
+from lemname.corpus import (
+    bundled_corpus_dir,
+    document_paths,
+    generate_synthetic_corpus,
+    load_directory,
+    load_document,
+    ordered_records,
+    split_corpus,
+)
 from lemname.diagserver import SUGGEST_METHOD, read_message, write_message
 from lemname.metrics import evaluate
 from lemname.model import (
@@ -476,6 +485,76 @@ def test_evaluate_missing_model_file(cli_env, tmp_path):
         ["evaluate", "--data", str(cli_env.data_dir), "--model", str(tmp_path / "ghost.ckpt")]
     )
     assert code == 2
+
+
+@pytest.fixture
+def twelve_documents(tmp_path):
+    """Twelve documents of three lemmas: nine train, one validation and two test documents at split seed 0."""
+    data_dir = tmp_path / "data"
+    generate_synthetic_corpus(data_dir, seed=5, n_docs=12, lemmas_per_doc=3)
+    split = split_corpus([path.name for path in document_paths(data_dir)], seed=0)
+    assert (len(split.train), len(split.validation), len(split.test)) == (9, 1, 2)
+    return data_dir, split
+
+
+def _not_a_lemma(path) -> str:
+    path.write_text("(theorem)\n", encoding="utf-8")
+    return f"error: top-level form 0 in {path.name} is not a (lemma ...) record (position 0)\n"
+
+
+@pytest.mark.parametrize("suggester", ["baseline", "model"])
+@pytest.mark.parametrize("parts", [("validation",), ("validation", "test"), ("test", "train"), ("train", "validation")])
+def test_evaluate_reads_every_document_and_names_the_first_malformed_one(
+    suggester, parts, twelve_documents, cli_env, capsys
+):
+    data_dir, split = twelve_documents
+    malformed = sorted(min(getattr(split, part)) for part in parts)
+    expected = [_not_a_lemma(data_dir / name) for name in malformed][0]
+    flags = ["--baseline"] if suggester == "baseline" else ["--model", str(cli_env.checkpoint_path)]
+    assert main(["evaluate", "--data", str(data_dir), *flags]) == 2
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("case", ["config name with a model", "too few documents"])
+def test_evaluate_rejects_its_arguments_before_reading_a_document(case, cli_env, tmp_path, monkeypatch, capsys):
+    data_dir = tmp_path / "data"
+    documents = 12 if case == "config name with a model" else 2
+    generate_synthetic_corpus(data_dir, seed=5, n_docs=documents, lemmas_per_doc=3)
+    _not_a_lemma(document_paths(data_dir)[0])  # reading it would fail with another message
+    monkeypatch.setattr(cli, "load_document", lambda path: pytest.fail(f"read {path}"))
+    argv = ["evaluate", "--data", str(data_dir)]
+    if case == "config name with a model":
+        argv += ["--model", str(cli_env.checkpoint_path), "--config-name", "stmt"]
+        expected = "error: --config-name picks the baseline's input streams; a model reads its own checkpoint's\n"
+    else:
+        argv += ["--baseline"]
+        expected = "error: need at least 3 documents to split, have 2\n"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == expected
+
+
+def test_evaluate_baseline_holds_one_training_document_at_a_time(twelve_documents, monkeypatch):
+    data_dir, split = twelve_documents
+    live = weakref.WeakSet()
+    most = []
+
+    def tracked(path):
+        records = load_document(path)
+        live.update(records)
+        return records
+
+    def bag(self, record):
+        most.append(len(live))
+        return bag_of(self, record)
+
+    bag_of = RetrievalBaseline._bag
+    for module in (lemname.corpus, cli):
+        monkeypatch.setattr(module, "load_document", tracked)
+    monkeypatch.setattr(RetrievalBaseline, "_bag", bag)
+    assert main(["evaluate", "--data", str(data_dir), "--baseline"]) == 0
+    per_document, test_records = 3, 3 * len(split.test)
+    assert len(most) == 3 * (len(split.train) + len(split.test))  # every training and test record is bagged
+    assert max(most) <= per_document + test_records
 
 
 # --------------------------------------------------------------- suggest_naming

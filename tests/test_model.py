@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import struct
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -664,6 +665,25 @@ def test_suggest_many_decodes_large_inputs_in_groups(trained, monkeypatch):
     assert [[s.name for s in row] for row in grouped] == [[s.name for s in row] for row in whole]
     for together, apart in zip(whole, grouped):
         np.testing.assert_allclose([s.score for s in apart], [s.score for s in together], rtol=0, atol=1e-9)
+
+
+def test_suggest_many_prepares_each_group_just_before_decoding_it(cli_env, monkeypatch):
+    model = cli_env.model
+    records = all_records(cli_env) * 4
+    live = weakref.WeakValueDictionary()  # by id: a PreparedRecord holds a dict, so it has no hash for a WeakSet
+    most = []
+    prepare = model.prepare
+
+    def tracked(record):
+        prepared = prepare(record)
+        live[id(prepared)] = prepared
+        most.append(len(live))
+        return prepared
+
+    monkeypatch.setattr(model, "prepare", tracked)
+    suggestions = model.suggest_many(records, 2)
+    assert len(records) == len(suggestions) == len(most) == 100
+    assert max(most) == lemname.model._DECODE_GROUP == 32
 
 
 def exact(suggestions) -> list:
