@@ -311,9 +311,9 @@ def cmd_evaluate(args, config: ToolConfig) -> int:
             lexicon=config.lexicon,
         )
     else:
+        suggester = _load_model(config.model_path)  # before any document is read, like the checks above
         for _ in train_records():  # read for their errors: a model needs no training records
             pass
-        suggester = _load_model(config.model_path)
     report = evaluate(suggester, test_records, k=config.k)
     sys.stdout.write(report.to_text())
     if args.report:

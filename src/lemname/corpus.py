@@ -19,7 +19,6 @@ import re
 import reprlib
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
@@ -500,4 +499,4 @@ def generate_synthetic_corpus(
 
 def bundled_corpus_dir() -> Path:
     """Directory of the small corpus shipped inside the package."""
-    return Path(str(resources.files("lemname") / "data" / "bundled"))
+    return Path(__file__).resolve().parent / "data" / "bundled"

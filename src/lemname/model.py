@@ -15,7 +15,6 @@ over the live hypotheses only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -65,6 +64,14 @@ from .nn import (
     tanh,
     transpose,
 )
+
+try:  # the interpreter's own SHA-256, as in `random`: hashlib would load OpenSSL's libcrypto (≈3.6 MB resident)
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # The input combinations exposed by the command line.
 INPUT_CONFIGS = {
@@ -692,7 +699,7 @@ class ModelCheckpoint:
 def _header_digest(header: dict) -> str:
     """sha256 of the canonical JSON header without its own digest entry."""
     rest = {k: v for k, v in header.items() if k != "header_digest"}
-    return hashlib.sha256(canonical_json(rest).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(rest).encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(path, checkpoint: ModelCheckpoint) -> None:

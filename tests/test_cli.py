@@ -515,10 +515,10 @@ def test_evaluate_reads_every_document_and_names_the_first_malformed_one(
     assert capsys.readouterr().err == expected
 
 
-@pytest.mark.parametrize("case", ["config name with a model", "too few documents"])
+@pytest.mark.parametrize("case", ["config name with a model", "missing checkpoint", "too few documents"])
 def test_evaluate_rejects_its_arguments_before_reading_a_document(case, cli_env, tmp_path, monkeypatch, capsys):
     data_dir = tmp_path / "data"
-    documents = 12 if case == "config name with a model" else 2
+    documents = 2 if case == "too few documents" else 12
     generate_synthetic_corpus(data_dir, seed=5, n_docs=documents, lemmas_per_doc=3)
     _not_a_lemma(document_paths(data_dir)[0])  # reading it would fail with another message
     monkeypatch.setattr(cli, "load_document", lambda path: pytest.fail(f"read {path}"))
@@ -526,6 +526,10 @@ def test_evaluate_rejects_its_arguments_before_reading_a_document(case, cli_env,
     if case == "config name with a model":
         argv += ["--model", str(cli_env.checkpoint_path), "--config-name", "stmt"]
         expected = "error: --config-name picks the baseline's input streams; a model reads its own checkpoint's\n"
+    elif case == "missing checkpoint":
+        ghost = tmp_path / "ghost.ckpt"
+        argv += ["--model", str(ghost)]
+        expected = f"error: model checkpoint not found: {ghost}\n"
     else:
         argv += ["--baseline"]
         expected = "error: need at least 3 documents to split, have 2\n"

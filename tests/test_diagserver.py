@@ -1,14 +1,20 @@
 """Tests for the JSON-RPC diagnostic server: framing, methods, CLI parity."""
 
+import importlib.util
 import io
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lemname
 from lemname import InvalidValue
 from lemname.cli import MissingModel, ToolConfig, build_suggestion_report
 from lemname.diagserver import (
@@ -486,3 +492,37 @@ def test_full_transcript_shapes(cli_env):
     assert [r["id"] for r in responses] == [0, 1, 2]
     assert all(r["jsonrpc"] == "2.0" for r in responses)
     assert "result" in responses[0] and "result" in responses[1] and "result" in responses[2]
+
+
+# ------------------------------------------------------------------ footprint
+
+# A serve session in a fresh interpreter: load the checkpoint, answer one
+# suggestNaming, save the checkpoint again, and list the heavy modules loaded.
+SESSION = """
+import json, sys
+from lemname.diagserver import DiagnosticServer
+from lemname.model import load_checkpoint, save_checkpoint
+path, uri, resaved = sys.argv[1:]
+checkpoint = load_checkpoint(path)
+diagnostics = DiagnosticServer(checkpoint.to_model(), 5).diagnostics(uri)
+save_checkpoint(resaved, checkpoint)
+heavy = ("_hashlib", "importlib.resources", "numpy.random")
+print(json.dumps({"diagnostics": len(diagnostics), "loaded": [name for name in heavy if name in sys.modules]}))
+"""
+
+
+def test_serve_session_loads_neither_openssl_nor_numpy_random(cli_env, tmp_path):
+    # -S keeps site's .pth hooks out, so only what lemname imports is counted
+    packages = {str(Path(module.__file__).resolve().parents[1]) for module in (lemname, numpy)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sorted(packages))}
+    resaved = tmp_path / "resaved.ckpt"
+    argv = [sys.executable, "-S", "-c", SESSION, str(cli_env.checkpoint_path), str(cli_env.planted_file), str(resaved)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    session = json.loads(child.stdout)
+    assert session["diagnostics"] == 1  # the planted lemma
+    assert resaved.read_bytes() == cli_env.checkpoint_path.read_bytes()
+    loaded = set(session["loaded"])
+    assert not loaded & {"importlib.resources", "numpy.random"}
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256, so checkpoints are hashed through hashlib")
+    assert "_hashlib" not in loaded

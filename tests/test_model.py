@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import struct
@@ -951,6 +952,12 @@ def test_checkpoint_round_trip_is_byte_identical(trained, tmp_path):
     save_checkpoint(first, checkpoint)
     save_checkpoint(second, load_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_header_digest_is_hashlib_sha256_of_the_canonical_header():
+    header = {"name": "add_comm_ℕ", "letters": ["é", "λ", "𝔽"], "header_digest": "stale"}
+    rest = {"name": "add_comm_ℕ", "letters": ["é", "λ", "𝔽"]}
+    assert _header_digest(header) == hashlib.sha256(canonical_json(rest).encode("utf-8")).hexdigest()
 
 
 def test_checkpoint_restores_model_behaviour(trained, tmp_path):
