@@ -4,7 +4,8 @@ Serialized Coq trees carry fully qualified names and source locations that
 are useless for naming and blow up the token stream. Chopping applies three
 rewrites, each of which ChopConfig can switch off: collapse a
 qualified-name node to its last component, drop a location node, and
-splice out a single-child list node. All three run in one post-order walk
+splice out a single-child list node. An empty tag set switches the first
+two off, since no head matches it. All three run in one post-order walk
 of the tree. Tags are recognized in head position only: a node is a
 qualified-name or location node when its first element is an atom in the
 configured tag set; a tag atom anywhere else is an ordinary atom. Every
@@ -32,12 +33,10 @@ class MalformedQualifiedName(DomainError):
 
 @dataclass(frozen=True)
 class ChopConfig:
-    """Which passes run and which head atoms they react to."""
+    """The head atoms each rewrite reacts to (none: the rewrite is off), and whether singletons splice."""
 
     qualified_name_tags: frozenset = field(default=DEFAULT_QUALIFIED_NAME_TAGS)
     location_tags: frozenset = field(default=DEFAULT_LOCATION_TAGS)
-    enable_qualid_collapse: bool = True
-    enable_location_strip: bool = True
     enable_singleton_extract: bool = True
 
     def __post_init__(self):
@@ -46,13 +45,8 @@ class ChopConfig:
             if not isinstance(tags, (list, tuple, set, frozenset)) or not all(isinstance(t, str) for t in tags):
                 raise InvalidValue(f"{name} must be a set of strings, got {tags!r}")
             object.__setattr__(self, name, frozenset(tags))
-        for name in ("enable_qualid_collapse", "enable_location_strip", "enable_singleton_extract"):
-            if not isinstance(getattr(self, name), bool):
-                raise InvalidValue(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.enable_qualid_collapse and not self.qualified_name_tags:
-            raise InvalidValue("qualified-name collapse enabled with empty tag set")
-        if self.enable_location_strip and not self.location_tags:
-            raise InvalidValue("location strip enabled with empty tag set")
+        if not isinstance(self.enable_singleton_extract, bool):
+            raise InvalidValue(f"enable_singleton_extract must be a bool, got {self.enable_singleton_extract!r}")
 
 
 def _head_tag(node: SExp):
@@ -95,8 +89,8 @@ def chop(tree: SExp, config: ChopConfig | None = None) -> SExp:
     tree costs no recursion.
     """
     config = config or ChopConfig()
-    qualified = config.qualified_name_tags if config.enable_qualid_collapse else frozenset()
-    locations = config.location_tags if config.enable_location_strip else frozenset()
+    qualified = config.qualified_name_tags
+    locations = config.location_tags
     splice = config.enable_singleton_extract
 
     # One frame per open node: an iterator over its children and the

@@ -97,12 +97,9 @@ def _parse_list(value: str) -> tuple:
 _CONFIG_KEYS = {
     "model_path": ("tool", "model_path", str),
     "k": ("tool", "k", _parse_int),
-    "qualid_collapse": ("chop", "enable_qualid_collapse", _parse_bool),
-    "location_strip": ("chop", "enable_location_strip", _parse_bool),
     "singleton_extract": ("chop", "enable_singleton_extract", _parse_bool),
     "qualified_name_tags": ("chop", "qualified_name_tags", _parse_list),
     "location_tags": ("chop", "location_tags", _parse_list),
-    "suffix_peeling": ("lexicon", "enabled", _parse_bool),
     "suffix_letters": ("lexicon", "letters", _parse_list),
 }
 
@@ -111,13 +108,14 @@ def load_config(project_root) -> ToolConfig:
     """Parse `.roosterizerc` (`key: value`, full-line `#` comments).
 
     A missing file yields all defaults; unknown keys and malformed
-    values are rejected with the offending line number. A value that
+    values are rejected with the offending line number. An empty list,
+    as in `suffix_letters:`, switches that rewrite off. A value that
     its settings type (the tool's, the chop config or the lexicon)
     rejects names the first line of that section's keys.
     """
     path = Path(project_root) / CONFIG_FILE_NAME
     values: dict = {}
-    if path.exists():
+    if path.exists() or path.is_symlink():  # a dangling link is no missing file: its settings would be lost
         if not path.is_file():  # unread: a FIFO could block forever, /dev/zero never end
             raise DomainError(f"{path}: not a regular file")
         data = path.read_bytes()

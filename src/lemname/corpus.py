@@ -290,13 +290,10 @@ class Vocabulary:
     """
 
     tokens: tuple
-    min_frequency: int = 1
 
     def __post_init__(self):
         if not isinstance(self.tokens, (list, tuple)) or not all(isinstance(t, str) for t in self.tokens):
             raise InvalidValue(f"tokens must be a list of strings, got {reprlib.repr(self.tokens)}")
-        if type(self.min_frequency) is not int or self.min_frequency < 1:  # a bool is no count
-            raise InvalidValue(f"min_frequency must be a positive integer, got {self.min_frequency!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "texts", RESERVED_TOKENS + self.tokens)
         ids = {}
@@ -325,7 +322,7 @@ def build_vocabulary(sequences, min_frequency: int = 1) -> Vocabulary:
         if count >= min_frequency and text not in RESERVED_TOKENS
     ]
     kept.sort(key=lambda text: (-counts[text], text))
-    return Vocabulary(kept, min_frequency)
+    return Vocabulary(kept)
 
 
 # --- synthetic corpus -------------------------------------------------------
@@ -455,7 +452,6 @@ def generate_synthetic_corpus(
     n_docs: int = 10,
     lemmas_per_doc: int = 10,
     operations=DEFAULT_OPERATIONS,
-    exclude_names=frozenset(),
 ) -> list:
     """Write a deterministic synthetic corpus and return the file paths.
 
@@ -469,19 +465,13 @@ def generate_synthetic_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    exclude = frozenset(exclude_names)
     paths = []
     for doc in range(n_docs):
         stem = f"doc_{doc:03d}"
         file_name = stem + DOCUMENT_SUFFIX
         forms = []
         for index in range(lemmas_per_doc):
-            for _ in range(200):
-                qualifier, operation, suffixes, name = _draw_lemma(rng, operations)
-                if name not in exclude:
-                    break
-            else:
-                raise RuntimeError("exhausted attempts to draw a name outside exclude_names")
+            qualifier, operation, suffixes, name = _draw_lemma(rng, operations)
             line = 2 + 5 * index
             form = (
                 "lemma",

@@ -84,7 +84,7 @@ INPUT_CONFIGS = {
 DEFAULT_INPUT_CONFIG = "stmt+ckt"
 
 CHECKPOINT_MAGIC = b"LNCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _LOG_FLOOR = 1e-12  # keeps -log finite when a target is neither generable nor copyable
 # Records per beam search. A search holds every record's encoder states,
@@ -137,7 +137,7 @@ class ModelConfig:
             raise InvalidValue("bidirectional encoders need an even hidden_dim")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     epochs: int
     learning_rate: float = 1e-3

@@ -44,10 +44,9 @@ class EmptyName(DomainError):
 
 @dataclass(frozen=True)
 class SuffixLexicon:
-    """Single letters that naming conventions append to a word (mulgA)."""
+    """Single letters that naming conventions append to a word (mulgA); none: no peeling."""
 
     letters: frozenset = field(default=frozenset({"A", "C", "g"}))
-    enabled: bool = True
 
     def __post_init__(self):
         if not isinstance(self.letters, (list, tuple, set, frozenset)) or not all(
@@ -55,10 +54,6 @@ class SuffixLexicon:
         ):
             raise InvalidValue(f"letters must be a set of strings, got {self.letters!r}")
         object.__setattr__(self, "letters", frozenset(self.letters))
-        if not isinstance(self.enabled, bool):
-            raise InvalidValue(f"enabled must be a bool, got {self.enabled!r}")
-        if self.enabled and not self.letters:
-            raise InvalidValue("suffix peeling enabled with an empty lexicon")
         for letter in self.letters:
             if len(letter) != 1 or not letter.isalpha():
                 raise InvalidValue(f"suffix lexicon entries must be single letters: {letter!r}")
@@ -71,7 +66,7 @@ def subtokenize_name(name: str, lexicon: SuffixLexicon = DEFAULT_LEXICON) -> lis
     """Split a lemma name into sub-tokens, peeling lexicon suffix letters."""
     if not name:
         raise EmptyName("cannot sub-tokenize an empty name")
-    return _split(name, lexicon if lexicon.enabled else None)
+    return _split(name, lexicon.letters)
 
 
 def split_statement_token(token: str) -> tuple[str, ...]:
@@ -81,17 +76,16 @@ def split_statement_token(token: str) -> tuple[str, ...]:
     can change what the cache hands the next one.
     """
     if len(token) > SPLIT_CACHE_MAX_CHARS:
-        return tuple(_split(token, None))
+        return tuple(_split(token, frozenset()))
     return _cached_split(token)
 
 
 @lru_cache(maxsize=SPLIT_CACHE_ENTRIES)
 def _cached_split(token: str) -> tuple[str, ...]:
-    return tuple(_split(token, None))
+    return tuple(_split(token, frozenset()))
 
 
-def _split(text: str, lexicon: SuffixLexicon | None) -> list[str]:
-    letters = lexicon.letters if lexicon is not None else frozenset()
+def _split(text: str, letters: frozenset) -> list[str]:
     out: list[str] = []
     for run in _CLASS_RUNS.findall(text):
         if run[0].isascii() and run[0].isalpha():

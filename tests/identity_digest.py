@@ -18,6 +18,10 @@ It prints, one line each:
 - a header of lines starting with `#`: the numpy version, the BLAS
   build and the SIMD extensions numpy found, and the BLAS thread
   variables; the digests hold only for that build and thread count;
+- beside each checkpoint sha256, the sha256 of its parameter blocks
+  alone (in name order, as little-endian float64), so a change to the
+  header's format moves only the `checkpoint` lines and a change to the
+  arithmetic moves the `parameters` lines too;
 - the checkpoint sha256 and the `EpochMetrics` reprs of the benchmark's
   `train` recipe at seeds 1 and 2 (four corpora per seed);
 - the checkpoint sha256 of the benchmark's `serve` model, and the
@@ -97,8 +101,17 @@ def checkpoint_sha256(checkpoint, workdir: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def parameters_sha256(parameter_state: dict) -> str:
+    """sha256 of the parameter blocks in name order, as little-endian float64: the checkpoint without its header."""
+    digest = hashlib.sha256()
+    for name in sorted(parameter_state):
+        digest.update(np.ascontiguousarray(parameter_state[name], dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 def trained(label: str, checkpoint, metrics, workdir: Path) -> None:
     print(f"{label} checkpoint {checkpoint_sha256(checkpoint, workdir)}")
+    print(f"{label} parameters {parameters_sha256(checkpoint.parameter_state)}")
     print(f"{label} metrics {metrics!r}")
 
 
@@ -121,7 +134,9 @@ def serve_recipe(workdir: Path) -> Path:
     finally:
         workload.close()
     print(f"serve checkpoint {hashlib.sha256(workload.checkpoint.read_bytes()).hexdigest()}")
-    model = lmodel.load_checkpoint(workload.checkpoint).to_model()
+    checkpoint = lmodel.load_checkpoint(workload.checkpoint)
+    print(f"serve parameters {parameters_sha256(checkpoint.parameter_state)}")
+    model = checkpoint.to_model()
     groups = {"one-lemma files": [], "other files": []}
     for size, files in zip(workload.plan.serve_file_sizes, workload.by_size):
         groups["one-lemma files" if size == 1 else "other files"].extend(files)

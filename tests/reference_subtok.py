@@ -7,15 +7,16 @@ words come from subtok's own patterns; only the peel is the reference.
 
 from __future__ import annotations
 
-from lemname.subtok import _CAMEL, _CLASS_RUNS, SuffixLexicon
+from lemname.subtok import _CAMEL, _CLASS_RUNS
 
 
-def subtokenize_name(name: str, lexicon: SuffixLexicon) -> list[str]:
+def subtokenize_name(name: str, letters: frozenset | None) -> list[str]:
+    """The name's sub-tokens, peeling `letters`; None: no peeling at all."""
     out: list[str] = []
     for run in _CLASS_RUNS.findall(name):
         if run[0].isascii() and run[0].isalpha():
             for word in _CAMEL.findall(run):
-                out.extend(peel(word, lexicon.letters) if lexicon.enabled else [word])
+                out.extend(peel(word, letters) if letters is not None else [word])
         else:
             out.append(run)
     return out

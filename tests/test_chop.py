@@ -1,8 +1,10 @@
 """Worked examples, algebraic laws and reference equality for tree chopping.
 
 Each rewrite is exercised through `chop` with a ChopConfig that enables
-only that rewrite. `reference_chop` is the earlier three-pass
-implementation; the one-walk `chop` must reach the same normal form.
+only that rewrite: an empty tag set switches collapse or strip off.
+`reference_chop` is the earlier three-pass implementation, whose config
+switches each pass with a flag; `reference` maps an empty tag set to its
+flag, and the one-walk `chop` must reach the same normal form.
 """
 
 import random
@@ -27,13 +29,26 @@ def _size(tree):
     return len(linearize(tree))
 
 
+def reference(tree, cfg):
+    """`reference_chop.chop` under `cfg`, each empty tag set turned into its pass's flag off."""
+    flagged = reference_chop.ChopConfig(
+        qualified_name_tags=cfg.qualified_name_tags,
+        location_tags=cfg.location_tags,
+        enable_qualid_collapse=bool(cfg.qualified_name_tags),
+        enable_location_strip=bool(cfg.location_tags),
+        enable_singleton_extract=cfg.enable_singleton_extract,
+    )
+    return reference_chop.chop(tree, flagged)
+
+
+NONE = frozenset()
 CFG = ChopConfig()
-COLLAPSE_ONLY = ChopConfig(enable_location_strip=False, enable_singleton_extract=False)
-STRIP_ONLY = ChopConfig(enable_qualid_collapse=False, enable_singleton_extract=False)
-EXTRACT_ONLY = ChopConfig(enable_qualid_collapse=False, enable_location_strip=False)
+COLLAPSE_ONLY = ChopConfig(location_tags=NONE, enable_singleton_extract=False)
+STRIP_ONLY = ChopConfig(qualified_name_tags=NONE, enable_singleton_extract=False)
+EXTRACT_ONLY = ChopConfig(qualified_name_tags=NONE, location_tags=NONE)
 ONE_PASS_DISABLED = (
-    ChopConfig(enable_qualid_collapse=False),
-    ChopConfig(enable_location_strip=False),
+    ChopConfig(qualified_name_tags=NONE),
+    ChopConfig(location_tags=NONE),
     ChopConfig(enable_singleton_extract=False),
 )
 CONFIGS = (CFG, *ONE_PASS_DISABLED, COLLAPSE_ONLY, STRIP_ONLY, EXTRACT_ONLY)
@@ -121,31 +136,19 @@ class TestChopPipeline:
 
     def test_flags_disable_passes(self):
         tree = parse_one("(v (loc 1) ((x)))")
-        cfg = ChopConfig(enable_location_strip=False)
+        cfg = ChopConfig(location_tags=NONE)
         assert chop(tree, cfg) == ("v", ("loc", "1"), "x")
         cfg = ChopConfig(enable_singleton_extract=False)
         assert chop(tree, cfg) == ("v", (("x",),))
 
     def test_all_disabled_is_identity(self):
         tree = parse_one("(Qualid p (Id f))")
-        cfg = ChopConfig(
-            enable_qualid_collapse=False,
-            enable_location_strip=False,
-            enable_singleton_extract=False,
-        )
+        cfg = ChopConfig(qualified_name_tags=NONE, location_tags=NONE, enable_singleton_extract=False)
         assert chop(tree, cfg) == tree
-
-    def test_config_rejects_empty_tags_when_enabled(self):
-        with pytest.raises(ValueError):
-            ChopConfig(qualified_name_tags=frozenset())
-        with pytest.raises(ValueError):
-            ChopConfig(location_tags=frozenset())
-        # Disabled passes may have empty tag sets.
-        ChopConfig(qualified_name_tags=frozenset(), enable_qualid_collapse=False)
 
     @pytest.mark.parametrize(
         "field_name, value",
-        [("location_tags", "loc"), ("qualified_name_tags", [7]), ("enable_location_strip", "no")],
+        [("location_tags", "loc"), ("qualified_name_tags", [7]), ("enable_singleton_extract", "no")],
     )
     def test_config_rejects_mistyped_fields(self, field_name, value):
         with pytest.raises(ValueError, match=f"{field_name} must be"):
@@ -158,7 +161,7 @@ class TestChopPipeline:
             ("(w ((loc 1) Qualid p (Id f)))", ("w", ("Id", "f"))),
         ):
             tree = parse_one(text)
-            assert chop(tree, CFG) == expected == reference_chop.chop(tree, CFG)
+            assert chop(tree, CFG) == expected == reference(tree, CFG)
 
 
 _LEAVES = ["a", "b", "x", "f", "1", "line", "Id", "CRef", "App"]
@@ -183,7 +186,7 @@ class TestLaws:
             tree = _random_tree(rng, depth=8)
             for cfg in (COLLAPSE_ONLY, STRIP_ONLY, EXTRACT_ONLY, CFG):
                 once = chop(tree, cfg)
-                assert once == reference_chop.chop(tree, cfg)
+                assert once == reference(tree, cfg)
                 assert chop(once, cfg) == once
                 assert _size(once) <= _size(tree)
             assert _no_singleton_lists(chop(tree, CFG))
@@ -241,14 +244,38 @@ def _hollow_locations(tree):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 @given(tree=head_only_trees)
 def test_matches_reference_on_head_only_trees(cfg, tree):
-    expected = _outcome(reference_chop.chop, tree, cfg)
+    expected = _outcome(reference, tree, cfg)
     actual = _outcome(chop, tree, cfg)
     if expected is MalformedQualifiedName and actual is not MalformedQualifiedName:
         # The one allowed divergence: the reference collapses inside
         # location nodes before dropping them, so it meets malformed names
         # there; the one walk never visits a dropped node's children.
-        assert cfg.enable_location_strip
-        assert actual == _outcome(reference_chop.chop, _hollow_locations(tree), cfg)
+        assert cfg.location_tags
+        assert actual == _outcome(reference, _hollow_locations(tree), cfg)
+    else:
+        assert actual == expected
+
+
+@given(tree=head_only_trees, off=st.sets(st.sampled_from(["collapse", "strip"])), splice=st.booleans())
+def test_an_empty_tag_set_is_its_pass_switched_off(tree, off, splice):
+    # The reference keeps its default tag sets and switches passes with
+    # flags, as ChopConfig itself did before an empty set meant "off".
+    cfg = ChopConfig(
+        qualified_name_tags=NONE if "collapse" in off else DEFAULT_QUALIFIED_NAME_TAGS,
+        location_tags=NONE if "strip" in off else DEFAULT_LOCATION_TAGS,
+        enable_singleton_extract=splice,
+    )
+    flagged = reference_chop.ChopConfig(
+        enable_qualid_collapse="collapse" not in off,
+        enable_location_strip="strip" not in off,
+        enable_singleton_extract=splice,
+    )
+    expected = _outcome(reference_chop.chop, tree, flagged)
+    actual = _outcome(chop, tree, cfg)
+    if expected is MalformedQualifiedName and actual is not MalformedQualifiedName:
+        # The divergence test_matches_reference_on_head_only_trees allows.
+        assert "strip" not in off
+        assert actual == _outcome(reference_chop.chop, _hollow_locations(tree), flagged)
     else:
         assert actual == expected
 
@@ -273,13 +300,13 @@ def test_matches_reference_on_bundled_and_generated_trees(cfg, tmp_path):
         for records in load_directory(root).values():
             for record in records:
                 for tree in (record.syntax_tree, record.kernel_tree):
-                    assert chop(tree, cfg) == reference_chop.chop(tree, cfg)
+                    assert chop(tree, cfg) == reference(tree, cfg)
 
 
 def test_malformed_name_inside_a_location_no_longer_raises():
     tree = parse_one("(v (loc (Qualid)) (Id x))")
     with pytest.raises(reference_chop.MalformedQualifiedName):
-        reference_chop.chop(tree, CFG)
+        reference(tree, CFG)
     assert chop(tree, CFG) == ("v", ("Id", "x"))
 
 

@@ -47,6 +47,7 @@ from lemname.metrics import evaluate
 from lemname.model import (
     DEFAULT_INPUT_CONFIG,
     INPUT_CONFIGS,
+    CHECKPOINT_VERSION,
     CorruptCheckpoint,
     ModelConfig,
     TrainingConfig,
@@ -86,22 +87,23 @@ def test_config_parses_values(tmp_path):
 def test_config_parses_chop_and_lexicon_overrides(tmp_path):
     write_config(
         tmp_path,
-        "qualid_collapse: false\n"
-        "location_strip: true\n"
         "singleton_extract: False\n"
         "qualified_name_tags: Ser_Qualid, Qualid\n"
         "location_tags: loc, v_loc\n"
-        "suffix_peeling: true\n"
         "suffix_letters: A, C, g, T\n",
     )
     config = load_config(tmp_path)
-    assert not config.chop.enable_qualid_collapse
-    assert config.chop.enable_location_strip
     assert not config.chop.enable_singleton_extract
     assert config.chop.qualified_name_tags == frozenset({"Ser_Qualid", "Qualid"})
     assert config.chop.location_tags == frozenset({"loc", "v_loc"})
-    assert config.lexicon.enabled
     assert config.lexicon.letters == frozenset({"A", "C", "g", "T"})
+
+
+def test_config_empty_values_switch_the_rewrites_off(tmp_path):
+    write_config(tmp_path, "qualified_name_tags:\nlocation_tags:\nsuffix_letters:\n")
+    config = load_config(tmp_path)
+    assert config.chop == ChopConfig(qualified_name_tags=frozenset(), location_tags=frozenset())
+    assert config.lexicon.letters == frozenset()
 
 
 def test_config_unknown_key_reports_line(tmp_path):
@@ -149,7 +151,7 @@ def test_tool_config_checks_k(k):
 
 
 def test_config_bad_bool_reports_line(tmp_path):
-    write_config(tmp_path, "suffix_peeling: maybe\n")
+    write_config(tmp_path, "singleton_extract: maybe\n")
     with pytest.raises(ConfigSyntaxError):
         load_config(tmp_path)
 
@@ -213,6 +215,16 @@ def test_a_config_that_is_not_a_regular_file_exits_two(command, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60, env=env)
     assert (done.returncode, done.stderr) == (2, f"error: {tmp_path / CONFIG_FILE_NAME}: not a regular file\n")
+
+
+def test_a_dangling_config_link_exits_two(tmp_path, capsys):
+    # Read as absent, it would silently give every setting its default.
+    (tmp_path / CONFIG_FILE_NAME).symlink_to(tmp_path / "moved.roosterizerc")
+    with pytest.raises(lemname.DomainError, match="not a regular file"):
+        load_config(tmp_path)
+    argv = ["suggest_naming", "--file", str(tmp_path / "doc.lemmas.sexp"), "--project", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / CONFIG_FILE_NAME}: not a regular file\n"
 
 
 # -------------------------------------------------------------------- help/usage
@@ -361,7 +373,7 @@ def test_evaluate_data_that_is_a_file(cli_env, capsys):
 
 
 def test_train_and_baseline_use_the_project_preprocessing(cli_env, tmp_path, monkeypatch):
-    write_config(tmp_path, "suffix_peeling: false\nlocation_strip: false\n")
+    write_config(tmp_path, "suffix_letters:\nlocation_tags:\n")
     project = load_config(tmp_path)
     assert project.chop != ChopConfig() and project.lexicon != DEFAULT_LEXICON
     assert main(train_args(cli_env, tmp_path, project=tmp_path)) == 0
@@ -431,7 +443,7 @@ def test_evaluate_k1_top5_equals_top1(cli_env, tmp_path):
 
 
 def test_evaluate_splits_references_with_the_suggesters_lexicon(cli_env, tmp_path):
-    write_config(tmp_path, "suffix_peeling: false\n")
+    write_config(tmp_path, "suffix_letters:\n")
     lexicon = load_config(tmp_path).lexicon
     split = split_corpus(sorted(cli_env.documents), seed=0)
     baseline = RetrievalBaseline(
@@ -781,11 +793,11 @@ def sha256_of(value) -> str:
     return hashlib.sha256(canonical_json(value)).hexdigest()
 
 
-def rewritten_checkpoint(cli_env, path, edit, version=2, digest=True):
+def rewritten_checkpoint(cli_env, path, edit, version=CHECKPOINT_VERSION, digest=True):
     """The fixture checkpoint with its header edited and, by default, a matching digest.
 
     `edit` changes the parsed header, whose digest entry is removed first.
-    With `digest`, the format-2 digest over every other entry is added back.
+    With `digest`, the digest over every other entry (formats 2 and 3) is added back.
     """
     data = cli_env.checkpoint_path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", data, 8)
@@ -849,18 +861,13 @@ def test_checkpoint_with_malformed_parameter_entry_exits_two(
         ("config", "embed_dim", 24.0, "embed_dim must be"),
         ("config", "max_input_len", 1.5, "max_input_len must be"),
         ("config", "use_copy", "yes", "use_copy must be"),
-        ("lexicon", "enabled", "no", "enabled must be"),
         ("lexicon", "letters", "ACg", "letters must be"),
-        ("chop_config", "enable_location_strip", "no", "enable_location_strip must be"),
+        ("chop_config", "enable_singleton_extract", "no", "enable_singleton_extract must be"),
         ("chop_config", "location_tags", "loc", "location_tags must be"),
-        ("output", "min_frequency", "x", "min_frequency must be"),
         ("output", "tokens", 7, "tokens must be"),
         ("lexicon", "extra", True, "SuffixLexicon needs the keys"),
     ],
-    ids=[
-        "float", "fraction", "str", "lexicon-enabled", "lexicon-letters", "chop-flag", "chop-tags",
-        "min-frequency", "token", "extra-key",
-    ],
+    ids=["float", "fraction", "str", "lexicon-letters", "chop-flag", "chop-tags", "token", "extra-key"],
 )
 def test_checkpoint_with_mistyped_config_exits_two(
     section, field, value, message, cli_env, tmp_path, capsys, monkeypatch
@@ -908,7 +915,22 @@ def test_format_one_checkpoint_exits_two(command, cli_env, tmp_path, capsys, mon
     path = rewritten_checkpoint(cli_env, tmp_path / "v1.ckpt", to_format_one, version=1, digest=False)
     code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
     assert code == 2
-    assert "checkpoint format version 1, supported 2" in err
+    assert f"checkpoint format version 1, supported {CHECKPOINT_VERSION}" in err
+
+
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_format_two_checkpoint_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
+    # Format 2: the chop and suffix switches beside their sets, and each
+    # vocabulary's min_frequency, all covered by the header digest.
+    def to_format_two(header):
+        header["chop_config"].update(enable_qualid_collapse=True, enable_location_strip=True)
+        header["lexicon"]["enabled"] = True
+        for vocabulary in header["vocabularies"].values():
+            vocabulary["min_frequency"] = 1
+
+    path = rewritten_checkpoint(cli_env, tmp_path / "v2.ckpt", to_format_two, version=2)
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert (code, err) == (2, "error: checkpoint format version 2, supported 3\n")
 
 
 @pytest.mark.parametrize("command", ["suggest_naming", "serve"])

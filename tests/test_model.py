@@ -152,6 +152,14 @@ def test_training_config_checks_every_field(field_name, value):
         TrainingConfig(**{"epochs": 1, field_name: value})
 
 
+@pytest.mark.parametrize("field_name, value", [("batch_size", 0), ("learning_rate", float("nan"))])
+def test_training_config_cannot_be_changed_past_its_checks(field_name, value):
+    training = TrainingConfig(epochs=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(training, field_name, value)
+    assert training == TrainingConfig(epochs=1)
+
+
 # ------------------------------------------------------------------- training
 
 
@@ -334,7 +342,7 @@ def test_prepare_splits_only_as_far_as_the_encoder_reads(cli_env, deep_lemma_fil
     model = cli_env.model
     split = lemname.subtok._split
     splits = []
-    monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: splits.append(text) or split(text, lexicon))
+    monkeypatch.setattr(lemname.subtok, "_split", lambda text, letters: splits.append(text) or split(text, letters))
     lemname.subtok._cached_split.cache_clear()
     prepared = model._targeted(record)
     # At most max_input_len tokens per input stream, and the name once.
@@ -355,7 +363,7 @@ def test_prepare_splits_at_most_max_input_len_atoms_of_a_wide_tree(cli_env, lemm
     model = cli_env.model
     split = lemname.subtok._split
     splits = []
-    monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: splits.append(text) or split(text, lexicon))
+    monkeypatch.setattr(lemname.subtok, "_split", lambda text, letters: splits.append(text) or split(text, letters))
     lemname.subtok._cached_split.cache_clear()
     prepared = model.prepare(record)
     kernel = set(atoms)
@@ -1059,9 +1067,11 @@ def test_checkpoint_vocabulary_tamper(trained, tmp_path):
     "settings",
     [
         small_config(inputs=("statement",), use_copy=False, max_output_len=3),
-        ChopConfig(location_tags=frozenset({"loc", "vernac_loc"}), enable_singleton_extract=False),
-        SuffixLexicon(letters=frozenset({"A", "n"}), enabled=False),
-        Vocabulary(["b", "a"], min_frequency=3),
+        ChopConfig(
+            qualified_name_tags=frozenset(), location_tags=frozenset({"loc", "vernac_loc"}), enable_singleton_extract=False
+        ),
+        SuffixLexicon(letters=frozenset()),
+        Vocabulary(["b", "a"]),
     ],
     ids=lambda settings: type(settings).__name__,
 )
@@ -1070,7 +1080,7 @@ def test_settings_round_trip_through_the_header(settings):
     assert _section(type(settings), data) == settings
 
 
-@pytest.mark.parametrize("data", [None, [], {"letters": ["A"]}, {"letters": ["A"], "enabled": True, "x": 1}])
+@pytest.mark.parametrize("data", [None, [], {}, {"letters": ["A"], "x": 1}])
 def test_settings_section_needs_exactly_its_fields(data):
     with pytest.raises(CorruptCheckpoint, match="malformed header: SuffixLexicon needs the keys"):
         _section(SuffixLexicon, data)

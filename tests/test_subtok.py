@@ -42,7 +42,7 @@ class TestNameExamples:
         assert subtokenize_name("addn0") == ["addn", "0"]
 
     def test_peeling_disabled(self):
-        lex = SuffixLexicon(enabled=False)
+        lex = SuffixLexicon(letters=frozenset())
         assert subtokenize_name("extprod_mulgA", lex) == ["extprod", "_", "mulg", "A"]
 
     def test_prime_suffix_is_a_symbol_run(self):
@@ -55,14 +55,16 @@ class TestNameExamples:
 
 
 class TestSuffixPeel:
-    @given(
-        st.text(alphabet="aAbBCgG_0'", min_size=1),
-        st.sets(st.sampled_from("aAbBCgG"), min_size=1),
-        st.booleans(),
-    )
-    def test_one_slice_peel_matches_the_per_letter_peel(self, name, letters, enabled):
-        lexicon = SuffixLexicon(letters=frozenset(letters), enabled=enabled)
-        assert subtokenize_name(name, lexicon) == reference_subtok.subtokenize_name(name, lexicon)
+    @given(st.text(alphabet="aAbBCgG_0'", min_size=1), st.sets(st.sampled_from("aAbBCgG")))
+    def test_one_slice_peel_matches_the_per_letter_peel(self, name, letters):
+        lexicon = SuffixLexicon(letters=frozenset(letters))
+        assert subtokenize_name(name, lexicon) == reference_subtok.subtokenize_name(name, lexicon.letters)
+
+    @given(st.text(min_size=1))
+    def test_an_empty_lexicon_is_the_no_peeling_split(self, name):
+        no_peeling = reference_subtok.subtokenize_name(name, letters=None)
+        assert subtokenize_name(name, SuffixLexicon(letters=frozenset())) == no_peeling
+        assert no_peeling == list(split_statement_token(name))
 
 
 class TestLinearTime:
@@ -104,17 +106,12 @@ class TestStatementTokens:
 class TestLexicon:
     def test_default_letters(self):
         assert DEFAULT_LEXICON.letters == frozenset({"A", "C", "g"})
-        assert DEFAULT_LEXICON.enabled
-
-    def test_rejects_empty_enabled_lexicon(self):
-        with pytest.raises(ValueError):
-            SuffixLexicon(letters=frozenset())
 
     def test_rejects_multichar_entries(self):
         with pytest.raises(ValueError):
             SuffixLexicon(letters=frozenset({"Ab"}))
 
-    @pytest.mark.parametrize("field_name, value", [("letters", "ACg"), ("letters", [None]), ("enabled", "no")])
+    @pytest.mark.parametrize("field_name, value", [("letters", "ACg"), ("letters", [None])])
     def test_rejects_mistyped_fields(self, field_name, value):
         with pytest.raises(ValueError, match=f"{field_name} must be"):
             SuffixLexicon(**{field_name: value})
@@ -145,12 +142,12 @@ class TestLosslessness:
 class TestSplitCache:
     @given(st.text())
     def test_cached_split_equals_uncached(self, text):
-        assert split_statement_token(text) == tuple(_split(text, None))
+        assert split_statement_token(text) == tuple(_split(text, frozenset()))
 
     @given(st.text(min_size=1))
     def test_returns_a_tuple_so_the_cached_value_cannot_change(self, text):
         assert type(split_statement_token(text)) is tuple
-        assert split_statement_token(text) == tuple(_split(text, None))
+        assert split_statement_token(text) == tuple(_split(text, frozenset()))
 
     def test_cache_is_bounded_by_entry_count(self):
         _cached_split.cache_clear()
@@ -167,9 +164,9 @@ class TestSplitCache:
         capped = long_token[:SPLIT_CACHE_MAX_CHARS]
         _cached_split.cache_clear()
         calls = []
-        monkeypatch.setattr(lemname.subtok, "_split", lambda text, lexicon: calls.append(text) or _split(text, lexicon))
+        monkeypatch.setattr(lemname.subtok, "_split", lambda text, letters: calls.append(text) or _split(text, letters))
         for _ in range(3):
-            assert split_statement_token(long_token) == tuple(_split(long_token, None))
-            assert split_statement_token(capped) == tuple(_split(capped, None))
+            assert split_statement_token(long_token) == tuple(_split(long_token, frozenset()))
+            assert split_statement_token(capped) == tuple(_split(capped, frozenset()))
         assert calls == [long_token, capped, long_token, long_token]
         assert _cached_split.cache_info().currsize == 1
