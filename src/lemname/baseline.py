@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .chop import ChopConfig
+from .chop import DEFAULT_CHOP_CONFIG, ChopConfig
 from .corpus import record_texts
 from .model import DEFAULT_INPUT_CONFIG, INPUT_CONFIGS, EmptyTrainingSet, Suggestion
 from .subtok import DEFAULT_LEXICON, subtokenize_name
@@ -31,11 +31,11 @@ class RetrievalBaseline:
         self,
         records,
         inputs=INPUT_CONFIGS[DEFAULT_INPUT_CONFIG],
-        chop_config: ChopConfig | None = None,
+        chop_config: ChopConfig = DEFAULT_CHOP_CONFIG,
         lexicon=DEFAULT_LEXICON,
     ):
         self.inputs = tuple(inputs)
-        self.chop_config = chop_config or ChopConfig()
+        self.chop_config = chop_config
         self.lexicon = lexicon
         self._names, bags = [], []
         for record in records:

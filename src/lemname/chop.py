@@ -49,6 +49,9 @@ class ChopConfig:
             raise InvalidValue(f"enable_singleton_extract must be a bool, got {self.enable_singleton_extract!r}")
 
 
+DEFAULT_CHOP_CONFIG = ChopConfig()
+
+
 def _head_tag(node: SExp):
     if isinstance(node, tuple) and node and isinstance(node[0], str):
         return node[0]
@@ -73,7 +76,7 @@ def _last_component(node: tuple) -> SExp:
     return last
 
 
-def chop(tree: SExp, config: ChopConfig | None = None) -> SExp:
+def chop(tree: SExp, config: ChopConfig = DEFAULT_CHOP_CONFIG) -> SExp:
     """Rewrite a tree to its chopped normal form in one post-order walk.
 
     A child is rewritten when the walk reaches it: while its head is a
@@ -88,7 +91,6 @@ def chop(tree: SExp, config: ChopConfig | None = None) -> SExp:
     again returns it unchanged. The walk keeps its own stack, so a deep
     tree costs no recursion.
     """
-    config = config or ChopConfig()
     qualified = config.qualified_name_tags
     locations = config.location_tags
     splice = config.enable_singleton_extract

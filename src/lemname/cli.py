@@ -25,12 +25,12 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import DomainError, InvalidValue, __version__, canonical_json
 from .baseline import RetrievalBaseline
-from .chop import ChopConfig
+from .chop import DEFAULT_CHOP_CONFIG, ChopConfig
 from .corpus import (
     document_paths,
     load_directory,
@@ -48,7 +48,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .subtok import SuffixLexicon
+from .subtok import DEFAULT_LEXICON, SuffixLexicon
 
 CONFIG_FILE_NAME = ".roosterizerc"
 MAX_K = 100  # suggestions per lemma; beam search holds records x k rows at once
@@ -68,8 +68,8 @@ class MissingModel(DomainError):
 class ToolConfig:
     model_path: str | None = None
     k: int = 5
-    chop: ChopConfig = field(default_factory=ChopConfig)
-    lexicon: SuffixLexicon = field(default_factory=SuffixLexicon)
+    chop: ChopConfig = DEFAULT_CHOP_CONFIG
+    lexicon: SuffixLexicon = DEFAULT_LEXICON
 
     def __post_init__(self):
         if type(self.k) is not int or not 1 <= self.k <= MAX_K:  # a bool is no count
@@ -244,7 +244,7 @@ def build_suggestion_report(model, file_path, k: int) -> SuggestionReport:
 
 
 def _load_model(path):
-    if path is None:
+    if not path:  # an empty `model_path:` or `--model ""` names no file
         raise MissingModel(
             "no model checkpoint configured; pass --model or set model_path in .roosterizerc"
         )
@@ -268,10 +268,11 @@ def _given(args, settings_type) -> dict:
 
 
 def cmd_train(args, config: ToolConfig) -> int:
-    documents = load_directory(args.data)
-    split = split_corpus(sorted(documents), seed=args.split_seed)
+    # The settings types are the flags' only check, and they run before any document is read.
     model_config = ModelConfig(inputs=INPUT_CONFIGS[args.config_name], **_given(args, ModelConfig))
     training = TrainingConfig(**_given(args, TrainingConfig))
+    documents = load_directory(args.data)
+    split = split_corpus(sorted(documents), seed=args.split_seed)
     checkpoint, metrics = train(documents, split, model_config, training, config.chop, config.lexicon)
     save_checkpoint(args.out, checkpoint)
     log_path = args.log if args.log else f"{args.out}.log"
@@ -380,19 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(INPUT_CONFIGS),
         help="input streams to encode",
     )
-    fit.add_argument("--seed", type=_nonnegative_int, help="training seed")
-    fit.add_argument("--epochs", type=_nonnegative_int, default=30)
+    fit.add_argument("--seed", type=int, help="training seed")
+    fit.add_argument("--epochs", type=int)
     fit.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     fit.add_argument("--log", default=None, help="epoch metrics log path (default: <out>.log)")
     fit.add_argument("--split-seed", type=_nonnegative_int, default=0)
-    fit.add_argument("--batch-size", type=_positive_int)
+    fit.add_argument("--batch-size", type=int)
     fit.add_argument("--learning-rate", type=float)
-    fit.add_argument("--embed-dim", type=_positive_int)
-    fit.add_argument("--hidden-dim", type=_positive_int)
-    fit.add_argument("--max-input-len", type=_positive_int)
-    fit.add_argument("--max-output-len", type=_positive_int)
-    fit.add_argument("--min-frequency", type=_positive_int)
-    fit.add_argument("--output-min-frequency", type=_positive_int)
+    fit.add_argument("--embed-dim", type=int)
+    fit.add_argument("--hidden-dim", type=int)
+    fit.add_argument("--max-input-len", type=int)
+    fit.add_argument("--max-output-len", type=int)
+    fit.add_argument("--output-min-frequency", type=int)
     fit.set_defaults(func=cmd_train)
 
     score = commands.add_parser("evaluate", parents=[settings], help="score a model or the retrieval baseline")

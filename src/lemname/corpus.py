@@ -23,7 +23,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import DomainError, InvalidValue
-from .chop import ChopConfig, chop
+from .chop import DEFAULT_CHOP_CONFIG, ChopConfig, chop
 from .sexp import SExp, SExpError, linearize, parse, render
 from .subtok import (
     DEFAULT_LEXICON,
@@ -235,7 +235,7 @@ def ordered_records(documents: dict, doc_ids) -> list:
 def stream_subtoken_texts(
     record: LemmaRecord,
     stream: str,
-    chop_config: ChopConfig | None = None,
+    chop_config: ChopConfig = DEFAULT_CHOP_CONFIG,
     lexicon: SuffixLexicon = DEFAULT_LEXICON,
     limit: int | None = None,
 ) -> list:
@@ -251,16 +251,16 @@ def stream_subtoken_texts(
     if stream == STREAM_STATEMENT:
         forms = record.statement_tokens
     elif stream == STREAM_SYNTAX:
-        forms = (chop(record.syntax_tree, chop_config or ChopConfig()),)
+        forms = (chop(record.syntax_tree, chop_config),)
     elif stream == STREAM_KERNEL:
-        forms = (chop(record.kernel_tree, chop_config or ChopConfig()),)
+        forms = (chop(record.kernel_tree, chop_config),)
     else:
         raise ValueError(f"unknown stream: {stream!r}")
     return linearize(*forms, pieces=split_statement_token, limit=limit)
 
 
 def record_texts(
-    record: LemmaRecord, streams, chop_config: ChopConfig | None, lexicon: SuffixLexicon, limit: int | None = None
+    record: LemmaRecord, streams, chop_config: ChopConfig, lexicon: SuffixLexicon, limit: int | None = None
 ) -> dict:
     """Sub-token texts of the named streams of a record, by stream.
 

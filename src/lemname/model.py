@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from . import DomainError, InvalidValue, canonical_json
-from .chop import ChopConfig
+from .chop import DEFAULT_CHOP_CONFIG, ChopConfig
 from .corpus import (
     BOS_ID,
     EOS_ID,
@@ -139,19 +139,22 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    epochs: int
+    """Optimizer settings, and how often a name sub-token must occur in training to be generable.
+
+    Input vocabularies keep every training sub-token; an output sub-token
+    seen fewer than `output_min_frequency` times can only be copied.
+    """
+
+    epochs: int = 30
     learning_rate: float = 1e-3
     batch_size: int = 32
     seed: int = 0
-    min_frequency: int = 1
-    output_min_frequency: int | None = None
+    output_min_frequency: int = 1
 
     def __post_init__(self):
-        lowest = {"epochs": 0, "batch_size": 1, "seed": 0, "min_frequency": 1, "output_min_frequency": 1}
+        lowest = {"epochs": 0, "batch_size": 1, "seed": 0, "output_min_frequency": 1}
         for name, low in lowest.items():
             value = getattr(self, name)
-            if name == "output_min_frequency" and value is None:
-                continue
             if type(value) is not int or value < low:  # a bool is no count
                 raise InvalidValue(f"{name} must be an integer of at least {low}, got {value!r}")
         rate = self.learning_rate
@@ -539,7 +542,7 @@ class LemmaNameModel:
             rows = (np.array(live)[:, None] * k + np.arange(width)).reshape(-1)
             step_state, probs = self._distribution(Tensor(states[rows]), input_ids[rows], sub_batch)
             logp = np.log(probs + _LOG_FLOOR)
-            logp[:, [PAD_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, BOS_ID]] = -np.inf
+            logp[:, [PAD_ID, UNK_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, UNK_ID, BOS_ID]] = -np.inf
             logp[np.arange(logp.shape[1]) >= np.repeat(ext_sizes[live], width)[:, None]] = -np.inf
             order = np.argsort(-logp, axis=1, kind="stable")[:, :k]
             best = np.take_along_axis(logp, order, axis=1).tolist()
@@ -598,8 +601,8 @@ def train(
     split,
     config: ModelConfig,
     training: TrainingConfig,
-    chop_config: ChopConfig | None = None,
-    lexicon=None,
+    chop_config: ChopConfig = DEFAULT_CHOP_CONFIG,
+    lexicon: SuffixLexicon = DEFAULT_LEXICON,
 ):
     """Teacher-forced Adam training with per-epoch validation selection.
 
@@ -616,23 +619,14 @@ def train(
     step, the next batch and validation. Returns (checkpoint, per-epoch
     metrics).
     """
-    chop_config = chop_config or ChopConfig()
-    lexicon = lexicon or DEFAULT_LEXICON
     train_records = ordered_records(documents, split.train)
     val_records = ordered_records(documents, split.validation)
     if not train_records:
         raise EmptyTrainingSet("no training records")
 
     texts = [record_texts(r, (*config.inputs, STREAM_NAME), chop_config, lexicon) for r in train_records]
-    output_min = (
-        training.output_min_frequency
-        if training.output_min_frequency is not None
-        else training.min_frequency
-    )
-    vocabularies = {
-        stream: build_vocabulary((t[stream] for t in texts), training.min_frequency) for stream in config.inputs
-    }
-    vocabularies["output"] = build_vocabulary((t[STREAM_NAME] for t in texts), output_min)
+    vocabularies = {stream: build_vocabulary(t[stream] for t in texts) for stream in config.inputs}
+    vocabularies["output"] = build_vocabulary((t[STREAM_NAME] for t in texts), training.output_min_frequency)
 
     model = LemmaNameModel(config, chop_config, lexicon, vocabularies, seed=training.seed)
     train_prepared = [model.prepare(r, t) for r, t in zip(train_records, texts)]

@@ -33,7 +33,7 @@ def full_width_suggest_many(model, records, k: int) -> list:
             break
         state, probs = model._distribution(state, input_ids, batch)
         logp = np.log(probs + _LOG_FLOOR)
-        logp[:, [PAD_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, BOS_ID]] = -np.inf
+        logp[:, [PAD_ID, UNK_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, UNK_ID, BOS_ID]] = -np.inf
         logp[np.arange(logp.shape[1]) >= ext_sizes[:, None]] = -np.inf
         order = np.argsort(-logp, axis=1, kind="stable")[:, :k]
         parents = np.arange(rows)

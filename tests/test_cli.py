@@ -341,8 +341,9 @@ def test_train_without_validation_checks_kept_parameters(cli_env, tmp_path, caps
 @pytest.mark.parametrize(
     "flags, model_fields, training_fields",
     [
+        (["--epochs", "1"], {}, {"epochs": 1}),
+        (["--epochs", "1", "--hidden-dim", "12", "--seed", "3"], {"hidden_dim": 12}, {"epochs": 1, "seed": 3}),
         ([], {}, {}),
-        (["--hidden-dim", "12", "--seed", "3"], {"hidden_dim": 12}, {"seed": 3}),
     ],
 )
 def test_train_leaves_unset_flags_to_the_settings_types(flags, model_fields, training_fields, monkeypatch):
@@ -354,11 +355,36 @@ def test_train_leaves_unset_flags_to_the_settings_types(flags, model_fields, tra
 
     monkeypatch.setattr(cli, "train", recording_train)
     with pytest.raises(Built) as built:
-        main(["train", "--data", str(bundled_corpus_dir()), "--epochs", "1", *flags])
+        main(["train", "--data", str(bundled_corpus_dir()), *flags])
     assert built.value.args == (
         ModelConfig(inputs=INPUT_CONFIGS["stmt+ckt"], **model_fields),
-        TrainingConfig(epochs=1, **training_fields),
+        TrainingConfig(**training_fields),
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value, field_name",
+    [
+        ("--batch-size", "0", "batch_size"),
+        ("--hidden-dim", "3", "hidden_dim"),
+        ("--epochs", "-1", "epochs"),
+        ("--output-min-frequency", "0", "output_min_frequency"),
+    ],
+)
+def test_train_settings_flags_are_checked_by_their_types_before_any_document_is_read(
+    flag, value, field_name, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "load_directory", lambda path: pytest.fail(f"read {path}"))
+    assert main(["train", "--data", str(bundled_corpus_dir()), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field_name in err
+
+
+def test_train_has_no_input_vocabulary_threshold(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_directory", lambda path: pytest.fail(f"read {path}"))
+    assert main(["train", "--data", str(bundled_corpus_dir()), "--min-frequency", "2"]) == 2
+    assert "unrecognized arguments: --min-frequency 2" in capsys.readouterr().err
 
 
 def test_train_missing_data_dir(tmp_path, capsys):
@@ -701,6 +727,26 @@ def test_suggest_naming_requires_model(cli_env, tmp_path, capsys):
     )
     assert code == 2
     assert "model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("suggest_naming", "config"), ("suggest_naming", "flag"), ("serve", "config"), ("serve", "flag"),
+     ("evaluate", "flag")],  # evaluate's --model is its own choice against --baseline
+)
+def test_an_empty_model_path_configures_no_model(command, source, cli_env, tmp_path, monkeypatch, capsys):
+    # The flag overrides a usable path in the file.
+    write_config(tmp_path, "model_path:\n" if source == "config" else f"model_path: {cli_env.checkpoint_path}\n")
+    argv = [command, "--project", str(tmp_path)] + (["--model", ""] if source == "flag" else [])
+    if command == "suggest_naming":
+        argv += ["--file", str(cli_env.clean_file)]
+    elif command == "evaluate":
+        argv += ["--data", str(cli_env.data_dir)]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO()))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: no model checkpoint configured; pass --model or set model_path in .roosterizerc\n"
+    )
 
 
 def most_suggestions(command, cli_env, project, monkeypatch, *flags) -> int:

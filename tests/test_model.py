@@ -7,6 +7,7 @@ import itertools
 import json
 import struct
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
 
@@ -27,6 +28,7 @@ from lemname.corpus import (
     EOS_ID,
     INPUT_STREAMS,
     PAD_ID,
+    RESERVED_TOKENS,
     UNK_ID,
     DatasetSplit,
     EmptyStream,
@@ -143,7 +145,7 @@ def test_training_config_rejects_negative_epochs():
     "field_name, value",
     [
         ("epochs", 1.5), ("epochs", True), ("batch_size", 2.5), ("batch_size", 0), ("seed", -1), ("seed", "0"),
-        ("min_frequency", 0), ("output_min_frequency", 0), ("output_min_frequency", 1.0), ("learning_rate", "0.1"),
+        ("output_min_frequency", 0), ("output_min_frequency", 1.0), ("learning_rate", "0.1"),
         ("learning_rate", True),
     ],
 )
@@ -579,7 +581,7 @@ def reference_greedy(model, records) -> list:
             if finished[row]:
                 continue
             own = probs[row, : base + len(record.oov_texts)].copy()
-            own[[PAD_ID, BOS_ID] + ([EOS_ID] if step == 0 else [])] = -1.0
+            own[[PAD_ID, UNK_ID, BOS_ID] + ([EOS_ID] if step == 0 else [])] = -1.0
             best = int(np.argmax(own))
             if best == EOS_ID:
                 finished[row] = True
@@ -885,6 +887,40 @@ def test_eos_biased_model_never_suggests_empty_name(trained):
     assert len(best) == 1 and best[0].name
     wider = model.suggest(record, 3)
     assert wider and all(s.name for s in wider)
+
+
+def test_unk_biased_model_never_suggests_unk(trained):
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    # <unk> dominates the output layer, and the gate generates.
+    model.parameters["out.b"].data[UNK_ID] = 30.0
+    model.parameters["copy.b"].data[:] = 30.0
+    found = model.suggest_many(ordered_records(documents, split.train), 3)
+    assert all(found) and not any("<unk>" in s.name for suggestions in found for s in suggestions)
+
+
+def test_a_record_with_nothing_but_unk_to_say_gets_no_suggestion(tiny_corpus):
+    # Without copying, and with every name sub-token under the output
+    # threshold, the output vocabulary is the reserved entries alone, so
+    # <unk> would be the only id a first step could take.
+    documents, split = tiny_corpus
+    training = TrainingConfig(epochs=0, output_min_frequency=10**6)
+    checkpoint, _ = train(documents, split, small_config(use_copy=False), training)
+    assert checkpoint.vocabularies["output"].texts == RESERVED_TOKENS
+    records = ordered_records(documents, split.train)
+    assert checkpoint.to_model().suggest_many(records, 5) == [[]] * len(records)
+
+
+def test_only_the_output_vocabulary_drops_rare_sub_tokens(tiny_corpus):
+    documents, split = tiny_corpus
+    config = small_config()
+    checkpoint, _ = train(documents, split, config, TrainingConfig(epochs=0, output_min_frequency=2))
+    records = ordered_records(documents, split.train)
+    for stream in (*config.inputs, "name"):
+        counts = Counter(text for r in records for text in stream_subtoken_texts(r, stream))
+        assert 1 in counts.values(), stream
+        kept = set(checkpoint.vocabularies["output" if stream == "name" else stream].tokens)
+        assert kept == {text for text, n in counts.items() if n >= (2 if stream == "name" else 1)}
 
 
 def test_suggestions_are_ranked_and_unique(trained):
