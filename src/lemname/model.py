@@ -315,7 +315,9 @@ class LemmaNameModel:
         """Run the encoders over prepared records padded to one batch.
 
         Each stream is one gru_sequence call that runs both directions in
-        one time loop and projects its inputs block by block. The streams
+        one time loop. It reads the stream's padded ids through the
+        stream's embedding table, so no embedding of the batch is looked
+        up, and projects each distinct id of the batch once. The streams
         write their states into consecutive slices of one (B, S, H) array,
         which is the batch's `hidden`: no concat copy exists. Without
         keep_graph no activations are kept for backward, and the batch
@@ -339,11 +341,11 @@ class LemmaNameModel:
                 ext[b, : len(seq)] = p.source_ext_ids[starts[b] : starts[b] + len(seq)]
                 mask[b, : len(seq)] = 1.0
                 starts[b] += len(seq)
-            emb = embedding_lookup(self.parameters[f"enc.{stream}.embed"], ids)
+            table = self.parameters[f"enc.{stream}.embed"]
             zero = Tensor(np.zeros((batch, cfg.hidden_dim)))
             out = hidden_data[:, offset : offset + length]
             offset += length
-            states = gru_sequence(emb, mask, zero, self._encoders[stream], keep_graph=keep_graph, out=out)
+            states = gru_sequence(table, ids, mask, zero, self._encoders[stream], keep_graph=keep_graph, out=out)
             hidden_parts.append(states)
             mask_parts.append(mask)
             ext_parts.append(ext)
@@ -369,7 +371,10 @@ class LemmaNameModel:
         """Decode (N, T) input ids from (N, H) states; N rows are record-major.
 
         One gru_sequence call runs all T steps (every target step for the
-        loss, 1 for a beam step), then the attention/output/copy head runs
+        loss, 1 for a beam step). The copy gate reads the embedded inputs
+        too, so they are looked up once, and the GRU reads them as a table
+        of N * T rows, one id per row: dec.embed then gets one scatter of
+        the summed input gradient. Then the attention/output/copy head runs
         over the N * T rows in row-then-step order, attending per record so
         encoder states are never tiled. Returns (states (N, T, H), vocab
         dist, attention, p_gen), the last three over the N * T rows. As
@@ -380,8 +385,9 @@ class LemmaNameModel:
         params = self.parameters
         n, steps = input_ids.shape
         rows = n * steps
-        x = embedding_lookup(params["dec.embed"], input_ids)
-        states = gru_sequence(x, np.ones((n, steps)), state, (self._decoder_cell,), keep_graph=keep_graph)
+        x = reshape(embedding_lookup(params["dec.embed"], input_ids), (rows, cfg.embed_dim))
+        row_ids = np.arange(rows).reshape(n, steps)
+        states = gru_sequence(x, row_ids, np.ones((n, steps)), state, (self._decoder_cell,), keep_graph=keep_graph)
         flat = reshape(states, (rows, cfg.hidden_dim))
         records, length = batch.mask.shape
         width = rows // records
@@ -394,7 +400,7 @@ class LemmaNameModel:
         features = tanh(matmul(concat([flat, context], axis=1), params["out.w_c"]))
         p_gen = None
         if cfg.use_copy:
-            gate_in = concat([context, flat, reshape(x, (rows, cfg.embed_dim))], axis=1)
+            gate_in = concat([context, flat, x], axis=1)
             p_gen = sigmoid(matmul(gate_in, params["copy.w"]) + params["copy.b"])
         logits = matmul(features, params["out.w"]) + params["out.b"]
         return states, softmax(logits), attention, p_gen

@@ -12,15 +12,19 @@ scans its output; backward, adam_step and the model's loss and decoder
 run checked. A NaN that comes in from outside sets no flag, so
 model.load_checkpoint rejects non-finite parameters. gru_sequence runs one
 or two recurrent directions over a whole sequence as one op, both
-directions in one time loop, and saves for backward only what BPTT
-reads: 4*hidden values per step, direction and row, since BPTT reads
-each previous state from the op's own output (or the initial state) and
-stages its inputs one block of steps at a time. It can write its output
-into a caller's array, so the encoder's streams fill one array that
-`joined` presents as their concat without copying. It is the only GRU
-the model runs (one call per encoder stream, one for the decoder); the
-tests check it against a chain of single GRU steps and, bit for bit,
-against an earlier version that saved the previous states.
+directions in one time loop. It reads its inputs as rows of an
+embedding table by integer id and projects each distinct id of the
+batch once, so no (B, T, in) input exists. It saves for backward only
+what BPTT reads: 4*hidden values per step, direction and row, since BPTT
+reads each previous state from the op's own output (or the initial
+state) and stages its inputs one block of steps at a time. It can write
+its output into a caller's array, so the encoder's streams fill one
+array that `joined` presents as their concat without copying. It is the
+only GRU the model runs (one call per encoder stream, one for the
+decoder, which passes its looked-up inputs as a table with one row per
+position); the tests check it against a chain of single GRU steps and,
+bit for bit, against an earlier version that saved the previous states
+and against itself reading one table row per position.
 Each concept has one op. matmul multiplies 2-D operands or equal stacks
 of them; index takes basic keys and gather keys such as
 (np.arange(rows), ids); softmax normalizes the last axis, for both the
@@ -275,21 +279,29 @@ def softmax(a: Tensor, mask=None) -> Tensor:
     return Tensor(out, (a,), backward)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of a (V, E) table selected by an integer id array."""
+def _embedding_ids(table: Tensor, ids) -> np.ndarray:
+    """ids as an array of rows of the 2-D table, or ShapeMismatch."""
     ids = np.asarray(ids)
     if table.data.ndim != 2:
         raise ShapeMismatch(f"embedding table must be 2-D, got {table.shape}")
+    if not np.issubdtype(ids.dtype, np.integer):  # a bool array would index as a row mask
+        raise ShapeMismatch(f"embedding ids must be integers, got {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeMismatch("embedding id out of range")
-    out = table.data[ids]
+    return ids
 
-    def backward(g):
-        rows, width = table.shape
-        cells = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
-        return (np.bincount(cells, weights=g.ravel(), minlength=rows * width).reshape(rows, width),)
 
-    return Tensor(out, (table,), backward)
+def _scatter_rows(ids: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """The (V, E) table gradient of rows picked by ids: g's rows summed per id, in id order."""
+    rows, width = shape
+    cells = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(cells, weights=g.ravel(), minlength=rows * width).reshape(rows, width)
+
+
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of a (V, E) table selected by an integer id array."""
+    ids = _embedding_ids(table, ids)
+    return Tensor(table.data[ids], (table,), lambda g: (_scatter_rows(ids, g, table.shape),))
 
 
 def _topological_order(root: Tensor) -> list:
@@ -383,10 +395,11 @@ class GruParams:
     b: Tensor  # (3 * hidden_dim,)
 
 
-# Time steps whose input projection x @ w_x + b is one GEMM. A block rather
-# than the whole sequence bounds the projection of all directions at
-# (D, B*32, 3*hidden), so long inputs never hold a (B*T, 3*hidden) array,
-# which would raise peak memory.
+# Time steps whose BPTT inputs (incoming gradient, previous states) are
+# staged as one step-major copy. A block rather than the whole sequence
+# bounds that staging at 2 * (32, D, B, hidden), so long inputs never
+# hold a step-major copy of the whole sequence, which would raise peak
+# memory.
 _PROJECTION_BLOCK = 32
 
 
@@ -395,67 +408,84 @@ def _step_order(arrays: list) -> list:
     return [a if d == 0 else a[:, ::-1] for d, a in enumerate(arrays)]
 
 
-def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = True, out=None) -> Tensor:
-    """D = len(params) GRU directions over one padded batch, in one time loop.
+def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: bool = True, out=None) -> Tensor:
+    """D = len(params) GRU directions over one padded batch of ids, in one time loop.
 
-    x is (B, T, in) and mask (B, T), read by every direction. D is 1 or 2;
-    direction 0 runs from the first position to the last, direction 1
-    from the last to the first. initial is (B, D*hidden) and the result
-    (B, T, D*hidden), direction d in columns d*hidden:(d+1)*hidden. The
-    result is written into `out` when one is given, a float64 array of
-    that shape (a slice of a larger array will do), and the result's data
-    is then `out` itself; BPTT reads it, so it must not change before
-    backward. Where the mask is 0 a direction carries its
-    state unchanged, so out[:, -1, :hidden] and out[:, 0, hidden:] are
-    each row's states after its last real position. Values equal a chain
-    of single GRU steps per direction with that carry. Each step runs
+    The input at position (b, t) is row ids[b, t] of the 2-D (V, in)
+    table. ids is a (B, T) integer array (ShapeMismatch for another dtype
+    or an id outside the table) and mask (B, T); every direction reads
+    both. D is 1 or 2; direction 0 runs from the first position to the
+    last, direction 1 from the last to the first. initial is (B, D*hidden)
+    and the result (B, T, D*hidden), direction d in columns
+    d*hidden:(d+1)*hidden. The result is written into `out` when one is
+    given, a float64 array of that shape (a slice of a larger array will
+    do), and the result's data is then `out` itself; BPTT reads it, so it
+    must not change before backward. Where the mask is 0 a direction
+    carries its state unchanged, so out[:, -1, :hidden] and
+    out[:, 0, hidden:] are each row's states after its last real
+    position. Values equal a chain of single GRU steps per direction with
+    that carry. Each step runs
     every direction at once: one (D, B, hidden) @ (D, hidden, 3*hidden)
     matmul and the gate arithmetic on (D, B, .) arrays, writing straight
-    into the output. The input projection x @ w_x + b is one GEMM per
-    block of _PROJECTION_BLOCK steps for all directions.
-    Backward is hand-written BPTT over the same loop; after it, dx, dw_x
-    and db are one GEMM or reduction per direction, and dx sums over
-    directions. The initial state's gradient is what the loop carries out
-    of its first step. For BPTT each step saves 4*hidden values per
-    direction and row: the reset and update gates, the candidate and the
-    candidate block of h @ w_h (copied out, so the rest of that product
-    is freed). A step's previous state is read from the output (the
-    previous step's state, padding included, since padding carries it)
-    or, at the first step, from `initial`. BPTT stages its inputs once
-    per block of _PROJECTION_BLOCK steps: one (steps, D, B, hidden) copy
-    of the block's incoming gradient and one of its previous states.
+    into the output. The input projection table[id] @ w_x + b is made
+    once per distinct id of the batch, one GEMM for all directions, so
+    the forward holds at most (D, min(distinct ids, B*T), 3*hidden) of
+    it and no (B, T, in) input; each step gathers its rows by id. As
+    every product runs through _product, each row equals the one a
+    per-position projection makes, bit for bit.
+    Backward is hand-written BPTT over the same loop; after it, d_x, dw_x
+    and db are one GEMM or reduction per direction (dw_x reads the
+    inputs, gathered from the table only then), and d_x sums over
+    directions. The table's gradient is d_x summed per id, as
+    embedding_lookup's backward sums it. The initial state's gradient is
+    what the loop carries out of its first step. For BPTT each step saves
+    4*hidden values per direction and row: the reset and update gates,
+    the candidate and the candidate block of h @ w_h (copied out, so the
+    rest of that product is freed). A step's previous state is read from
+    the output (the previous step's state, padding included, since
+    padding carries it) or, at the first step, from `initial`. BPTT
+    stages its inputs once per block of _PROJECTION_BLOCK steps: one
+    (steps, D, B, hidden) copy of the block's incoming gradient and one
+    of its previous states.
     Without keep_graph nothing is saved and the result has no gradient.
     One direction reads its weights as views, not stacked copies, and a
     step where no row is padded skips the carry.
     """
     params = tuple(params)
+    ids = _embedding_ids(table, ids)
     mask = np.asarray(mask)
     directions = len(params)
     hidden = params[0].w_h.shape[0] if params else 0
-    shape = (*x.shape[:2], directions * hidden)
+    shape = (*ids.shape[:2], directions * hidden)
     if (
         directions not in (1, 2)
-        or x.data.ndim != 3
-        or mask.shape != x.shape[:2]
-        or initial.shape != (x.shape[0], directions * hidden)
+        or ids.ndim != 2
+        or mask.shape != ids.shape
+        or initial.shape != (ids.shape[0], directions * hidden)
         or any(
-            (p.w_x.shape, p.w_h.shape, p.b.shape) != ((x.shape[2], 3 * hidden), (hidden, 3 * hidden), (3 * hidden,))
+            (p.w_x.shape, p.w_h.shape, p.b.shape) != ((table.shape[1], 3 * hidden), (hidden, 3 * hidden), (3 * hidden,))
             for p in params
         )
         or (out is not None and (out.shape != shape or out.dtype != np.float64))
     ):
         raise ShapeMismatch(
-            f"gru_sequence: x {x.shape}, mask {mask.shape}, initial {initial.shape}, "
+            f"gru_sequence: table {table.shape}, ids {ids.shape}, mask {mask.shape}, initial {initial.shape}, "
             + ", ".join(f"w_x {p.w_x.shape}, w_h {p.w_h.shape}, b {p.b.shape}" for p in params)
             + ("" if out is None else f", out {out.shape} {out.dtype}")
         )
-    batch, length, width = x.shape
+    batch, length = ids.shape
     # One direction's weights are views; two are stacked for the batched products.
     stack = np.stack if directions == 2 else (lambda arrays: arrays[0][None])
     w_x = stack([p.w_x.data for p in params])
     w_h = stack([p.w_h.data for p in params])
     bias = stack([p.b.data for p in params])[:, None, :]
-    inputs = _step_order([x.data] * directions)
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    gates_x = _product(table.data[distinct], w_x)  # (D, U, 3*hidden)
+    gates_x += bias  # in place: no second projection-sized array
+    gates_x = gates_x.reshape(-1, 3 * hidden)
+    # Per step, the row of gates_x each direction and batch row reads: (T, D, B).
+    steps = inverse.reshape(batch, length).T
+    rows = np.stack([steps, steps[::-1] + len(distinct)][:directions], axis=1)
     real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
     padded = ~real.reshape(length, -1).all(axis=1)  # steps where some row carries its state
     if out is None:
@@ -464,24 +494,18 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
     out_steps = _step_order([states[:, :, d] for d in range(directions)])
     saved = []  # per step: reset|update gates, candidates, h @ w_h candidate blocks
     first = h = np.ascontiguousarray(initial.data.reshape(batch, directions, hidden).transpose(1, 0, 2))
-    for start in range(0, length, _PROJECTION_BLOCK):
-        stop = min(start + _PROJECTION_BLOCK, length)
-        block = np.stack([seq[:, start:stop] for seq in inputs]).reshape(directions, -1, width)
-        gates_x = _product(block, w_x)
-        gates_x += bias  # in place: no second projection-sized array
-        gates_x = gates_x.reshape(directions, batch, stop - start, 3 * hidden)
-        for t in range(start, stop):
-            gx = gates_x[:, :, t - start]
-            gh = _product(h, w_h)
-            gates = _sigmoid(gx[..., : 2 * hidden] + gh[..., : 2 * hidden])
-            reset, update = gates[..., :hidden], gates[..., hidden:]
-            candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
-            if keep_graph:
-                saved.append((gates, candidate, gh[..., 2 * hidden :].copy()))
-            h_next = update * h + (1.0 - update) * candidate
-            h = np.where(real[t], h_next, h) if padded[t] else h_next
-            for view, state in zip(out_steps, h):
-                view[:, t] = state
+    for t in range(length):
+        gx = gates_x.take(rows[t], axis=0)
+        gh = _product(h, w_h)
+        gates = _sigmoid(gx[..., : 2 * hidden] + gh[..., : 2 * hidden])
+        reset, update = gates[..., :hidden], gates[..., hidden:]
+        candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
+        if keep_graph:
+            saved.append((gates, candidate, gh[..., 2 * hidden :].copy()))
+        h_next = update * h + (1.0 - update) * candidate
+        h = np.where(real[t], h_next, h) if padded[t] else h_next
+        for view, state in zip(out_steps, h):
+            view[:, t] = state
     if not keep_graph:
         return Tensor(out)
 
@@ -515,8 +539,8 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
                 d_step[..., hidden : 2 * hidden] = d_out * (h_prev - candidate)
                 d_step[..., : 2 * hidden] *= gates * (1.0 - gates)
                 d_step[..., 2 * hidden :] = d_candidate
-                for view, grad in zip(d_steps, d_step):
-                    view[:, t] = grad
+                for d in range(directions):  # no loop variable left holding a view of d_gates_x
+                    d_steps[d][:, t] = d_step[d]
                 d_gates_h = d_step  # stored above, so the reset factor may now go in place
                 d_gates_h[..., 2 * hidden :] *= reset
                 d_w_h += _product(h_prev.transpose(0, 2, 1), d_gates_h)
@@ -524,19 +548,21 @@ def gru_sequence(x: Tensor, mask, initial: Tensor, params, keep_graph: bool = Tr
                 if padded[t]:
                     carry = np.where(real[t], carry, d_h)
         del g_block, h_block, h_prev  # the staging, before d_x is made
-        flat_x = x.data.reshape(batch * length, width)
         d_flat = d_gates_x.reshape(directions, batch * length, 3 * hidden)
+        flat_x = table.data[ids.reshape(-1)]  # the inputs, gathered for d_w_x alone
+        per_direction = [(_product(flat_x.T, d_flat[d]), d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
+        del flat_x
         d_x = _product(d_flat[0], w_x[0].T)
         for d in range(1, directions):
             d_x += _product(d_flat[d], w_x[d].T)
-        per_direction = [(_product(flat_x.T, d_flat[d]), d_w_h[d], d_flat[d].sum(axis=0)) for d in range(directions)]
+        del d_gates_x, d_steps, d_flat  # before the scatter's cells and table gradient
         return (
-            d_x.reshape(batch, length, width),
+            _scatter_rows(ids, d_x, table.shape),
             carry.transpose(1, 0, 2).reshape(batch, directions * hidden),
             *(grad for grads in per_direction for grad in grads),
         )
 
-    parents = (x, initial, *(tensor for p in params for tensor in (p.w_x, p.w_h, p.b)))
+    parents = (table, initial, *(tensor for p in params for tensor in (p.w_x, p.w_h, p.b)))
     return Tensor(out, parents, backward)
 
 

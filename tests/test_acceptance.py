@@ -199,17 +199,19 @@ def test_criterion_01_gradient_correctness(tmp_path):
     checked.append("gru_cell")
 
     # GRU sequence: both directions in one call over a ragged mask, from a
-    # non-zero initial state per direction; gradients through the inputs,
-    # the initial state and every weight.
+    # non-zero initial state per direction; gradients through the embedding
+    # table (ids repeat, within a row and across rows, so rows sum), the
+    # initial state and every weight.
     params = {}
     directions = [gru_params(params, name, init, input_dim=5, hidden_dim=6) for name in ("fwd", "bwd")]
-    params["x"] = nn.Tensor(draw.normal(size=(3, 6, 5)))
+    params["table"] = nn.Tensor(draw.normal(size=(4, 5)))
+    ids = np.array([[0, 1, 2, 3, 1, 0], [3, 3, 2, 0, 1, 2], [1, 0, 3, 2, 2, 1]])
     mask = np.array([[1.0] * n + [0.0] * (6 - n) for n in (6, 3, 1)])
     weights = nn.Tensor(draw.normal(size=(3, 6, 12)))
     params["h0"] = nn.Tensor(draw.normal(size=(3, 12)))
 
     def sequence_loss():
-        states = nn.gru_sequence(params["x"], mask, params["h0"], directions)
+        states = nn.gru_sequence(params["table"], ids, mask, params["h0"], directions)
         return nn.sum_(nn.tanh(nn.mul(states, weights)))
 
     finite_difference_check(params, sequence_loss, rng, n_coords=24, step=1e-5, rtol=1e-4)

@@ -477,6 +477,33 @@ def test_encoder_states_are_held_once(trained):
     assert np.array_equal(np.concatenate(batch.hidden._backward(g), axis=1), g)
 
 
+@pytest.mark.parametrize("keep_graph", [False, True], ids=["no-graph", "graph"])
+def test_encoder_projects_each_distinct_input_id_once(cli_env, monkeypatch, keep_graph):
+    """Each stream's input projection has one row per distinct id of its padded batch, and no embedding is looked up."""
+    model = cli_env.model
+    prepared = [model.prepare(r) for r in all_records(cli_env)]
+    products = []
+    product = lemname.nn._product
+    monkeypatch.setattr(lemname.nn, "_product", lambda a, b: products.append((a.shape, b.shape)) or product(a, b))
+
+    def no_lookup(*args):
+        raise AssertionError("_encode looked up an embedding")
+
+    monkeypatch.setattr(lemname.nn, "embedding_lookup", no_lookup)
+    monkeypatch.setattr(lemname.model, "embedding_lookup", no_lookup)
+    model._encode(prepared, keep_graph=keep_graph)
+    w_x = (model.config.embed_dim, 3 * model.config.hidden_dim // 2)
+    projected = [a[-2] for a, b in products if b[-2:] == w_x]
+    expected = []
+    for stream in model.config.inputs:
+        sequences = [p.stream_ids[stream] for p in prepared]
+        width = max(map(len, sequences))
+        assert len({len(seq) for seq in sequences}) > 1, f"fixture should pad the {stream} stream"
+        padding = {PAD_ID} if any(len(seq) < width for seq in sequences) else set()
+        expected.append(len(set(np.concatenate(sequences).tolist()) | padding))
+    assert projected == expected
+
+
 def test_padding_leaks_into_neither_encoder_direction(trained):
     checkpoint, _, documents, split = trained
     model = checkpoint.to_model()

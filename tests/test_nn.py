@@ -119,6 +119,11 @@ class TestShapeErrors:
         with pytest.raises(ShapeMismatch):
             embedding_lookup(Tensor(np.ones((4, 2))), np.array([4]))
 
+    @pytest.mark.parametrize("ids", [[1.0, 0.0], [True, False]], ids=["float", "bool"])
+    def test_embedding_ids_must_be_integers(self, ids):
+        with pytest.raises(ShapeMismatch, match="integers"):
+            embedding_lookup(Tensor(np.ones((4, 2))), np.array(ids))
+
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeMismatch):
             backward(Tensor(np.ones(3)))
@@ -379,6 +384,12 @@ def _chained_gru(x, mask, h, cell, reverse):
     return concat(states, axis=1)
 
 
+def _rows(x):
+    """x's (B, T, in) positions as a table of rows, and the (B, T) ids that read each row once, in order."""
+    batch, length, width = x.shape
+    return reshape(x, (batch * length, width)), np.arange(batch * length).reshape(batch, length)
+
+
 class TestGruSequence:
     def make(self, lengths=(7, 2, 5, 1), steps=7):
         rng = np.random.default_rng(12)
@@ -401,7 +412,7 @@ class TestGruSequence:
         width = reference.shape[2]
         backward(sum_(reference * weights[:, :, :width]), params)
         expected = {name: t.grad.copy() for name, t in params.items()}
-        out = gru_sequence(x, mask, h0[:, :width], cells)
+        out = gru_sequence(*_rows(x), mask, h0[:, :width], cells)
         assert np.array_equal(out.data, reference.data)
         backward(sum_(out * weights[:, :, :width]), params)
         names = ["x", "h0"] + [f"g{d}.{w}" for d in range(len(cells)) for w in ("w_x", "w_h", "b")]
@@ -442,20 +453,23 @@ class TestGruSequence:
         expected = reference_gru_sequence(x, mask, h0, cells)
         frame = np.full((batch, steps + 4, directions * hidden + 3), np.nan)
         out = frame[:, 2 : 2 + steps, 1 : 1 + directions * hidden] if into else None
-        result = gru_sequence(x, mask, h0, cells, out=out)
+        table, ids = _rows(x)
+        result = gru_sequence(Tensor(table.data), ids, mask, h0, cells, out=out)
         assert np.array_equal(result.data, expected.data)
         if into:
             assert result.data is out
         grads = result._backward(g)
         assert len(grads) == 2 + 3 * directions
-        for got, want in zip(grads, expected._backward(g)):
+        d_x, *rest = expected._backward(g)
+        assert np.array_equal(grads[0], d_x.reshape(table.shape))
+        for got, want in zip(grads[1:], rest):
             assert np.array_equal(got, want)
 
     def test_out_must_match_the_result(self):
         _, cells, x, h0, mask, _ = self.make()
         for out in (np.empty((4, 7, 11)), np.empty((4, 7, 12), dtype=np.float32)):
             with pytest.raises(ShapeMismatch, match="out"):
-                gru_sequence(x, mask, h0, cells, out=out)
+                gru_sequence(*_rows(x), mask, h0, cells, out=out)
 
     def test_keeps_four_hidden_values_per_step_and_row(self):
         """What backward reads: both gates, the candidate and its h @ w_h block; previous states are the output."""
@@ -468,7 +482,7 @@ class TestGruSequence:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = gru_sequence(x, mask, h0, cells)
+            out = gru_sequence(*_rows(x), mask, h0, cells)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -477,14 +491,14 @@ class TestGruSequence:
         assert held <= 1.1 * budget, f"{held / 2**20:.2f} MiB held, budget {budget / 2**20:.2f} MiB"
 
     def test_backward_stages_one_block_at_a_time(self):
-        """Backward's rise: d_gates_x, d_x and one block's staged gradient and previous states."""
+        """Backward's rise, phase by phase: BPTT with one block staged, d_w_x, d_x, the table's gradient."""
         batch, steps, width, hidden, directions = 16, 128, 32, 32, 2
         rng = np.random.default_rng(4)
         cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
         x = Tensor(rng.normal(size=(batch, steps, width)))
         h0 = Tensor(np.zeros((batch, directions * hidden)))
         mask = (np.arange(steps) < rng.integers(1, steps + 1, size=(batch, 1))).astype(float)
-        out = gru_sequence(x, mask, h0, cells)
+        out = gru_sequence(*_rows(x), mask, h0, cells)
         g = rng.normal(size=out.shape)
         tracemalloc.start()
         try:
@@ -497,36 +511,66 @@ class TestGruSequence:
         d_gates_x = directions * batch * steps * 3 * hidden
         d_x = batch * steps * width
         staging = 2 * nn._PROJECTION_BLOCK * directions * batch * hidden
-        budget = (d_gates_x + d_x + staging) * 8
+        flat_x = batch * steps * width  # the inputs d_w_x reads, gathered from the table
+        cells = batch * steps * width  # the scatter's int64 cell per input value
+        d_table = batch * steps * width  # the table's gradient: one row per position here
+        phases = (
+            d_gates_x + staging,  # BPTT
+            d_gates_x + flat_x,  # d_w_x
+            d_gates_x + 2 * d_x,  # d_x and one direction's product
+            d_x + cells + d_table,  # the scatter, after d_gates_x is freed
+        )
+        budget = max(phases) * 8
         assert peak <= 1.1 * budget, f"{peak / 2**20:.2f} MiB peak, budget {budget / 2**20:.2f} MiB"
 
     def test_without_graph_same_values_no_parents(self):
         _, cells, x, h0, mask, _ = self.make()
-        free = gru_sequence(x, mask, h0, cells, keep_graph=False)
+        free = gru_sequence(*_rows(x), mask, h0, cells, keep_graph=False)
         assert free._parents == () and free._backward is None
-        assert np.array_equal(free.data, gru_sequence(x, mask, h0, cells).data)
+        assert np.array_equal(free.data, gru_sequence(*_rows(x), mask, h0, cells).data)
 
     def test_shape_validation(self):
         _, cells, x, h0, mask, _ = self.make()
+        table, ids = _rows(x)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x, mask[:, :5], h0, cells)
+            gru_sequence(table, ids, mask[:, :5], h0, cells)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x[:, 0, :], mask, h0, cells)
+            gru_sequence(table, ids[:, 0], mask, h0, cells)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x[:, :, :4], mask, h0, cells)
+            gru_sequence(table, ids[..., None], mask, h0, cells)
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x, mask, h0[:3], cells)
+            gru_sequence(table[:, :4], ids, mask, h0, cells)
+        with pytest.raises(ShapeMismatch, match="2-D"):
+            gru_sequence(x, ids, mask, h0, cells)
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(table, ids, mask, h0[:3], cells)
         with pytest.raises(ShapeMismatch):  # one or two directions, no other count
-            gru_sequence(x, mask, h0, ())
+            gru_sequence(table, ids, mask, h0, ())
         with pytest.raises(ShapeMismatch):
-            gru_sequence(x, mask, Tensor(np.zeros((4, 18))), (*cells, cells[0]))
+            gru_sequence(table, ids, mask, Tensor(np.zeros((4, 18))), (*cells, cells[0]))
+
+    @pytest.mark.parametrize("bad", [-1, 28], ids=["negative", "past-the-table"])
+    def test_ids_must_be_rows_of_the_table(self, bad):
+        _, cells, x, h0, mask, _ = self.make()
+        table, ids = _rows(x)
+        ids[2, 3] = bad
+        with pytest.raises(ShapeMismatch, match="out of range"):
+            gru_sequence(table, ids, mask, h0, cells)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool], ids=["float", "bool"])
+    def test_ids_must_be_integers(self, dtype):
+        """A float id would reach numpy's indexing; a bool array would pass the range check and index as a mask."""
+        _, cells, x, h0, mask, _ = self.make()
+        table, ids = _rows(x)
+        with pytest.raises(ShapeMismatch, match="integers"):
+            gru_sequence(table, (ids % 2).astype(dtype), mask, h0, cells)
 
     def test_initial_width_must_be_directions_times_hidden(self):
         _, cells, x, h0, mask, _ = self.make()
         with pytest.raises(ShapeMismatch, match="initial"):
-            gru_sequence(x, mask, h0[:, :6], cells)
+            gru_sequence(*_rows(x), mask, h0[:, :6], cells)
         with pytest.raises(ShapeMismatch, match="initial"):
-            gru_sequence(x, mask, h0, cells[:1])
+            gru_sequence(*_rows(x), mask, h0, cells[:1])
 
     def test_directions_must_share_parameter_shapes(self):
         params, cells, x, h0, mask, _ = self.make()
@@ -534,23 +578,66 @@ class TestGruSequence:
         wide_input = gru_params(params, "wide", Rng(9), input_dim=7, hidden_dim=6)
         for other in (narrow, wide_input):
             with pytest.raises(ShapeMismatch):
-                gru_sequence(x, mask, h0, (cells[0], other))
+                gru_sequence(*_rows(x), mask, h0, (cells[0], other))
 
     def test_non_finite_output_raises(self):
         _, cells, x, h0, mask, _ = self.make()
         cells[0].w_x.data *= 1e300
         x.data *= 1e10  # x @ w_x now exceeds the largest float64
         with pytest.raises(NonFiniteValue, match="overflow encountered in matmul"), nn.checked():
-            gru_sequence(x, mask, h0[:, :6], cells[:1])
+            gru_sequence(*_rows(x), mask, h0[:, :6], cells[:1])
 
     def test_overflow_in_the_reverse_direction_alone_raises(self):
         _, cells, x, h0, mask, _ = self.make()
         cells[1].w_x.data *= 1e300
         x.data *= 1e10
         with nn.checked():
-            gru_sequence(x, mask, h0[:, :6], cells[:1])  # the forward direction alone stays finite
+            gru_sequence(*_rows(x), mask, h0[:, :6], cells[:1])  # the forward direction alone stays finite
         with pytest.raises(NonFiniteValue, match="overflow encountered in matmul"), nn.checked():
-            gru_sequence(x, mask, h0, cells)
+            gru_sequence(*_rows(x), mask, h0, cells)
+
+
+@settings(max_examples=60)
+@given(
+    vocab=st.integers(1, 60),
+    steps=st.integers(1, 70),
+    batch=st.sampled_from([1, 3, 16]),
+    directions=st.sampled_from([1, 2]),
+    random_initial=st.booleans(),
+    into=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_reading_through_the_table_equals_reading_its_rows(vocab, steps, batch, directions, random_initial, into, seed):
+    """Ids projected once per distinct id give the bits of a table with one row per position.
+
+    A vocabulary of one takes _product's one-row path; small vocabularies
+    repeat ids within and across blocks of _PROJECTION_BLOCK steps. The
+    table's gradient is embedding_lookup's scatter of the rows' gradient.
+    """
+    width, hidden = 5, 6
+    rng = np.random.default_rng(seed)
+    cells = [gru_params({}, "g", Rng(seed + d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+    for cell in cells:
+        cell.b.data = rng.normal(size=3 * hidden)
+    table = Tensor(rng.normal(size=(vocab, width)))
+    ids = rng.integers(0, vocab, size=(batch, steps))
+    lengths = rng.integers(1, steps + 1, size=batch)
+    lengths[0] = steps
+    mask = (np.arange(steps) < lengths[:, None]).astype(float)
+    h0 = Tensor(rng.normal(size=(batch, directions * hidden)) if random_initial else np.zeros((batch, directions * hidden)))
+    g = rng.normal(size=(batch, steps, directions * hidden))
+    rows = Tensor(table.data[ids].reshape(-1, width))
+    expected = gru_sequence(rows, np.arange(batch * steps).reshape(batch, steps), mask, h0, cells)
+    frame = np.full((batch, steps, directions * hidden + 2), np.nan)
+    out = frame[:, :, 1:-1] if into else None
+    result = gru_sequence(table, ids, mask, h0, cells, out=out)
+    assert np.array_equal(result.data, expected.data)
+    d_table, *rest = result._backward(g)
+    d_rows, *expected_rest = expected._backward(g)
+    (scattered,) = embedding_lookup(table, ids)._backward(d_rows.reshape(batch, steps, width))
+    assert np.array_equal(d_table, scattered)
+    for got, want in zip(rest, expected_rest):
+        assert np.array_equal(got, want)
 
 
 class TestAdam:
