@@ -317,7 +317,7 @@ class LemmaNameModel:
         Each stream is one gru_sequence call that runs both directions in
         one time loop. It reads the stream's padded ids through the
         stream's embedding table, so no embedding of the batch is looked
-        up, and projects each distinct id of the batch once. The streams
+        up, and projects each distinct id once per block of steps. The streams
         write their states into consecutive slices of one (B, S, H) array,
         which is the batch's `hidden`: no concat copy exists. Without
         keep_graph no activations are kept for backward, and the batch

@@ -479,7 +479,7 @@ def test_encoder_states_are_held_once(trained):
 
 @pytest.mark.parametrize("keep_graph", [False, True], ids=["no-graph", "graph"])
 def test_encoder_projects_each_distinct_input_id_once(cli_env, monkeypatch, keep_graph):
-    """Each stream's input projection has one row per distinct id of its padded batch, and no embedding is looked up."""
+    """Per block of steps, each direction projects one row per distinct id it reads; no embedding is looked up."""
     model = cli_env.model
     prepared = [model.prepare(r) for r in all_records(cli_env)]
     products = []
@@ -495,12 +495,18 @@ def test_encoder_projects_each_distinct_input_id_once(cli_env, monkeypatch, keep
     w_x = (model.config.embed_dim, 3 * model.config.hidden_dim // 2)
     projected = [a[-2] for a, b in products if b[-2:] == w_x]
     expected = []
+    block = lemname.nn._PROJECTION_BLOCK
     for stream in model.config.inputs:
         sequences = [p.stream_ids[stream] for p in prepared]
         width = max(map(len, sequences))
         assert len({len(seq) for seq in sequences}) > 1, f"fixture should pad the {stream} stream"
-        padding = {PAD_ID} if any(len(seq) < width for seq in sequences) else set()
-        expected.append(len(set(np.concatenate(sequences).tolist()) | padding))
+        ids = np.full((len(sequences), width), PAD_ID)
+        for row, seq in zip(ids, sequences):
+            row[: len(seq)] = seq
+        for start in range(0, width, block):
+            for steps in (ids, ids[:, ::-1]):  # the reverse direction reads the last positions first
+                expected.append(len(np.unique(steps[:, start : start + block])))
+    assert len(expected) > 2 * len(model.config.inputs), "fixture should span more than one block"
     assert projected == expected
 
 
