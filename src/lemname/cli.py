@@ -268,11 +268,11 @@ def _given(args, settings_type) -> dict:
 
 
 def cmd_train(args, config: ToolConfig) -> int:
-    # The settings types are the flags' only check, and they run before any document is read.
+    # The settings types and split_corpus are the flags' only checks; all run before any document is read.
     model_config = ModelConfig(inputs=INPUT_CONFIGS[args.config_name], **_given(args, ModelConfig))
     training = TrainingConfig(**_given(args, TrainingConfig))
+    split = split_corpus([path.name for path in document_paths(args.data)], seed=args.split_seed)
     documents = load_directory(args.data)
-    split = split_corpus(sorted(documents), seed=args.split_seed)
     checkpoint, metrics = train(documents, split, model_config, training, config.chop, config.lexicon)
     save_checkpoint(args.out, checkpoint)
     log_path = args.log if args.log else f"{args.out}.log"
@@ -334,20 +334,6 @@ def cmd_serve(args, config: ToolConfig) -> int:
     return serve(sys.stdin.buffer, sys.stdout.buffer, config)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lemname",
@@ -385,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--epochs", type=int)
     fit.add_argument("--out", default="model.ckpt", help="checkpoint output path")
     fit.add_argument("--log", default=None, help="epoch metrics log path (default: <out>.log)")
-    fit.add_argument("--split-seed", type=_nonnegative_int, default=0)
+    fit.add_argument("--split-seed", type=int, default=0)
     fit.add_argument("--batch-size", type=int)
     fit.add_argument("--learning-rate", type=float)
     fit.add_argument("--embed-dim", type=int)
@@ -406,15 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(INPUT_CONFIGS),
         help=f"input streams for the baseline (default: {DEFAULT_INPUT_CONFIG})",
     )
-    score.add_argument("--split-seed", type=_nonnegative_int, default=0)
+    score.add_argument("--split-seed", type=int, default=0)
     score.add_argument("--report", help="write the structured JSONL report here")
     score.set_defaults(func=cmd_evaluate)
 
     gen = commands.add_parser("gen_corpus", help="generate a synthetic lemma corpus")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--seed", type=_nonnegative_int, default=0)
-    gen.add_argument("--docs", type=_positive_int, default=10)
-    gen.add_argument("--lemmas-per-doc", type=_positive_int, default=10)
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--docs", type=int, default=10)
+    gen.add_argument("--lemmas-per-doc", type=int, default=10)
     gen.set_defaults(func=cmd_gen_corpus)
 
     server = commands.add_parser("serve", parents=[settings], help="run the stdio diagnostic server")

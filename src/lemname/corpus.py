@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
-from . import DomainError, InvalidValue
+from . import DomainError, InvalidValue, check_counts
 from .chop import DEFAULT_CHOP_CONFIG, ChopConfig, chop
 from .sexp import SExp, SExpError, linearize, parse, render
 from .subtok import (
@@ -209,7 +209,9 @@ def split_corpus(doc_ids, seed: int = 0) -> DatasetSplit:
 
     Train and validation get floor(ratio * n) documents each, by
     SPLIT_RATIOS; the remainder goes to test, so no document is dropped.
+    The seed must be an int of at least 0.
     """
+    check_counts({"split seed": (seed, 0)})
     docs = sorted(doc_ids)
     if len(docs) < 3:
         raise TooFewDocuments(f"need at least 3 documents to split, have {len(docs)}")
@@ -458,10 +460,10 @@ def generate_synthetic_corpus(
     Lemma names compose an optional qualifier word, an operation word,
     and conventional suffix letters; statements and both trees encode
     exactly the features the name mentions, so the naming convention is
-    learnable from any single representation. Same seed, same bytes.
+    learnable from any single representation. Same seed, same bytes. The
+    arguments are checked before anything is written.
     """
-    if n_docs <= 0 or lemmas_per_doc <= 0:
-        raise ValueError("corpus dimensions must be positive")
+    check_counts({"seed": (seed, 0), "n_docs": (n_docs, 1), "lemmas_per_doc": (lemmas_per_doc, 1)})
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)

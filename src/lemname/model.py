@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import DomainError, InvalidValue, canonical_json
+from . import DomainError, InvalidValue, canonical_json, check_counts
 from .chop import DEFAULT_CHOP_CONFIG, ChopConfig
 from .corpus import (
     BOS_ID,
@@ -127,10 +127,8 @@ class ModelConfig:
         for stream in self.inputs:
             if stream not in INPUT_STREAMS:
                 raise InvalidValue(f"unknown input stream: {stream!r}")
-        for name in ("embed_dim", "hidden_dim", "max_input_len", "max_output_len"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:  # a bool is no dimension
-                raise InvalidValue(f"{name} must be a positive integer, got {value!r}")
+        dimensions = ("embed_dim", "hidden_dim", "max_input_len", "max_output_len")
+        check_counts({name: (getattr(self, name), 1) for name in dimensions})
         if not isinstance(self.use_copy, bool):
             raise InvalidValue(f"use_copy must be a bool, got {self.use_copy!r}")
         if self.hidden_dim % 2:
@@ -153,10 +151,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         lowest = {"epochs": 0, "batch_size": 1, "seed": 0, "output_min_frequency": 1}
-        for name, low in lowest.items():
-            value = getattr(self, name)
-            if type(value) is not int or value < low:  # a bool is no count
-                raise InvalidValue(f"{name} must be an integer of at least {low}, got {value!r}")
+        check_counts({name: (getattr(self, name), low) for name, low in lowest.items()})
         rate = self.learning_rate
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 < rate < math.inf:
             raise InvalidValue(f"learning_rate must be finite and positive, got {rate!r}")
@@ -431,7 +426,12 @@ class LemmaNameModel:
 
     @checked()
     def _loss_batch(self, prepared):
-        """Teacher-forced loss: one decoder pass over (records x steps) rows."""
+        """Teacher-forced loss: one decoder pass over (records x steps) rows.
+
+        Only a target in the output vocabulary scores its generation
+        probability, so `<unk>` is never a target; a copy model adds the copy
+        term. A target with neither scores the constant -log(_LOG_FLOOR).
+        """
         if not prepared:
             raise EmptyTrainingSet("loss of an empty batch")
         if any(p.target_ext_ids is None for p in prepared):
@@ -450,13 +450,13 @@ class LemmaNameModel:
         input_ids = np.full((n, steps), BOS_ID, dtype=np.int64)
         input_ids[:, 1:] = np.where(step_mask[:, 1:] > 0, target_ids[:, :-1], PAD_ID)
         _, vocab_dist, attention, p_gen = self._decode(batch.state, input_ids, batch, keep_graph=True)
-        prob = vocab_dist[np.arange(n * steps), target_ids.reshape(-1)]
+        in_vocab = Tensor((generable * step_mask).reshape(-1))
+        prob = vocab_dist[np.arange(n * steps), target_ids.reshape(-1)] * in_vocab
         if self.config.use_copy:
             gate = reshape(p_gen, (n * steps,))
             match = targets[:, :, None] == batch.source_ext_ids[:, None, :]  # attention is 0 at padding
             copied = sum_(attention * Tensor(match.reshape(n * steps, -1)), axis=1)
-            in_vocab = (generable * step_mask).reshape(-1)
-            prob = gate * (prob * Tensor(in_vocab)) + (1.0 - gate) * copied
+            prob = gate * prob + (1.0 - gate) * copied
         token_count = int(step_mask.sum())
         log_likelihood = sum_(log(prob + _LOG_FLOOR) * Tensor(step_mask.reshape(-1)))
         return log_likelihood * (-1.0 / token_count), token_count

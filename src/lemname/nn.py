@@ -350,8 +350,6 @@ def backward(loss: Tensor, parameters: dict | None = None) -> None:
         grads = node._backward(node.grad)
         node.grad = None
         for parent, grad in zip(node._parents, grads):
-            if grad is None:
-                continue
             if grad.shape != parent.data.shape:
                 raise ShapeMismatch(
                     f"gradient shape {grad.shape} for parameter of shape {parent.data.shape}"
@@ -429,15 +427,15 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     """D = len(params) GRU directions over one padded batch of ids, in one time loop.
 
     The input at position (b, t) is row ids[b, t] of the 2-D (V, in)
-    table. ids is a (B, T) integer array (ShapeMismatch for another dtype
-    or an id outside the table) and mask (B, T); every direction reads
-    both. D is 1 or 2; direction 0 runs from the first position to the
-    last, direction 1 from the last to the first. initial is (B, D*hidden)
-    and the result (B, T, D*hidden), direction d in columns
-    d*hidden:(d+1)*hidden. The result is written into `out` when one is
-    given, a float64 array of that shape (a slice of a larger array will
-    do), and the result's data is then `out` itself; BPTT reads it, so it
-    must not change before backward. Where the mask is 0 a direction
+    table. ids is a (B, T) integer array with T >= 1 (ShapeMismatch for
+    another dtype, no steps or an id outside the table) and mask (B, T);
+    every direction reads both. D is 1 or 2; direction 0 runs from the
+    first position to the last, direction 1 from the last to the first.
+    initial is (B, D*hidden) and the result (B, T, D*hidden), direction d
+    in columns d*hidden:(d+1)*hidden. The result is written into `out`
+    when one is given, a float64 array of that shape (a slice of a larger
+    array will do), and the result's data is then `out` itself; BPTT
+    reads it, so it must not change before backward. Where the mask is 0 a direction
     carries its state unchanged, so out[:, -1, :hidden] and
     out[:, 0, hidden:] are each row's states after its last real
     position. Values equal a chain of single GRU steps per direction with
@@ -478,6 +476,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     if (
         directions not in (1, 2)
         or ids.ndim != 2
+        or ids.shape[1] == 0
         or mask.shape != ids.shape
         or initial.shape != (ids.shape[0], directions * hidden)
         or any(

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and configuration file handling."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -271,8 +272,32 @@ def test_gen_corpus_same_seed_is_byte_identical(tmp_path):
         assert path.read_bytes() == (second / path.name).read_bytes()
 
 
-def test_gen_corpus_rejects_zero_docs(tmp_path):
+def test_gen_corpus_rejects_zero_docs(tmp_path, capsys):
     assert main(["gen_corpus", "--out", str(tmp_path / "x"), "--docs", "0"]) == 2
+    assert capsys.readouterr().err == "error: n_docs must be an integer of at least 1, got 0\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be an integer of at least 0, got -1"),
+        ("--lemmas-per-doc", "0", "lemmas_per_doc must be an integer of at least 1, got 0"),
+    ],
+    ids=["seed", "lemmas-per-doc"],
+)
+def test_gen_corpus_leaves_its_checks_to_the_generator(flag, value, message, tmp_path, capsys):
+    assert main(["gen_corpus", "--out", str(tmp_path / "x"), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_the_parser_checks_types_and_leaves_ranges_to_the_code_that_reads_the_values():
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    for name, command in [("lemname", parser), *commands.choices.items()]:
+        for action in command._actions:
+            assert action.type in (None, int, float, str), f"{name} {'/'.join(action.option_strings)}"
 
 
 # ------------------------------------------------------------------------ train
@@ -573,6 +598,15 @@ def test_evaluate_rejects_its_arguments_before_reading_a_document(case, cli_env,
         expected = "error: need at least 3 documents to split, have 2\n"
     assert main(argv) == 2
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_negative_split_seed_is_reported_before_any_document_is_read(command, twelve_documents, capsys):
+    data_dir, split = twelve_documents
+    _not_a_lemma(data_dir / min(split.train))  # reading it would fail with another message
+    flags = ["--baseline"] if command == "evaluate" else ["--epochs", "0"]
+    assert main([command, "--data", str(data_dir), *flags, "--split-seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: split seed must be an integer of at least 0, got -1\n"
 
 
 def test_evaluate_baseline_holds_one_training_document_at_a_time(twelve_documents, monkeypatch):

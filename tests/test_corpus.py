@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from lemname import InvalidValue
 from lemname.chop import ChopConfig
 from lemname.corpus import (
     BOS_ID,
@@ -178,6 +179,12 @@ class TestSplit:
         assert split_corpus(ids, seed=5) == split_corpus(ids, seed=5)
         assert split_corpus(ids, seed=5) != split_corpus(ids, seed=6)
 
+    @pytest.mark.parametrize("seed", [-3, True, 2.0, "0"])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        # random.Random seeds by absolute value: -3 would quietly split as 3.
+        with pytest.raises(InvalidValue, match="split seed"):
+            split_corpus([f"d{i}" for i in range(10)], seed=seed)
+
     def test_too_few_documents(self):
         with pytest.raises(TooFewDocuments):
             split_corpus(["a", "b"])
@@ -285,11 +292,17 @@ class TestGenerator:
                 word = fragment.rstrip("gAC") or fragment
                 assert word in record.statement_tokens
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_rejects_a_seed_before_writing_anything(self, seed, tmp_path):
+        with pytest.raises(InvalidValue, match="seed"):
+            generate_synthetic_corpus(tmp_path / "corpus", seed=seed)
+        assert not (tmp_path / "corpus").exists()
+
     def test_rejects_degenerate_dimensions(self, tmp_path):
-        with pytest.raises(ValueError):
-            generate_synthetic_corpus(tmp_path, n_docs=0)
-        with pytest.raises(ValueError):
-            generate_synthetic_corpus(tmp_path, lemmas_per_doc=0)
+        for arguments in ({"n_docs": 0}, {"lemmas_per_doc": 0}, {"n_docs": 2.0}):
+            with pytest.raises(InvalidValue, match=next(iter(arguments))):
+                generate_synthetic_corpus(tmp_path / "corpus", **arguments)
+        assert not (tmp_path / "corpus").exists()
 
 
 def test_limited_streams_are_prefixes_of_the_whole_streams(cli_env):

@@ -327,6 +327,17 @@ def test_suggest_naming_requires_uri(cli_env):
     assert responses[0]["error"]["code"] == INVALID_REQUEST
 
 
+def test_suggest_naming_notification_without_uri_gets_no_reply(cli_env):
+    responses = run_server(
+        cli_env,
+        request(SUGGEST_METHOD, params={}),
+        request(SUGGEST_METHOD),
+        request("shutdown", request_id=3),
+        request("exit"),
+    )
+    assert [response["id"] for response in responses] == [3]
+
+
 def test_suggest_naming_missing_file_is_server_error(cli_env):
     responses = run_server(
         cli_env,

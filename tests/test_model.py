@@ -635,27 +635,35 @@ def test_beam_width_one_matches_reference_greedy(trained):
     assert [s[0].name for s in found] == expected
 
 
-def stepwise_loss(model, prepared) -> float:
-    """Mean -log p over one record's targets, each p read from one inference step.
+def teacher_forced_steps(model, prepared):
+    """Each target id of one record with the distribution one inference step gives it.
 
-    The inputs are the teacher-forced ones, and targets map to ids as the
-    loss maps them: without copy, a target the output vocabulary lacks
-    counts as UNK.
+    The inputs are the teacher-forced ones: a target the output vocabulary
+    lacks is fed back as UNK, as the loss feeds it.
     """
     base = len(model.vocabularies["output"])
     batch = model._encode([prepared], keep_graph=False)
     state = batch.state
     previous = np.array([BOS_ID])
-    nll = []
     for target in [*prepared.target_ext_ids, EOS_ID]:
-        generable = 0 <= target < base
         state, probs = model._distribution(state, previous, batch)
-        if model.config.use_copy:
-            p = probs[0, target] if target >= 0 else 0.0
-        else:
-            p = probs[0, target if generable else UNK_ID]
+        yield target, probs[0]
+        previous = np.array([target if 0 <= target < base else UNK_ID])
+
+
+def stepwise_loss(model, prepared) -> float:
+    """Mean -log p over one record's targets, each p read from one inference step.
+
+    Targets map to ids as the loss maps them: a target the output
+    vocabulary lacks gets no probability from it, with copying or without,
+    so without copying such a target scores p = 0, never UNK's.
+    """
+    base = len(model.vocabularies["output"])
+    nll = []
+    for target, probs in teacher_forced_steps(model, prepared):
+        copyable = model.config.use_copy and target >= 0
+        p = probs[target] if 0 <= target < base or copyable else 0.0
         nll.append(-np.log(p + 1e-12))
-        previous = np.array([target if generable else UNK_ID])
     return float(np.mean(nll))
 
 
@@ -932,6 +940,21 @@ def test_unk_biased_model_never_suggests_unk(trained):
     assert all(found) and not any("<unk>" in s.name for suggestions in found for s in suggestions)
 
 
+def test_a_model_without_copying_is_not_trained_towards_unk(tiny_corpus):
+    # A target the output vocabulary lacks is no <unk> target, so training
+    # takes <unk>'s teacher-forced probability down from the untrained
+    # 0.088, where training <unk> as that target took it up to 0.20.
+    documents, split = tiny_corpus
+    training = TrainingConfig(epochs=30, batch_size=8, learning_rate=5e-3, output_min_frequency=3)
+    checkpoint, _ = train(documents, split, small_config(use_copy=False), training)
+    model = checkpoint.to_model()
+    base = len(model.vocabularies["output"])
+    prepared = [model._targeted(r) for r in ordered_records(documents, split.train)]
+    assert sum(int(((p.target_ext_ids < 0) | (p.target_ext_ids >= base)).sum()) for p in prepared) >= 10
+    p_unk = [probs[UNK_ID] for one in prepared for _, probs in teacher_forced_steps(model, one)]
+    assert np.mean(p_unk) < 0.02
+
+
 def test_a_record_with_nothing_but_unk_to_say_gets_no_suggestion(tiny_corpus):
     # Without copying, and with every name sub-token under the output
     # threshold, the output vocabulary is the reserved entries alone, so
@@ -954,6 +977,13 @@ def test_only_the_output_vocabulary_drops_rare_sub_tokens(tiny_corpus):
         assert 1 in counts.values(), stream
         kept = set(checkpoint.vocabularies["output" if stream == "name" else stream].tokens)
         assert kept == {text for text, n in counts.items() if n >= (2 if stream == "name" else 1)}
+
+
+def test_ranked_keeps_the_best_spelling_of_each_name():
+    # A copied "mulg" and the generated "mul" + "g" spell one name.
+    finished = [(("mul", "g"), -3.0, 3), (("mulg",), -1.0, 2), (("add",), -2.5, 2)]
+    ranked = LemmaNameModel._ranked(finished, 3)
+    assert [(s.name, s.score, s.sub_tokens) for s in ranked] == [("mulg", -0.5, ("mulg",)), ("add", -1.25, ("add",))]
 
 
 def test_suggestions_are_ranked_and_unique(trained):

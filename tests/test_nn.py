@@ -549,6 +549,12 @@ class TestGruSequence:
         with pytest.raises(ShapeMismatch):
             gru_sequence(table, ids, mask, Tensor(np.zeros((4, 18))), (*cells, cells[0]))
 
+    def test_ids_without_steps_are_a_shape_mismatch(self):
+        _, cells, x, h0, mask, _ = self.make()
+        table, ids = _rows(x)
+        with pytest.raises(ShapeMismatch):
+            gru_sequence(table, ids[:, :0], mask[:, :0], h0, cells)
+
     @pytest.mark.parametrize("bad", [-1, 28], ids=["negative", "past-the-table"])
     def test_ids_must_be_rows_of_the_table(self, bad):
         _, cells, x, h0, mask, _ = self.make()
