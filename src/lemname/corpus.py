@@ -461,9 +461,17 @@ def generate_synthetic_corpus(
     and conventional suffix letters; statements and both trees encode
     exactly the features the name mentions, so the naming convention is
     learnable from any single representation. Same seed, same bytes. The
-    arguments are checked before anything is written.
+    arguments are checked before anything is written: `operations` must
+    hold at least two distinct words of ASCII letters, so that a qualifier
+    and an operation can differ and every name is an identifier.
     """
     check_counts({"seed": (seed, 0), "n_docs": (n_docs, 1), "lemmas_per_doc": (lemmas_per_doc, 1)})
+    operations = tuple(operations)
+    words = all(isinstance(op, str) and op.isascii() and op.isalpha() for op in operations)
+    if not words or len(set(operations)) < 2:
+        raise InvalidValue(
+            f"operations must hold at least two distinct words of ASCII letters, got {reprlib.repr(operations)}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)

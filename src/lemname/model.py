@@ -219,19 +219,16 @@ def parameter_shapes(config: ModelConfig, vocabularies: dict) -> dict:
 
 @dataclass
 class _Batch:
+    """Encoder output of B records padded to one source length S, one row per record.
+
+    A beam search owns the arrays of the batch it encodes and compacts
+    them in place as records finish (see _search_group).
+    """
+
     hidden: Tensor  # (B, S, H) encoder states of every stream, concatenated
     mask: np.ndarray  # (B, S), 1 at real positions
     source_ext_ids: np.ndarray  # (B, S), PAD_ID at padding
     state: Tensor  # (B, H) the decoder's initial state
-
-    def records(self, index) -> "_Batch":
-        """The batch of the records at `index`, padded to the same length."""
-        return _Batch(
-            hidden=Tensor(self.hidden.data[index]),
-            mask=self.mask[index],
-            source_ext_ids=self.source_ext_ids[index],
-            state=Tensor(self.state.data[index]),
-        )
 
 
 class LemmaNameModel:
@@ -371,10 +368,10 @@ class LemmaNameModel:
         of N * T rows, one id per row: dec.embed then gets one scatter of
         the summed input gradient. Then the attention/output/copy head runs
         over the N * T rows in row-then-step order, attending per record so
-        encoder states are never tiled. Returns (states (N, T, H), vocab
-        dist, attention, p_gen), the last three over the N * T rows. As
-        every product runs through nn._product, no row's values depend on
-        the other rows.
+        neither the encoder states nor the mask are tiled. Returns (states
+        (N, T, H), vocab dist, attention, p_gen), the last three over the
+        N * T rows. As every product runs through nn._product, no row's
+        values depend on the other rows.
         """
         cfg = self.config
         params = self.parameters
@@ -385,13 +382,11 @@ class LemmaNameModel:
         states = gru_sequence(x, row_ids, np.ones((n, steps)), state, (self._decoder_cell,), keep_graph=keep_graph)
         flat = reshape(states, (rows, cfg.hidden_dim))
         records, length = batch.mask.shape
-        width = rows // records
-        query = reshape(matmul(flat, params["attn.w"]), (records, width, cfg.hidden_dim))
-        scores = reshape(matmul(query, transpose(batch.hidden, (0, 2, 1))), (rows, length))
-        attention = softmax(scores, mask=np.repeat(batch.mask, width, axis=0))
-        context = reshape(
-            matmul(reshape(attention, (records, width, length)), batch.hidden), (rows, cfg.hidden_dim)
-        )
+        query = reshape(matmul(flat, params["attn.w"]), (records, rows // records, cfg.hidden_dim))
+        # (records, width, S): each record's mask broadcasts over its rows.
+        weights = softmax(matmul(query, transpose(batch.hidden, (0, 2, 1))), mask=batch.mask[:, None, :])
+        context = reshape(matmul(weights, batch.hidden), (rows, cfg.hidden_dim))
+        attention = reshape(weights, (rows, length))
         features = tanh(matmul(concat([flat, context], axis=1), params["out.w_c"]))
         p_gen = None
         if cfg.use_copy:
@@ -412,13 +407,14 @@ class LemmaNameModel:
         if not self.config.use_copy:
             return state, vocab_dist.data
         n, base = vocab_dist.shape
-        source = np.repeat(batch.source_ext_ids, n // len(batch.mask), axis=0)
-        width = max(base, int(source.max()) + 1)
+        width = max(base, int(batch.source_ext_ids.max()) + 1)
         probs = np.zeros((n, width))
         probs[:, :base] = p_gen.data * vocab_dist.data
         # One-dimensional indices and values take ufunc.at's fast path; the
-        # cells are visited in the same order as (row, source) pairs.
-        cells = (np.arange(n)[:, None] * width + source).reshape(-1)
+        # cells are visited in the same order as (row, source) pairs, and
+        # each record's sources broadcast over its rows.
+        rows = np.arange(n).reshape(len(batch.mask), -1, 1)
+        cells = (rows * width + batch.source_ext_ids[:, None, :]).reshape(-1)
         np.add.at(probs.reshape(-1), cells, ((1.0 - p_gen.data) * attention.data).reshape(-1))
         return state, probs
 
@@ -481,7 +477,9 @@ class LemmaNameModel:
         """Top-k names per record by one beam search over (records x k) slots.
 
         Records are prepared and decoded one group of _DECODE_GROUP at a
-        time, so memory is bounded by a group, not by `records`. Finished
+        time, so memory is bounded by a group, not by `records`. A group
+        holds its encoder states once: as records finish, the live ones
+        move up within the group's own arrays (see _search_group). Finished
         hypotheses occupy beam slots, so k = 1 is exact greedy decoding. The
         first step cannot end a name, so no name is empty. Scores are mean
         log-probability per emitted sub-token (end marker included); ties
@@ -536,17 +534,34 @@ class LemmaNameModel:
         # Per record, its live hypotheses (texts, summed logp) in slot order.
         beams = [[((), 0.0)] for _ in prepared]
         done: list = [[] for _ in prepared]  # per record: (texts, summed logp, steps)
-        decoded, sub_batch = None, None
+        # Row i of the batch's arrays holds record decoded[i]. The encoder
+        # made them for this search, so as records finish, each live row
+        # moves up to its rank in place and the steps decode through prefix
+        # views: the group's encoder states exist once.
+        decoded, step_batch = list(range(len(prepared))), batch
+        arrays = (batch.hidden.data, batch.mask, batch.source_ext_ids, batch.state.data)
         for step in range(self.config.max_output_len):
             live = [r for r, beam in enumerate(beams) if beam]
             if not live:
                 break
             width = max(len(beams[r]) for r in live)
             if live != decoded:
-                decoded = live
-                sub_batch = batch if len(live) == len(prepared) else batch.records(live)
+                # live is an ordered subsequence of decoded, so each row is
+                # read from a row at or after it, before anything writes there.
+                rank = {r: i for i, r in enumerate(decoded)}
+                for i, r in enumerate(live):
+                    if rank[r] != i:
+                        for array in arrays:
+                            array[i] = array[rank[r]]
+                decoded, n = live, len(live)
+                step_batch = _Batch(
+                    hidden=Tensor(batch.hidden.data[:n]),
+                    mask=batch.mask[:n],
+                    source_ext_ids=batch.source_ext_ids[:n],
+                    state=Tensor(batch.state.data[:n]),
+                )
             rows = (np.array(live)[:, None] * k + np.arange(width)).reshape(-1)
-            step_state, probs = self._distribution(Tensor(states[rows]), input_ids[rows], sub_batch)
+            step_state, probs = self._distribution(Tensor(states[rows]), input_ids[rows], step_batch)
             logp = np.log(probs + _LOG_FLOOR)
             logp[:, [PAD_ID, UNK_ID, BOS_ID, EOS_ID] if step == 0 else [PAD_ID, UNK_ID, BOS_ID]] = -np.inf
             logp[np.arange(logp.shape[1]) >= np.repeat(ext_sizes[live], width)[:, None]] = -np.inf

@@ -304,6 +304,22 @@ class TestGenerator:
                 generate_synthetic_corpus(tmp_path / "corpus", **arguments)
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize(
+        "operations",
+        [(), ("add",), ("add", "add"), ("add", ""), ("add", "mul1"), ("add", "m_l"), ("add", "mül"), ("add", 3)],
+    )
+    def test_rejects_operations_before_writing_anything(self, operations, tmp_path):
+        with pytest.raises(InvalidValue, match="operations"):
+            generate_synthetic_corpus(tmp_path / "corpus", operations=operations)
+        assert not (tmp_path / "corpus").exists()
+
+    def test_any_two_words_make_identifier_names(self, tmp_path):
+        generate_synthetic_corpus(tmp_path, seed=4, n_docs=2, lemmas_per_doc=10, operations=iter(["Foo", "bar"]))
+        documents = load_directory(tmp_path)
+        records = ordered_records(documents, documents)
+        assert len(records) == 20  # load_document rejects a name that is not an identifier
+        assert {fragment.rstrip("gAC") for r in records for fragment in r.name.split("_")} <= {"Foo", "bar"}
+
 
 def test_limited_streams_are_prefixes_of_the_whole_streams(cli_env):
     streams = (*INPUT_STREAMS, STREAM_NAME)

@@ -566,10 +566,11 @@ def test_attention_is_the_masked_softmax_of_its_scores(cli_env):
     for steps, keep_graph in ((1, False), (3, True)):
         input_ids = np.full((len(prepared), steps), BOS_ID)
         _, _, attention, _ = model._decode(batch.state, input_ids, batch, keep_graph=keep_graph)
-        (scores,) = attention._parents
+        (weights,) = attention._parents  # the (records, steps, S) softmax, reshaped to rows
+        (scores,) = weights._parents
+        e = np.exp(scores.data - scores.data.max(axis=-1, keepdims=True)) * batch.mask[:, None, :]
+        assert np.array_equal(attention.data, (e / e.sum(axis=-1, keepdims=True)).reshape(attention.shape))
         mask = np.repeat(batch.mask, steps, axis=0)
-        e = np.exp(scores.data - scores.data.max(axis=1, keepdims=True)) * mask
-        assert np.array_equal(attention.data, e / e.sum(axis=1, keepdims=True))
         assert not attention.data[mask == 0].any()
 
 
@@ -782,6 +783,27 @@ def test_beam_search_decodes_only_live_rows(cli_env, monkeypatch, k):
     assert rows[0] == len(records)
     assert max(rows) <= len(records) * k
     assert sum(rows) < len(rows) * len(records) * k
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_group_holds_its_encoder_states_once(cli_env, monkeypatch, k):
+    model = cli_env.model
+    records = all_records(cli_env)
+    assert len(records) <= lemname.model._DECODE_GROUP, "fixture should decode as one group"
+    batches = []
+    distribution = model._distribution
+    monkeypatch.setattr(
+        model, "_distribution", lambda state, ids, batch: batches.append(batch) or distribution(state, ids, batch)
+    )
+    model.suggest_many(records, k)
+    first = batches[0]
+    assert len(first.mask) == len(records)
+    # Finished records leave the arrays in place: every step reads the group's own states.
+    for batch in batches:
+        assert np.shares_memory(batch.hidden.data, first.hidden.data)
+        assert np.shares_memory(batch.mask, first.mask)
+        assert np.shares_memory(batch.source_ext_ids, first.source_ext_ids)
+    assert any(len(batch.mask) < len(records) for batch in batches[:-1]), "records should finish before the last step"
 
 
 def test_a_lone_live_record_decodes_one_row(cli_env, monkeypatch):
