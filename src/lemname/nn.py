@@ -15,7 +15,11 @@ or two recurrent directions over a whole sequence as one op, both
 directions in one time loop. It reads its inputs as rows of an
 embedding table by integer id and, per block of steps, projects each
 distinct id a direction reads in the block once, so no (B, T, in) input
-exists. It saves for backward only what BPTT reads: 4*hidden values per
+exists. Its steps run in place, on arrays made once per call: the
+projection carries the reset and update gates' sign, so the gates take
+no negation pass, and the states are staged 8 steps at a time. A
+one-step call with no padded row (a beam step) skips the per-block
+set-up. It saves for backward only what BPTT reads: 4*hidden values per
 step, direction and row, since BPTT reads each previous state from the
 op's own output (or the initial state) and stages its inputs one block
 of steps at a time. It can write its output into a caller's array, so
@@ -178,12 +182,21 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-def _sigmoid(data: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-_clip(data, -709.0, 709.0)))
+# 0-d arrays: at a GRU step's sizes numpy converts a Python float (or
+# broadcasts a one-element array) slower than it does the arithmetic.
+_ONE, _CLIP_LOW, _CLIP_HIGH = np.array(1.0), np.array(-709.0), np.array(709.0)
+
+
+def _negated_sigmoid(z: np.ndarray) -> np.ndarray:
+    """sigmoid(-z), the one gate formula, in place in z: the clip keeps exp(z) finite."""
+    _clip(z, _CLIP_LOW, _CLIP_HIGH, out=z)
+    np.exp(z, out=z)
+    np.add(z, _ONE, out=z)
+    return np.divide(_ONE, z, out=z)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(a.data)
+    out = _negated_sigmoid(-a.data)
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -400,6 +413,10 @@ class GruParams:
 # so long inputs never hold either for the whole sequence.
 _PROJECTION_BLOCK = 32
 
+# Steps whose states are staged step-major, then copied into the output at
+# once: 32 steps raised serve's peak RSS, one copy per step was slower.
+_STATE_BLOCK = 8
+
 
 def _distinct(ids: np.ndarray, slot: np.ndarray) -> tuple:
     """(distinct, inverse) of a flat id array: each id once, and ids == distinct[inverse].
@@ -423,6 +440,21 @@ def _step_order(arrays: list) -> list:
     return [a if d == 0 else a[:, ::-1] for d, a in enumerate(arrays)]
 
 
+def _folded_projection(rows: np.ndarray, w_x: np.ndarray, bias: np.ndarray, hidden: int) -> np.ndarray:
+    """rows @ w_x + bias, its reset and update columns negated: minus h @ w_h, the gates' negated input."""
+    projected = _product(rows, w_x)
+    projected += bias
+    np.negative(projected[..., : 2 * hidden], out=projected[..., : 2 * hidden])
+    return projected
+
+
+def _direction_steps(a: np.ndarray, directions: int) -> list:
+    """Direction d's columns of a (B, T, D*hidden) array as (B, T, hidden) views, in the order its steps visit T."""
+    batch, length, width = a.shape
+    split = a.reshape(batch, length, directions, width // directions)  # a view: only the last axis splits
+    return _step_order([split[:, :, d] for d in range(directions)])
+
+
 def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: bool = True, out=None) -> Tensor:
     """D = len(params) GRU directions over one padded batch of ids, in one time loop.
 
@@ -439,16 +471,22 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     carries its state unchanged, so out[:, -1, :hidden] and
     out[:, 0, hidden:] are each row's states after its last real
     position. Values equal a chain of single GRU steps per direction with
-    that carry. Each step runs
-    every direction at once: one (D, B, hidden) @ (D, hidden, 3*hidden)
-    matmul and the gate arithmetic on (D, B, .) arrays, writing straight
-    into the output. The input projection table[id] @ w_x + b is made
-    per block of _PROJECTION_BLOCK steps, one GEMM per direction over the
-    distinct ids the direction reads in the block, and then laid out per
-    step; so the forward holds at most (D, B*32, 3*hidden) of it plus one
-    direction's distinct rows, and no (B, T, in) input. As every product
-    runs through _product, each row equals the one a per-position
-    projection makes, bit for bit.
+    that carry.
+    Forward: the input projection table[id] @ w_x + b is made per block
+    of _PROJECTION_BLOCK steps, one GEMM per direction over the distinct
+    ids the direction reads in the block, and laid out per step; so the
+    forward holds at most (D, B*32, 3*hidden) of it plus one direction's
+    distinct rows, and no (B, T, in) input. As every product runs through
+    _product, each row equals the one a per-position projection makes,
+    bit for bit. Its reset and update columns come out negated
+    (_folded_projection, exact), so a step's gates are _negated_sigmoid
+    of gx - h @ w_h. A step runs every direction at once: one
+    (D, B, hidden) @ (D, hidden, 3*hidden) product, then the gate
+    arithmetic in place into arrays made once per call (keep_graph makes
+    anew the gates and candidate it saves). States are staged step-major,
+    _STATE_BLOCK steps at a time, then copied into the output. A call with
+    one step and no padded row (a beam step) projects table[ids[:, 0]]
+    and writes into the output, with no per-block or padding set-up.
     Backward is hand-written BPTT over the same loop; after it, d_x, dw_x
     and db are one GEMM or reduction per direction (dw_x reads the
     inputs, gathered from the table only then), and d_x sums over
@@ -496,41 +534,75 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     w_x = stack([p.w_x.data for p in params])
     w_h = stack([p.w_h.data for p in params])
     bias = stack([p.b.data for p in params])[:, None, :]
-    step_ids = _step_order([ids] * directions)
-    gates_x = np.empty((directions, min(_PROJECTION_BLOCK, length), batch, 3 * hidden))  # one block, step-major
-    slot = np.empty(table.shape[0], dtype=np.intp)
-    real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
-    padded = ~real.reshape(length, -1).all(axis=1)  # steps where some row carries its state
     if out is None:
         out = np.empty(shape)
-    states = out.reshape(batch, length, directions, hidden)  # a view: only the last axis splits
-    out_steps = _step_order([states[:, :, d] for d in range(directions)])
     saved = []  # per step: reset|update gates, candidates, h @ w_h candidate blocks
-    first = h = np.ascontiguousarray(initial.data.reshape(batch, directions, hidden).transpose(1, 0, 2))
-    for start in range(0, length, _PROJECTION_BLOCK):
-        stop = min(start + _PROJECTION_BLOCK, length)
-        for d, seq in enumerate(step_ids):
-            distinct, inverse = _distinct(seq[:, start:stop].T.ravel(), slot)
-            projected = _product(table.data[distinct], w_x[d])
-            projected += bias[d]
-            np.take(projected, inverse.reshape(stop - start, batch), axis=0, out=gates_x[d, : stop - start], mode="clip")
-        for t in range(start, stop):
-            gx = gates_x[:, t - start]
-            gh = _product(h, w_h)
-            gates = _sigmoid(gx[..., : 2 * hidden] + gh[..., : 2 * hidden])
+    # What a step writes in place; with keep_graph the saved gates and candidate are made anew.
+    gates = np.empty((directions, batch, 2 * hidden))
+    reset, update = gates[..., :hidden], gates[..., hidden:]
+    candidate = np.empty((directions, batch, hidden))
+    spare = np.empty_like(candidate)
+
+    def step(gx_gates, gx_candidate, h, h_next):
+        """One step of every direction from state h into h_next, from the step's folded projection."""
+        nonlocal gates, reset, update, candidate
+        if keep_graph:
+            gates, candidate = np.empty_like(gates), np.empty_like(candidate)
             reset, update = gates[..., :hidden], gates[..., hidden:]
-            candidate = np.tanh(gx[..., 2 * hidden :] + reset * gh[..., 2 * hidden :])
-            if keep_graph:
-                saved.append((gates, candidate, gh[..., 2 * hidden :].copy()))
-            h_next = update * h + (1.0 - update) * candidate
-            h = np.where(real[t], h_next, h) if padded[t] else h_next
-            for view, state in zip(out_steps, h):
-                view[:, t] = state
+        gh = _product(h, w_h)
+        _negated_sigmoid(np.subtract(gx_gates, gh[..., : 2 * hidden], out=gates))
+        gh_candidate = gh[..., 2 * hidden :]
+        np.multiply(reset, gh_candidate, out=candidate)
+        candidate += gx_candidate
+        np.tanh(candidate, out=candidate)
+        if keep_graph:
+            saved.append((gates, candidate, gh_candidate.copy()))
+        np.multiply(update, h, out=h_next)
+        np.subtract(_ONE, update, out=spare)
+        np.multiply(spare, candidate, out=spare)
+        h_next += spare
+
+    first = np.ascontiguousarray(initial.data.reshape(batch, directions, hidden).transpose(1, 0, 2))
+    if length == 1 and (mask > 0).all():
+        real, padded = None, (False,)  # no row carries, so backward reads no mask
+        gx = _folded_projection(table.data[ids[:, 0]], w_x, bias, hidden)
+        step(gx[..., : 2 * hidden], gx[..., 2 * hidden :], first, out.reshape(batch, directions, hidden).transpose(1, 0, 2))
+    else:
+        step_ids = _step_order([ids] * directions)
+        gates_x = np.empty((directions, min(_PROJECTION_BLOCK, length), batch, 3 * hidden))  # one block, step-major
+        # Per-step views, made once: a list index costs less than numpy's.
+        gx_gates = list(gates_x[..., : 2 * hidden].swapaxes(0, 1))
+        gx_candidates = list(gates_x[..., 2 * hidden :].swapaxes(0, 1))
+        slot = np.empty(table.shape[0], dtype=np.intp)
+        real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
+        padded = (~real.reshape(length, -1).all(axis=1)).tolist()  # steps where some row carries its state
+        carried = ~real
+        states = np.empty((min(_STATE_BLOCK, length), directions, batch, hidden))  # one block, step-major
+        state_steps = list(states)
+        out_steps = _direction_steps(out, directions)
+        h = first
+        for start in range(0, length, _PROJECTION_BLOCK):
+            stop = min(start + _PROJECTION_BLOCK, length)
+            for d, seq in enumerate(step_ids):
+                distinct, inverse = _distinct(seq[:, start:stop].T.ravel(), slot)
+                projected = _folded_projection(table.data[distinct], w_x[d], bias[d], hidden)
+                np.take(projected, inverse.reshape(stop - start, batch), axis=0, out=gates_x[d, : stop - start], mode="clip")
+            for t in range(start, stop):
+                i = t % _STATE_BLOCK
+                h_next = state_steps[i]
+                step(gx_gates[t - start], gx_candidates[t - start], h, h_next)
+                if padded[t]:
+                    np.copyto(h_next, h, where=carried[t])
+                h = h_next
+                if i == len(states) - 1 or t == length - 1:
+                    for d, view in enumerate(out_steps):
+                        view[:, t - i : t + 1] = states[: i + 1, d].swapaxes(0, 1)
     if not keep_graph:
         return Tensor(out)
 
     def backward(g):
-        g_steps = _step_order([g.reshape(batch, length, directions, hidden)[:, :, d] for d in range(directions)])
+        g_steps = _direction_steps(g, directions)
+        out_steps = _direction_steps(out, directions)
         d_gates_x = np.zeros((directions, batch, length, 3 * hidden))
         d_steps = _step_order(list(d_gates_x))
         d_w_h = np.zeros_like(w_h)

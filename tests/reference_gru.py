@@ -19,7 +19,6 @@ from lemname.nn import (
     ShapeMismatch,
     Tensor,
     _product,
-    _sigmoid,
     _step_order,
     add,
     linear_init,
@@ -27,6 +26,11 @@ from lemname.nn import (
     sigmoid,
     tanh,
 )
+
+
+def _sigmoid(data: np.ndarray) -> np.ndarray:
+    """The logistic function as gru_sequence computed it before its projection carried the gates' sign."""
+    return 1.0 / (1.0 + np.exp(-np.clip(data, -709.0, 709.0)))
 
 
 def gru_params(parameters: dict, prefix: str, rng: Rng, input_dim: int, hidden_dim: int) -> GruParams:

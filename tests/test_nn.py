@@ -438,32 +438,63 @@ class TestGruSequence:
     @pytest.mark.parametrize("initial", ["zero", "random"])
     @pytest.mark.parametrize("into", [False, True], ids=["own-output", "out-slice"])
     def test_equals_the_reference_bit_for_bit(self, directions, batch, initial, into):
-        """Output and every gradient equal the op that saved previous states, over three blocks."""
-        steps, width, hidden = 70, 5, 6
+        """Output and every gradient equal the op that saved previous states.
+
+        Over three blocks with ragged rows, and over one step with and
+        without a padded row (one step with no padded row takes the one-step
+        path), each with and without the graph.
+        """
+        width, hidden = 5, 6
         rng = np.random.default_rng(batch * 10 + directions)
         cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
         for cell in cells:
             cell.b.data = rng.normal(size=3 * hidden)
+        for steps, padded_row in ((70, True), (1, False), (1, True)):
+            x = Tensor(rng.normal(size=(batch, steps, width)))
+            lengths = rng.integers(1, steps + 1, size=batch)
+            lengths[0] = steps  # one row real to the end, the others ragged
+            mask = (np.arange(steps) < lengths[:, None]).astype(float)
+            if steps == 1 and padded_row:
+                mask[-1] = 0.0  # the only row when batch is 1
+            h0 = Tensor(np.zeros((batch, directions * hidden)) if initial == "zero" else rng.normal(size=(batch, directions * hidden)))
+            g = rng.normal(size=(batch, steps, directions * hidden))
+            expected = reference_gru_sequence(x, mask, h0, cells)
+            table, ids = _rows(x)
+            for keep_graph in (True, False):
+                frame = np.full((batch, steps + 4, directions * hidden + 3), np.nan)
+                out = frame[:, 2 : 2 + steps, 1 : 1 + directions * hidden] if into else None
+                result = gru_sequence(Tensor(table.data), ids, mask, h0, cells, keep_graph=keep_graph, out=out)
+                assert np.array_equal(result.data, expected.data), (steps, padded_row, keep_graph)
+                if into:
+                    assert result.data is out
+                if not keep_graph:
+                    assert result._backward is None
+                    continue
+                grads = result._backward(g)
+                assert len(grads) == 2 + 3 * directions
+                d_x, *rest = expected._backward(g)
+                assert np.array_equal(grads[0], d_x.reshape(table.shape))
+                for got, want in zip(grads[1:], rest):
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("steps", [40, 1], ids=["sequence", "one-step"])
+    def test_saturated_gates_stay_finite_and_equal_the_reference(self, steps):
+        """Pre-activations of about ±1e4 from finite weights: the gates' clip keeps exp finite under checked()."""
+        batch, width, hidden = 3, 5, 6
+        rng = np.random.default_rng(7)
+        cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(2)]
+        for cell in cells:
+            cell.w_x.data *= 1e4
+            cell.w_h.data *= 1e4
         x = Tensor(rng.normal(size=(batch, steps, width)))
-        lengths = rng.integers(1, steps + 1, size=batch)
-        lengths[0] = steps  # one row real to the end, the others ragged
-        mask = (np.arange(steps) < lengths[:, None]).astype(float)
-        h0 = Tensor(np.zeros((batch, directions * hidden)) if initial == "zero" else rng.normal(size=(batch, directions * hidden)))
-        g = rng.normal(size=(batch, steps, directions * hidden))
+        h0 = Tensor(rng.uniform(-1, 1, size=(batch, 2 * hidden)))
+        mask = np.ones((batch, steps))
+        pre_activations = np.abs(x.data @ cells[0].w_x.data[:, : 2 * hidden])
+        assert pre_activations.max() > 1e4 and np.all(np.isfinite(pre_activations))
         expected = reference_gru_sequence(x, mask, h0, cells)
-        frame = np.full((batch, steps + 4, directions * hidden + 3), np.nan)
-        out = frame[:, 2 : 2 + steps, 1 : 1 + directions * hidden] if into else None
-        table, ids = _rows(x)
-        result = gru_sequence(Tensor(table.data), ids, mask, h0, cells, out=out)
+        with nn.checked():
+            result = gru_sequence(*_rows(x), mask, h0, cells)
         assert np.array_equal(result.data, expected.data)
-        if into:
-            assert result.data is out
-        grads = result._backward(g)
-        assert len(grads) == 2 + 3 * directions
-        d_x, *rest = expected._backward(g)
-        assert np.array_equal(grads[0], d_x.reshape(table.shape))
-        for got, want in zip(grads[1:], rest):
-            assert np.array_equal(got, want)
 
     def test_out_must_match_the_result(self):
         _, cells, x, h0, mask, _ = self.make()
@@ -521,6 +552,37 @@ class TestGruSequence:
             d_x + cells + d_table,  # the scatter, after d_gates_x is freed
         )
         budget = max(phases) * 8
+        assert peak <= 1.1 * budget, f"{peak / 2**20:.2f} MiB peak, budget {budget / 2**20:.2f} MiB"
+
+    def test_graph_free_call_holds_one_block_of_each(self):
+        """A graph-free call at the serve encoder shape: the output, one projection block and one state block.
+
+        Besides these the call holds the two directions' stacked weights and,
+        while it projects, one direction's distinct rows and their projection
+        (a vocabulary's worth at most, small at the serve model's input
+        vocabulary). The gate arrays are made once per call.
+        """
+        batch, steps, width, hidden, directions, vocab = 20, 128, 32, 32, 2, 40
+        rng = np.random.default_rng(5)
+        cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(directions)]
+        table = Tensor(rng.normal(size=(vocab, width)))
+        ids = rng.integers(0, vocab, size=(batch, steps))
+        h0 = Tensor(np.zeros((batch, directions * hidden)))
+        mask = (np.arange(steps) < rng.integers(1, steps + 1, size=(batch, 1))).astype(float)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = gru_sequence(table, ids, mask, h0, cells, keep_graph=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = batch * steps * directions * hidden
+        projection_block = directions * nn._PROJECTION_BLOCK * batch * 3 * hidden
+        state_block = nn._STATE_BLOCK * directions * batch * hidden
+        weights = directions * (width + hidden + 1) * 3 * hidden
+        distinct = vocab * (width + 3 * hidden)
+        budget = (output + projection_block + state_block + weights + distinct) * 8
+        assert out.shape == (batch, steps, directions * hidden)
         assert peak <= 1.1 * budget, f"{peak / 2**20:.2f} MiB peak, budget {budget / 2**20:.2f} MiB"
 
     def test_without_graph_same_values_no_parents(self):
