@@ -33,7 +33,6 @@ from .baseline import RetrievalBaseline
 from .chop import DEFAULT_CHOP_CONFIG, ChopConfig
 from .corpus import (
     document_paths,
-    load_directory,
     load_document,
     split_corpus,
     generate_synthetic_corpus,
@@ -271,8 +270,9 @@ def cmd_train(args, config: ToolConfig) -> int:
     # The settings types and split_corpus are the flags' only checks; all run before any document is read.
     model_config = ModelConfig(inputs=INPUT_CONFIGS[args.config_name], **_given(args, ModelConfig))
     training = TrainingConfig(**_given(args, TrainingConfig))
-    split = split_corpus([path.name for path in document_paths(args.data)], seed=args.split_seed)
-    documents = load_directory(args.data)
+    paths = document_paths(args.data)
+    split = split_corpus([path.name for path in paths], seed=args.split_seed)
+    documents = {path.name: load_document(path) for path in paths}  # the listing the split was made from
     checkpoint, metrics = train(documents, split, model_config, training, config.chop, config.lexicon)
     save_checkpoint(args.out, checkpoint)
     log_path = args.log if args.log else f"{args.out}.log"

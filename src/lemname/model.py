@@ -222,13 +222,27 @@ class _Batch:
     """Encoder output of B records padded to one source length S, one row per record.
 
     A beam search owns the arrays of the batch it encodes and compacts
-    them in place as records finish (see _search_group).
+    hidden, mask and source_ext_ids in place as records finish (see
+    _search_group).
     """
 
     hidden: Tensor  # (B, S, H) encoder states of every stream, concatenated
-    mask: np.ndarray  # (B, S), 1 at real positions
+    mask: np.ndarray  # (B, S) bool, True at real positions
     source_ext_ids: np.ndarray  # (B, S), PAD_ID at padding
-    state: Tensor  # (B, H) the decoder's initial state
+    state: Tensor | None  # (B, H) the decoder's initial state; None once a search holds it in its slots
+
+
+def _real_positions(lengths) -> np.ndarray:
+    """The padded layout of rows of these lengths: (rows, longest) bool, True at each row's first positions."""
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def _laid_out(rows, real: np.ndarray) -> np.ndarray:
+    """The integer rows at the True positions of `real`, read row-major; PAD_ID everywhere else."""
+    out = np.full(real.shape, PAD_ID, dtype=np.int64)
+    out[real] = np.concatenate(rows)
+    return out
 
 
 class LemmaNameModel:
@@ -306,41 +320,35 @@ class LemmaNameModel:
     def _encode(self, prepared, keep_graph: bool) -> _Batch:
         """Run the encoders over prepared records padded to one batch.
 
-        Each stream is one gru_sequence call that runs both directions in
-        one time loop. It reads the stream's padded ids through the
-        stream's embedding table, so no embedding of the batch is looked
-        up, and projects each distinct id once per block of steps. The streams
-        write their states into consecutive slices of one (B, S, H) array,
-        which is the batch's `hidden`: no concat copy exists. Without
-        keep_graph no activations are kept for backward, and the batch
-        holds graph-free tensors.
+        Each stream's ids and mask, and the batch's source ids, are laid
+        out by _real_positions and _laid_out. Each stream is one
+        gru_sequence call that runs both directions in one time loop. It
+        reads the stream's padded ids through the stream's embedding
+        table, so no embedding of the batch is looked up, and projects
+        each distinct id once per block of steps. The streams write their
+        states into consecutive slices of one (B, S, H) array, which is the
+        batch's `hidden`: no concat copy exists. Without keep_graph no
+        activations are kept for backward, and the batch holds graph-free
+        tensors.
         """
         cfg = self.config
         batch = len(prepared)
         half = cfg.hidden_dim // 2
-        lengths = [max(len(p.stream_ids[stream]) for p in prepared) for stream in cfg.inputs]
-        hidden_data = np.empty((batch, sum(lengths), cfg.hidden_dim))
+        reals = [_real_positions([len(p.stream_ids[stream]) for p in prepared]) for stream in cfg.inputs]
+        mask = np.concatenate(reals, axis=1)
+        # A record's real positions, read row-major across its streams, are its source positions in order.
+        source_ext_ids = _laid_out([p.source_ext_ids for p in prepared], mask)
+        hidden_data = np.empty((batch, mask.shape[1], cfg.hidden_dim))
         offset = 0
-        starts = [0] * batch
-        hidden_parts, mask_parts, ext_parts, finals = [], [], [], []
-        for stream, length in zip(cfg.inputs, lengths):
-            ids = np.full((batch, length), PAD_ID, dtype=np.int64)
-            ext = np.full((batch, length), PAD_ID, dtype=np.int64)
-            mask = np.zeros((batch, length))
-            for b, p in enumerate(prepared):
-                seq = p.stream_ids[stream]
-                ids[b, : len(seq)] = seq
-                ext[b, : len(seq)] = p.source_ext_ids[starts[b] : starts[b] + len(seq)]
-                mask[b, : len(seq)] = 1.0
-                starts[b] += len(seq)
+        hidden_parts, finals = [], []
+        for stream, real in zip(cfg.inputs, reals):
+            ids = _laid_out([p.stream_ids[stream] for p in prepared], real)
             table = self.parameters[f"enc.{stream}.embed"]
             zero = Tensor(np.zeros((batch, cfg.hidden_dim)))
-            out = hidden_data[:, offset : offset + length]
-            offset += length
-            states = gru_sequence(table, ids, mask, zero, self._encoders[stream], keep_graph=keep_graph, out=out)
+            out = hidden_data[:, offset : offset + real.shape[1]]
+            offset += real.shape[1]
+            states = gru_sequence(table, ids, real, zero, self._encoders[stream], keep_graph=keep_graph, out=out)
             hidden_parts.append(states)
-            mask_parts.append(mask)
-            ext_parts.append(ext)
             # Padding carries the state, so the last (forward) and first
             # (backward) positions hold each record's final state.
             finals.append(concat([states[:, -1, :half], states[:, 0, half:]], axis=1))
@@ -350,12 +358,7 @@ class LemmaNameModel:
             hidden = joined(hidden_data, hidden_parts, axis=1)
         else:
             hidden, state = Tensor(hidden_data), Tensor(state.data)
-        return _Batch(
-            hidden=hidden,
-            mask=np.concatenate(mask_parts, axis=1),
-            source_ext_ids=np.concatenate(ext_parts, axis=1),
-            state=state,
-        )
+        return _Batch(hidden=hidden, mask=mask, source_ext_ids=source_ext_ids, state=state)
 
     # ------------------------------------------------------------------ decoder
 
@@ -433,20 +436,16 @@ class LemmaNameModel:
         if any(p.target_ext_ids is None for p in prepared):
             raise ValueError("a record prepared without its name has no target to score")
         batch = self._encode(prepared, keep_graph=True)
-        n = len(prepared)
-        steps = max(len(p.target_ext_ids) for p in prepared) + 1  # final step predicts EOS
-        targets = np.full((n, steps), PAD_ID, dtype=np.int64)
-        step_mask = np.zeros((n, steps))
-        for b, p in enumerate(prepared):
-            targets[b, : len(p.target_ext_ids)] = p.target_ext_ids
-            targets[b, len(p.target_ext_ids)] = EOS_ID
-            step_mask[b, : len(p.target_ext_ids) + 1] = 1.0
+        # Each target ends with the end marker, which its final step predicts.
+        step_mask = _real_positions([len(p.target_ext_ids) + 1 for p in prepared])
+        targets = _laid_out([np.append(p.target_ext_ids, EOS_ID) for p in prepared], step_mask)
+        n, steps = targets.shape
         generable = (targets >= 0) & (targets < len(self.vocabularies["output"]))
         target_ids = np.where(generable, targets, UNK_ID)
         input_ids = np.full((n, steps), BOS_ID, dtype=np.int64)
-        input_ids[:, 1:] = np.where(step_mask[:, 1:] > 0, target_ids[:, :-1], PAD_ID)
+        input_ids[:, 1:] = np.where(step_mask[:, 1:], target_ids[:, :-1], PAD_ID)
         _, vocab_dist, attention, p_gen = self._decode(batch.state, input_ids, batch, keep_graph=True)
-        in_vocab = Tensor((generable * step_mask).reshape(-1))
+        in_vocab = Tensor((generable & step_mask).reshape(-1))
         prob = vocab_dist[np.arange(n * steps), target_ids.reshape(-1)] * in_vocab
         if self.config.use_copy:
             gate = reshape(p_gen, (n * steps,))
@@ -537,9 +536,10 @@ class LemmaNameModel:
         # Row i of the batch's arrays holds record decoded[i]. The encoder
         # made them for this search, so as records finish, each live row
         # moves up to its rank in place and the steps decode through prefix
-        # views: the group's encoder states exist once.
+        # views: the group's encoder states exist once. The initial state
+        # is read once, into the slots above, so it is not moved.
         decoded, step_batch = list(range(len(prepared))), batch
-        arrays = (batch.hidden.data, batch.mask, batch.source_ext_ids, batch.state.data)
+        arrays = (batch.hidden.data, batch.mask, batch.source_ext_ids)
         for step in range(self.config.max_output_len):
             live = [r for r, beam in enumerate(beams) if beam]
             if not live:
@@ -558,7 +558,7 @@ class LemmaNameModel:
                     hidden=Tensor(batch.hidden.data[:n]),
                     mask=batch.mask[:n],
                     source_ext_ids=batch.source_ext_ids[:n],
-                    state=Tensor(batch.state.data[:n]),
+                    state=None,
                 )
             rows = (np.array(live)[:, None] * k + np.arange(width)).reshape(-1)
             step_state, probs = self._distribution(Tensor(states[rows]), input_ids[rows], step_batch)

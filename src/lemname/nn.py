@@ -12,24 +12,18 @@ scans its output; backward, adam_step and the model's loss and decoder
 run checked. A NaN that comes in from outside sets no flag, so
 model.load_checkpoint rejects non-finite parameters. gru_sequence runs one
 or two recurrent directions over a whole sequence as one op, both
-directions in one time loop. It reads its inputs as rows of an
-embedding table by integer id and, per block of steps, projects each
-distinct id a direction reads in the block once, so no (B, T, in) input
-exists. Its steps run in place, on arrays made once per call: the
-projection carries the reset and update gates' sign, so the gates take
-no negation pass, and the states are staged 8 steps at a time. A
-one-step call with no padded row (a beam step) skips the per-block
-set-up. It saves for backward only what BPTT reads: 4*hidden values per
-step, direction and row, since BPTT reads each previous state from the
-op's own output (or the initial state) and stages its inputs one block
-of steps at a time. It can write its output into a caller's array, so
-the encoder's streams fill one array that `joined` presents as their
+directions in one time loop. It reads its inputs as rows of an embedding
+table by integer id, so no (B, T, in) input exists. It holds each state
+once: it saves for backward only 4*hidden values per step, direction and
+row, since BPTT reads each previous state from the op's own output (or
+the initial state), and it can write that output into a caller's array,
+so the encoder's streams fill one array that `joined` presents as their
 concat without copying. It is the only GRU the model runs (one call per
 encoder stream, one for the decoder, which passes its looked-up inputs
 as a table with one row per position); the tests check it against a
-chain of single GRU steps and, bit for bit, against an earlier version
-that saved the previous states and against itself reading one table row
-per position.
+chain of single GRU steps and, bit for bit, against the reference op in
+tests/reference_gru.py and against itself reading one table row per
+position. Its docstring gives the mechanism.
 Each concept has one op. matmul multiplies 2-D operands or equal stacks
 of them; index takes basic keys and gather keys such as
 (np.arange(rows), ids); softmax normalizes the last axis, for both the

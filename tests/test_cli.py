@@ -399,7 +399,7 @@ def test_train_leaves_unset_flags_to_the_settings_types(flags, model_fields, tra
 def test_train_settings_flags_are_checked_by_their_types_before_any_document_is_read(
     flag, value, field_name, monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "load_directory", lambda path: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(cli, "load_document", lambda path: pytest.fail(f"read {path}"))
     assert main(["train", "--data", str(bundled_corpus_dir()), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -407,9 +407,26 @@ def test_train_settings_flags_are_checked_by_their_types_before_any_document_is_
 
 
 def test_train_has_no_input_vocabulary_threshold(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "load_directory", lambda path: pytest.fail(f"read {path}"))
+    monkeypatch.setattr(cli, "load_document", lambda path: pytest.fail(f"read {path}"))
     assert main(["train", "--data", str(bundled_corpus_dir()), "--min-frequency", "2"]) == 2
     assert "unrecognized arguments: --min-frequency 2" in capsys.readouterr().err
+
+
+def test_train_reads_the_listing_it_split(tmp_path, monkeypatch):
+    """A training document gone from a second listing of the directory changes nothing: train lists it once."""
+    paths = document_paths(bundled_corpus_dir())
+    dropped = min(split_corpus([path.name for path in paths], seed=0).train)
+    listings = []
+
+    def listing(data_dir):
+        listings.append(data_dir)
+        return paths if len(listings) == 1 else [path for path in paths if path.name != dropped]
+
+    monkeypatch.setattr(lemname.corpus, "document_paths", listing)
+    monkeypatch.setattr(cli, "document_paths", listing)
+    args = ["train", "--data", str(bundled_corpus_dir()), "--epochs", "0", "--out", str(tmp_path / "m.ckpt")]
+    assert main(args + ["--embed-dim", "8", "--hidden-dim", "12"]) == 0
+    assert len(listings) == 1
 
 
 def test_train_missing_data_dir(tmp_path, capsys):

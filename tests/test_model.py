@@ -48,10 +48,13 @@ from lemname.model import (
     LemmaNameModel,
     ModelCheckpoint,
     ModelConfig,
+    PreparedRecord,
     Suggestion,
     TrainingConfig,
     VersionMismatch,
     _header_digest,
+    _laid_out,
+    _real_positions,
     _section,
     load_checkpoint,
     save_checkpoint,
@@ -461,6 +464,56 @@ def test_batch_padding_matches_single_encoding(trained):
         assert np.array_equal(batched.source_ext_ids[i][real], one.source_ext_ids)
 
 
+@given(rows=st.lists(st.lists(st.integers(0, 99), max_size=6), min_size=1, max_size=5))
+def test_rows_are_laid_out_at_their_real_positions(rows):
+    width = max(len(row) for row in rows)
+    real = _real_positions([len(row) for row in rows])
+    assert real.dtype == bool
+    assert real.tolist() == [[True] * len(row) + [False] * (width - len(row)) for row in rows]
+    laid_out = _laid_out([np.array(row, dtype=np.int64) for row in rows], real)
+    assert laid_out.dtype == np.int64
+    assert laid_out.tolist() == [row + [PAD_ID] * (width - len(row)) for row in rows]
+
+
+@pytest.fixture(scope="module")
+def two_stream_model():
+    """An untrained stmt+ckt model: where a batch puts a record does not depend on the parameters."""
+    streams = INPUT_CONFIGS["stmt+ckt"]
+    vocabularies = {name: Vocabulary(["add", "mul", "_", "n"]) for name in (*streams, "output")}
+    config = ModelConfig(inputs=streams, embed_dim=2, hidden_dim=2, max_input_len=9, max_output_len=2)
+    return LemmaNameModel(config, ChopConfig(), DEFAULT_LEXICON, vocabularies)
+
+
+def _longest_differs(lengths) -> bool:
+    return np.argmax([statement for statement, _ in lengths]) != np.argmax([kernel for _, kernel in lengths])
+
+
+@settings(max_examples=40)
+@given(
+    lengths=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=2, max_size=5).filter(_longest_differs)
+)
+def test_encoder_lays_each_record_out_at_its_real_positions(two_stream_model, lengths):
+    """A record fills the first positions of each stream's columns, and its source ids sit exactly there."""
+    model = two_stream_model
+    prepared = [
+        PreparedRecord(
+            stream_ids={stream: 4 + np.arange(n) % 4 for stream, n in zip(model.config.inputs, stream_lengths)},
+            oov_texts=(),
+            source_ext_ids=1000 * (r + 1) + np.arange(sum(stream_lengths)),  # names (record, position)
+            target_ext_ids=None,
+        )
+        for r, stream_lengths in enumerate(lengths)
+    ]
+    batch = model._encode(prepared, keep_graph=False)
+    widths = [max(column) for column in zip(*lengths)]
+    assert batch.mask.shape == batch.source_ext_ids.shape == (len(prepared), sum(widths))
+    for r, (one, stream_lengths) in enumerate(zip(prepared, lengths)):
+        real = np.concatenate([np.arange(width) < n for width, n in zip(widths, stream_lengths)])
+        assert np.array_equal(batch.mask[r], real)
+        assert np.array_equal(batch.source_ext_ids[r][real], one.source_ext_ids)
+        assert (batch.source_ext_ids[r][~real] == PAD_ID).all()
+
+
 def test_encoder_states_are_held_once(trained):
     """Each stream writes its states into its slice of `hidden`; no concat copy exists."""
     checkpoint, _, documents, split = trained
@@ -804,6 +857,8 @@ def test_a_group_holds_its_encoder_states_once(cli_env, monkeypatch, k):
         assert np.shares_memory(batch.mask, first.mask)
         assert np.shares_memory(batch.source_ext_ids, first.source_ext_ids)
     assert any(len(batch.mask) < len(records) for batch in batches[:-1]), "records should finish before the last step"
+    # The slots hold the decoder states from the first step on, so no step moves the initial state.
+    assert all(batch.state is None for batch in batches if len(batch.mask) < len(records))
 
 
 def test_a_lone_live_record_decodes_one_row(cli_env, monkeypatch):
