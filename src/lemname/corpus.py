@@ -14,9 +14,11 @@ FormatError, or MissingDocument for a path that names no regular file.
 from __future__ import annotations
 
 import logging
+import os
 import random
 import re
 import reprlib
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -153,6 +155,27 @@ def _record_from_form(form: tuple, file_name: str) -> LemmaRecord:
     )
 
 
+def _document_bytes(path) -> tuple:
+    """(file name, bytes) of the regular file at path; MissingDocument if it names none.
+
+    The plain path is read first: a long-lived server loads one document
+    per request, and pathlib interns every part of every path it parses.
+    A path that does not read as given goes through pathlib as before,
+    so pathlib's reading of it (a trailing slash names the file) and its
+    error texts stay as they were.
+    """
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "rb") as fh:
+                return os.path.basename(path), fh.read()
+    except (OSError, ValueError):
+        pass
+    path = Path(path)
+    if not path.is_file():
+        raise MissingDocument(path)
+    return path.name, path.read_bytes()
+
+
 def load_document(path) -> list:
     """Read one document, skipping (and logging) defective records.
 
@@ -160,25 +183,23 @@ def load_document(path) -> list:
     could block forever, and reading a device such as /dev/zero might
     never end.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingDocument(path)
+    name, data = _document_bytes(path)
     try:
         # Decoded without newline translation, so a carriage return inside a
         # quoted atom survives and offsets count the file's own characters.
-        forms = parse(path.read_bytes().decode("utf-8"))
+        forms = parse(data.decode("utf-8"))
     except UnicodeDecodeError as err:
-        raise FormatError(f"unreadable document {path.name}: not UTF-8 text", err.start) from err
+        raise FormatError(f"unreadable document {name}: not UTF-8 text", err.start) from err
     except SExpError as err:
-        raise FormatError(f"unreadable document {path.name}: {err}", err.position) from err
+        raise FormatError(f"unreadable document {name}: {err}", err.position) from err
     records = []
     for index, form in enumerate(forms):
         if not (isinstance(form, tuple) and form and form[0] == "lemma"):
-            raise FormatError(f"top-level form {index} in {path.name} is not a (lemma ...) record", index)
+            raise FormatError(f"top-level form {index} in {name} is not a (lemma ...) record", index)
         try:
-            records.append(_record_from_form(form, path.name))
+            records.append(_record_from_form(form, name))
         except _RecordDefect as defect:
-            log.warning("skipping record %d in %s: %s", index, path.name, defect)
+            log.warning("skipping record %d in %s: %s", index, name, defect)
     return records
 
 

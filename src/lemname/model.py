@@ -86,6 +86,7 @@ DEFAULT_INPUT_CONFIG = "stmt+ckt"
 CHECKPOINT_MAGIC = b"LNCK"
 CHECKPOINT_VERSION = 3
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # load_checkpoint's bound on a parameter's magnitude
 _LOG_FLOOR = 1e-12  # keeps -log finite when a target is neither generable nor copyable
 # Records per beam search. A search holds every record's encoder states,
 # so larger inputs (a whole test set) decode in groups of this size.
@@ -270,10 +271,15 @@ class LemmaNameModel:
                     parameter_state[name] = embedding_init(rng, *shape)
                 else:
                     parameter_state[name] = linear_init(rng, *shape)
-        # A given state is taken as it is: load_checkpoint checks a loaded one.
-        self.parameters = {name: Tensor(np.array(value, dtype=np.float64)) for name, value in parameter_state.items()}
+        # A given state is taken as it is, in its own dtype: load_checkpoint checks a loaded one.
+        self.parameters = {name: Tensor(np.array(value)) for name, value in parameter_state.items()}
         self._encoders = {stream: [self._gru(f"enc.{stream}.{d}") for d in ("fwd", "bwd")] for stream in config.inputs}
         self._decoder_cell = self._gru("dec.gru")
+
+    @property
+    def _dtype(self) -> np.dtype:
+        """The dtype the model computes in: its parameters' (float32 from to_model, float64 in train)."""
+        return self.parameters["comb.b"].data.dtype
 
     def _gru(self, prefix: str) -> GruParams:
         return GruParams(*(self.parameters[f"{prefix}.{part}"] for part in ("w_x", "w_h", "b")))
@@ -333,18 +339,18 @@ class LemmaNameModel:
         """
         cfg = self.config
         batch = len(prepared)
-        half = cfg.hidden_dim // 2
+        half, dtype = cfg.hidden_dim // 2, self._dtype
         reals = [_real_positions([len(p.stream_ids[stream]) for p in prepared]) for stream in cfg.inputs]
         mask = np.concatenate(reals, axis=1)
         # A record's real positions, read row-major across its streams, are its source positions in order.
         source_ext_ids = _laid_out([p.source_ext_ids for p in prepared], mask)
-        hidden_data = np.empty((batch, mask.shape[1], cfg.hidden_dim))
+        hidden_data = np.empty((batch, mask.shape[1], cfg.hidden_dim), dtype)
         offset = 0
         hidden_parts, finals = [], []
         for stream, real in zip(cfg.inputs, reals):
             ids = _laid_out([p.stream_ids[stream] for p in prepared], real)
             table = self.parameters[f"enc.{stream}.embed"]
-            zero = Tensor(np.zeros((batch, cfg.hidden_dim)))
+            zero = Tensor(np.zeros((batch, cfg.hidden_dim), dtype))
             out = hidden_data[:, offset : offset + real.shape[1]]
             offset += real.shape[1]
             states = gru_sequence(table, ids, real, zero, self._encoders[stream], keep_graph=keep_graph, out=out)
@@ -411,7 +417,7 @@ class LemmaNameModel:
             return state, vocab_dist.data
         n, base = vocab_dist.shape
         width = max(base, int(batch.source_ext_ids.max()) + 1)
-        probs = np.zeros((n, width))
+        probs = np.zeros((n, width), vocab_dist.data.dtype)
         probs[:, :base] = p_gen.data * vocab_dist.data
         # One-dimensional indices and values take ufunc.at's fast path; the
         # cells are visited in the same order as (row, source) pairs, and
@@ -445,15 +451,16 @@ class LemmaNameModel:
         input_ids = np.full((n, steps), BOS_ID, dtype=np.int64)
         input_ids[:, 1:] = np.where(step_mask[:, 1:], target_ids[:, :-1], PAD_ID)
         _, vocab_dist, attention, p_gen = self._decode(batch.state, input_ids, batch, keep_graph=True)
-        in_vocab = Tensor((generable & step_mask).reshape(-1))
+        dtype = self._dtype  # of the 0/1 masks too, so a float32 model's loss stays float32
+        in_vocab = Tensor((generable & step_mask).reshape(-1).astype(dtype))
         prob = vocab_dist[np.arange(n * steps), target_ids.reshape(-1)] * in_vocab
         if self.config.use_copy:
             gate = reshape(p_gen, (n * steps,))
             match = targets[:, :, None] == batch.source_ext_ids[:, None, :]  # attention is 0 at padding
-            copied = sum_(attention * Tensor(match.reshape(n * steps, -1)), axis=1)
+            copied = sum_(attention * Tensor(match.reshape(n * steps, -1).astype(dtype)), axis=1)
             prob = gate * prob + (1.0 - gate) * copied
         token_count = int(step_mask.sum())
-        log_likelihood = sum_(log(prob + _LOG_FLOOR) * Tensor(step_mask.reshape(-1)))
+        log_likelihood = sum_(log(prob + _LOG_FLOOR) * Tensor(step_mask.reshape(-1).astype(dtype)))
         return log_likelihood * (-1.0 / token_count), token_count
 
     def _targeted(self, record) -> PreparedRecord:
@@ -706,9 +713,13 @@ class ModelCheckpoint:
     parameter_state: dict
 
     def to_model(self) -> LemmaNameModel:
-        return LemmaNameModel(
-            self.config, self.chop_config, self.lexicon, self.vocabularies, parameter_state=self.parameter_state
-        )
+        """The model that serves suggestions: it computes in float32, from float32 copies of the blocks.
+
+        This is the one place that picks the served dtype. The checkpoint
+        keeps its float64 blocks, and train computes in float64.
+        """
+        state = {name: block.astype(np.float32) for name, block in self.parameter_state.items()}
+        return LemmaNameModel(self.config, self.chop_config, self.lexicon, self.vocabularies, parameter_state=state)
 
 
 def _header_digest(header: dict) -> str:
@@ -763,8 +774,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
     Every check of the parameters happens here, so to_model trusts them:
     the header's index must equal the shapes its config and vocabularies
     imply (compared before any value is read, since a config can imply
-    any size), and every value must be finite. The state holds read-only
-    views of the file's bytes; the model copies them.
+    any size), and every value must be finite and within float32's range,
+    since to_model serves float32 copies. The state holds read-only views
+    of the file's bytes; the model copies them.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -817,8 +829,9 @@ def load_checkpoint(path) -> ModelCheckpoint:
         name = min(n for n in found.keys() | expected.keys() if found.get(n) != expected.get(n))
         raise CorruptCheckpoint(f"unusable parameters: parameter {name}: {found.get(name)} != {expected.get(name)}")
     for name, block in state.items():  # a NaN sets no flag in nn.checked, so it is caught here
-        if not np.isfinite(block).all():
-            raise CorruptCheckpoint(f"unusable parameters: parameter {name} holds non-finite values")
+        if not (np.abs(block) <= _FLOAT32_MAX).all():  # False for a NaN too
+            problem = "values outside float32's range" if np.isfinite(block).all() else "non-finite values"
+            raise CorruptCheckpoint(f"unusable parameters: parameter {name} holds {problem}")
     return ModelCheckpoint(
         config=config,
         chop_config=chop_config,

@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff over dense float64 arrays, plus GRU and Adam.
+"""Reverse-mode autodiff over dense float32 or float64 arrays, plus GRU and Adam.
 
 A Tensor wraps a numpy array and remembers how it was computed; backward
 walks the recorded graph once, iteratively, and accumulates gradients
@@ -10,7 +10,8 @@ overflows, divides by zero or makes a NaN, and the NonFiniteValue it
 becomes names that operation ("overflow encountered in matmul"). No op
 scans its output; backward, adam_step and the model's loss and decoder
 run checked. A NaN that comes in from outside sets no flag, so
-model.load_checkpoint rejects non-finite parameters. gru_sequence runs one
+model.load_checkpoint rejects non-finite parameters, and ones that a
+float32 copy would make infinite. gru_sequence runs one
 or two recurrent directions over a whole sequence as one op, both
 directions in one time loop. It reads its inputs as rows of an embedding
 table by integer id, so no (B, T, in) input exists. It holds each state
@@ -24,6 +25,12 @@ as a table with one row per position); the tests check it against a
 chain of single GRU steps and, bit for bit, against the reference op in
 tests/reference_gru.py and against itself reading one table row per
 position. Its docstring gives the mechanism.
+Every op keeps the dtype it is given: a Tensor made from a float32 array
+stays float32, from anything else it is float64, and every op's forward
+and backward keep their operands' dtype (a Python number in the
+arithmetic takes the Tensor's). The model serves in float32 and trains
+in float64; only the gates' constants and clip bound differ between the
+two (_GATE_CONSTANTS).
 Each concept has one op. matmul multiplies 2-D operands or equal stacks
 of them; index takes basic keys and gather keys such as
 (np.arange(rows), ids); softmax normalizes the last axis, for both the
@@ -44,6 +51,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -76,13 +84,20 @@ def checked():
             raise NonFiniteValue(str(err)) from err
 
 
+_FLOAT32 = np.dtype(np.float32)  # a dtype compares faster with a dtype than with a type
+
+
 class Tensor:
-    """A float64 array plus the recipe for its gradient."""
+    """A float32 or float64 array plus the recipe for its gradient.
+
+    A float32 array is kept as it is; anything else becomes float64.
+    """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
@@ -96,20 +111,23 @@ class Tensor:
 
     # Convenience arithmetic; scalars and arrays are wrapped as constants.
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, _wrap(other, self))
 
     def __getitem__(self, key):
         return index(self, key)
 
 
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _wrap(value, other: Tensor) -> Tensor:
+    """value as a constant Tensor; a Python number takes other's dtype, as numpy gives it in arithmetic."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.array(value, other.data.dtype) if isinstance(value, (int, float)) else value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -176,17 +194,24 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
-# 0-d arrays: at a GRU step's sizes numpy converts a Python float (or
-# broadcasts a one-element array) slower than it does the arithmetic.
-_ONE, _CLIP_LOW, _CLIP_HIGH = np.array(1.0), np.array(-709.0), np.array(709.0)
+# Per dtype, 1 and the gate formula's clip bounds as 0-d arrays: at a GRU
+# step's sizes numpy converts a Python float (or broadcasts a one-element
+# array) slower than it does the arithmetic, and a 0-d array of another
+# dtype would compute the step in float64. exp stays finite below 709 in
+# float64 and below 88 in float32.
+_GATE_CONSTANTS = {
+    np.dtype(dtype): (np.array(1.0, dtype), np.array(-bound, dtype), np.array(bound, dtype))
+    for dtype, bound in ((np.float64, 709.0), (np.float32, 88.0))
+}
 
 
 def _negated_sigmoid(z: np.ndarray) -> np.ndarray:
     """sigmoid(-z), the one gate formula, in place in z: the clip keeps exp(z) finite."""
-    _clip(z, _CLIP_LOW, _CLIP_HIGH, out=z)
+    one, low, high = _GATE_CONSTANTS[z.dtype]
+    _clip(z, low, high, out=z)
     np.exp(z, out=z)
-    np.add(z, _ONE, out=z)
-    return np.divide(_ONE, z, out=z)
+    np.add(z, one, out=z)
+    return np.divide(one, z, out=z)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -224,7 +249,7 @@ def joined(data: np.ndarray, tensors, axis: int) -> Tensor:
     Backward hands each tensor its slice of the gradient as a view.
     """
     tensors = tuple(tensors)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    offsets = list(accumulate((t.shape[axis] for t in tensors), initial=0))
     others = data.shape[:axis] + data.shape[axis + 1 :]
     if offsets[-1] != data.shape[axis] or any(t.shape[:axis] + t.shape[axis + 1 :] != others for t in tensors):
         raise ShapeMismatch(f"joined: {data.shape} from {[t.shape for t in tensors]} along axis {axis}")
@@ -303,7 +328,8 @@ def _scatter_rows(ids: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     """The (V, E) table gradient of rows picked by ids: g's rows summed per id, in id order."""
     rows, width = shape
     cells = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
-    return np.bincount(cells, weights=g.ravel(), minlength=rows * width).reshape(rows, width)
+    summed = np.bincount(cells, weights=g.ravel(), minlength=rows * width)  # float64 whatever g's dtype
+    return summed.reshape(rows, width).astype(g.dtype, copy=False)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -458,9 +484,10 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     every direction reads both. D is 1 or 2; direction 0 runs from the
     first position to the last, direction 1 from the last to the first.
     initial is (B, D*hidden) and the result (B, T, D*hidden), direction d
-    in columns d*hidden:(d+1)*hidden. The result is written into `out`
-    when one is given, a float64 array of that shape (a slice of a larger
-    array will do), and the result's data is then `out` itself; BPTT
+    in columns d*hidden:(d+1)*hidden, in the table's dtype, as is every
+    array the op makes. The result is written into `out` when one is
+    given, an array of that shape and dtype (a slice of a larger array
+    will do), and the result's data is then `out` itself; BPTT
     reads it, so it must not change before backward. Where the mask is 0 a direction
     carries its state unchanged, so out[:, -1, :hidden] and
     out[:, 0, hidden:] are each row's states after its last real
@@ -504,7 +531,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     mask = np.asarray(mask)
     directions = len(params)
     hidden = params[0].w_h.shape[0] if params else 0
-    shape = (*ids.shape[:2], directions * hidden)
+    shape, dtype = (*ids.shape[:2], directions * hidden), table.data.dtype
     if (
         directions not in (1, 2)
         or ids.ndim != 2
@@ -515,7 +542,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
             (p.w_x.shape, p.w_h.shape, p.b.shape) != ((table.shape[1], 3 * hidden), (hidden, 3 * hidden), (3 * hidden,))
             for p in params
         )
-        or (out is not None and (out.shape != shape or out.dtype != np.float64))
+        or (out is not None and (out.shape != shape or out.dtype != dtype))
     ):
         raise ShapeMismatch(
             f"gru_sequence: table {table.shape}, ids {ids.shape}, mask {mask.shape}, initial {initial.shape}, "
@@ -529,13 +556,14 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     w_h = stack([p.w_h.data for p in params])
     bias = stack([p.b.data for p in params])[:, None, :]
     if out is None:
-        out = np.empty(shape)
+        out = np.empty(shape, dtype)
     saved = []  # per step: reset|update gates, candidates, h @ w_h candidate blocks
     # What a step writes in place; with keep_graph the saved gates and candidate are made anew.
-    gates = np.empty((directions, batch, 2 * hidden))
+    gates = np.empty((directions, batch, 2 * hidden), dtype)
     reset, update = gates[..., :hidden], gates[..., hidden:]
-    candidate = np.empty((directions, batch, hidden))
+    candidate = np.empty((directions, batch, hidden), dtype)
     spare = np.empty_like(candidate)
+    one = _GATE_CONSTANTS[dtype][0]
 
     def step(gx_gates, gx_candidate, h, h_next):
         """One step of every direction from state h into h_next, from the step's folded projection."""
@@ -552,7 +580,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
         if keep_graph:
             saved.append((gates, candidate, gh_candidate.copy()))
         np.multiply(update, h, out=h_next)
-        np.subtract(_ONE, update, out=spare)
+        np.subtract(one, update, out=spare)
         np.multiply(spare, candidate, out=spare)
         h_next += spare
 
@@ -563,7 +591,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
         step(gx[..., : 2 * hidden], gx[..., 2 * hidden :], first, out.reshape(batch, directions, hidden).transpose(1, 0, 2))
     else:
         step_ids = _step_order([ids] * directions)
-        gates_x = np.empty((directions, min(_PROJECTION_BLOCK, length), batch, 3 * hidden))  # one block, step-major
+        gates_x = np.empty((directions, min(_PROJECTION_BLOCK, length), batch, 3 * hidden), dtype)  # one block, step-major
         # Per-step views, made once: a list index costs less than numpy's.
         gx_gates = list(gates_x[..., : 2 * hidden].swapaxes(0, 1))
         gx_candidates = list(gates_x[..., 2 * hidden :].swapaxes(0, 1))
@@ -571,7 +599,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
         real = np.stack(_step_order([mask > 0] * directions)).transpose(2, 0, 1)[..., None]  # (T, D, B, 1)
         padded = (~real.reshape(length, -1).all(axis=1)).tolist()  # steps where some row carries its state
         carried = ~real
-        states = np.empty((min(_STATE_BLOCK, length), directions, batch, hidden))  # one block, step-major
+        states = np.empty((min(_STATE_BLOCK, length), directions, batch, hidden), dtype)  # one block, step-major
         state_steps = list(states)
         out_steps = _direction_steps(out, directions)
         h = first
@@ -597,13 +625,13 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
     def backward(g):
         g_steps = _direction_steps(g, directions)
         out_steps = _direction_steps(out, directions)
-        d_gates_x = np.zeros((directions, batch, length, 3 * hidden))
+        d_gates_x = np.zeros((directions, batch, length, 3 * hidden), dtype)
         d_steps = _step_order(list(d_gates_x))
         d_w_h = np.zeros_like(w_h)
         w_h_t = w_h.transpose(0, 2, 1)
-        carry = np.zeros((directions, batch, hidden))
+        carry = np.zeros((directions, batch, hidden), dtype)
         # Step-major (steps, D, B, hidden) staging, filled once per block.
-        g_block = np.empty((min(_PROJECTION_BLOCK, length), directions, batch, hidden))
+        g_block = np.empty((min(_PROJECTION_BLOCK, length), directions, batch, hidden), dtype)
         h_block = np.empty_like(g_block)
         for start in reversed(range(0, length, _PROJECTION_BLOCK)):
             stop = min(start + _PROJECTION_BLOCK, length)
@@ -620,7 +648,7 @@ def gru_sequence(table: Tensor, ids, mask, initial: Tensor, params, keep_graph: 
                 d_h = g_block[t - start] + carry
                 d_out = np.where(real[t], d_h, 0.0) if padded[t] else d_h
                 d_candidate = d_out * (1.0 - update) * (1.0 - candidate * candidate)
-                d_step = np.empty((directions, batch, 3 * hidden))
+                d_step = np.empty((directions, batch, 3 * hidden), dtype)
                 d_step[..., :hidden] = d_candidate * gh_candidate
                 d_step[..., hidden : 2 * hidden] = d_out * (h_prev - candidate)
                 d_step[..., : 2 * hidden] *= gates * (1.0 - gates)

@@ -29,6 +29,7 @@ from golden_metrics import (
     GOLDEN_FRAGMENT_SUFFIX_SWAP_CASE,
 )
 from reference_gru import gru_cell, gru_params
+from served_model import float64_model
 from lemname import __version__
 from lemname import nn
 from lemname.baseline import RetrievalBaseline
@@ -230,7 +231,7 @@ def test_criterion_01_gradient_correctness(tmp_path):
         max_output_len=8,
     )
     checkpoint, _ = train(documents, split, config, TrainingConfig(epochs=0, seed=2))
-    model = checkpoint.to_model()
+    model = float64_model(checkpoint)  # the float64 arithmetic train runs; its float32 twin is in test_model.py
     records = ordered_records(documents, split.train)[:2]
     finite_difference_check(
         model.parameters, lambda: model.loss(records), rng, n_coords=20, step=1e-5, rtol=1e-4

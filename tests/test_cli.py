@@ -1042,6 +1042,20 @@ def test_checkpoint_with_non_finite_parameters_exits_two(command, cli_env, tmp_p
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("command", ["suggest_naming", "serve"])
+def test_checkpoint_with_a_parameter_beyond_float32_exits_two(command, cli_env, tmp_path, capsys, monkeypatch):
+    # 1e300 is finite in the checkpoint's float64 but not in the float32 a model serves.
+    data = bytearray(cli_env.checkpoint_path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", data, 8)
+    first = json.loads(data[16 : 16 + header_len])["parameters"][0]["name"]
+    struct.pack_into("<d", data, 16 + header_len, 1e300)  # first value of the first parameter
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(bytes(data))
+    code, err = exit_code_and_error(command, path, cli_env, monkeypatch, capsys)
+    assert code == 2
+    assert err == f"error: unusable parameters: parameter {first} holds values outside float32's range\n"
+
+
 # ----------------------------------------------------------------- report object
 
 

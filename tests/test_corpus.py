@@ -4,6 +4,7 @@ import logging
 import math
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,23 @@ class TestLoadDocument:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_document(tmp_path / ("nope" + DOCUMENT_SUFFIX))
+
+    def test_a_path_that_does_not_read_as_given_is_read_as_pathlib_reads_it(self, tmp_path):
+        """A plain str path is read as pathlib reads it: the same records, the same errors."""
+        path = write_doc(tmp_path, GOOD_RECORD)
+        expected = load_document(path)
+        for given in (f"{tmp_path}//{path.name}", f"{path}/"):  # pathlib drops the extra slashes
+            assert load_document(given) == expected
+        too_long = str(tmp_path / ("a" * 300))
+        with pytest.raises(OSError) as pathlib_error:
+            Path(too_long).is_file()
+        with pytest.raises(OSError) as error:
+            load_document(too_long)
+        assert type(error.value) is type(pathlib_error.value) and str(error.value) == str(pathlib_error.value)
+        for missing in (str(tmp_path), f"{tmp_path}//nope{DOCUMENT_SUFFIX}"):
+            with pytest.raises(MissingDocument) as error:
+                load_document(missing)
+            assert str(error.value) == f"no such lemma-dataset file: {Path(missing)}"
 
 
 class TestLoadDirectory:

@@ -65,6 +65,7 @@ from lemname.subtok import DEFAULT_LEXICON, SuffixLexicon
 
 from gradcheck import finite_difference_check
 from reference_beam import full_width_suggest_many
+from served_model import EPS, SCORE_BOUND, assert_close_gradients, assert_same_suggestions, float64_model
 
 
 @pytest.fixture(scope="session")
@@ -592,22 +593,53 @@ def test_padding_leaks_into_neither_encoder_direction(trained):
 # ------------------------------------------------------------------- decoding
 
 
-def test_decode_distribution_sums_to_one(trained):
-    checkpoint, _, documents, split = trained
-    model = checkpoint.to_model()
+def greedy_distributions(model, documents, split) -> tuple:
+    """(prepared records, padded source length, probabilities of each step) of four greedy decoder steps."""
     base = len(model.vocabularies["output"])
     prepared = [model.prepare(r) for r in ordered_records(documents, split.validation)[:3]]
     batch = model._encode(prepared, keep_graph=False)
     state = batch.state
     previous = np.full(len(prepared), BOS_ID)
+    steps = []
     for _ in range(4):
         state, probs = model._distribution(state, previous, batch)
+        steps.append(probs)
+        previous = np.argmax(probs[:, :base], axis=1)
+    return prepared, batch.mask.shape[1], steps
+
+
+def test_decode_distribution_sums_to_one(trained):
+    checkpoint, _, documents, split = trained
+    model = float64_model(checkpoint)
+    base = len(model.vocabularies["output"])
+    prepared, _, steps = greedy_distributions(model, documents, split)
+    for probs in steps:
         for row, record in enumerate(prepared):
             own = base + len(record.oov_texts)
             assert np.all(probs[row, :own] >= 0.0)
             assert abs(probs[row, :own].sum() - 1.0) < 1e-10
             assert not probs[row, own:].any()
-        previous = np.argmax(probs[:, :base], axis=1)
+
+
+def test_served_decode_distribution_sums_to_one(trained):
+    """The float32 model's rows sum to 1 to within the rounding of the sums that make them."""
+    checkpoint, _, documents, split = trained
+    model = checkpoint.to_model()
+    base = len(model.vocabularies["output"])
+    prepared, width, steps = greedy_distributions(model, documents, split)
+    reference = greedy_distributions(float64_model(checkpoint), documents, split)[2]
+    for probs, want in zip(steps, reference):
+        assert probs.dtype == np.float32
+        assert np.array_equal(probs[:, :base].argmax(axis=1), want[:, :base].argmax(axis=1))  # the same greedy inputs
+        for row, record in enumerate(prepared):
+            own = base + len(record.oov_texts)
+            # The vocabulary softmax sums base terms and the attention width
+            # terms, each to within EPS / 2 per term relative, and this sum
+            # adds own terms more; 8 EPS cover the few roundings of each entry.
+            bound = (base + width + own) * EPS / 2 + 8 * EPS
+            assert np.all(probs[row, :own] >= 0.0)
+            assert abs(float(probs[row, :own].sum()) - 1.0) <= bound
+            assert not probs[row, own:].any()
 
 
 def test_attention_is_the_masked_softmax_of_its_scores(cli_env):
@@ -742,35 +774,54 @@ def test_loss_agrees_with_stepwise_inference(trained, overrides):
         assert abs(float(model.loss([record]).data) - stepwise_loss(model, one)) < 1e-12
 
 
+def batched_and_alone(model, records, k) -> tuple:
+    """suggest_many over the records, and suggest on each record alone."""
+    batched = model.suggest_many(records, k)
+    assert len(batched) == len(records)
+    return batched, [model.suggest(record, k) for record in records]
+
+
 @pytest.mark.parametrize("k", [1, 4])
 def test_suggest_many_matches_per_record_suggest(trained, k):
     checkpoint, _, documents, split = trained
-    model = checkpoint.to_model()
     records = ordered_records(documents, split.validation + split.test)
-    batched = model.suggest_many(records, k)
-    assert len(batched) == len(records)
-    for record, together in zip(records, batched):
-        alone = model.suggest(record, k)
-        assert [(s.name, s.sub_tokens) for s in together] == [(s.name, s.sub_tokens) for s in alone]
-        np.testing.assert_allclose(
-            [s.score for s in together], [s.score for s in alone], rtol=0, atol=1e-9
-        )
+    assert_same_suggestions(*batched_and_alone(float64_model(checkpoint), records, k), bound=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_served_suggest_many_matches_per_record_suggest(trained, k):
+    checkpoint, _, documents, split = trained
+    records = ordered_records(documents, split.validation + split.test)
+    batched, alone = batched_and_alone(checkpoint.to_model(), records, k)
+    assert_same_suggestions(batched, alone)
+    assert_same_suggestions(batched, float64_model(checkpoint).suggest_many(records, k))
+
+
+def whole_and_grouped(model, records, monkeypatch) -> tuple:
+    """suggest_many at k = 3 over the records as one group, then in groups of 3."""
+    whole = model.suggest_many(records, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(lemname.model, "_DECODE_GROUP", 3)
+        searches = []
+        encode = model._encode
+        patch.setattr(model, "_encode", lambda p, keep_graph: searches.append(len(p)) or encode(p, keep_graph))
+        grouped = model.suggest_many(records, 3)
+    assert sum(searches) == len(records) and max(searches) == 3
+    return whole, grouped
 
 
 def test_suggest_many_decodes_large_inputs_in_groups(trained, monkeypatch):
     checkpoint, _, documents, split = trained
-    model = checkpoint.to_model()
     records = ordered_records(documents, split.train + split.validation + split.test)
-    whole = model.suggest_many(records, 3)
-    monkeypatch.setattr(lemname.model, "_DECODE_GROUP", 3)
-    searches = []
-    encode = model._encode
-    monkeypatch.setattr(model, "_encode", lambda p, keep_graph: searches.append(len(p)) or encode(p, keep_graph))
-    grouped = model.suggest_many(records, 3)
-    assert sum(searches) == len(records) and max(searches) == 3
-    assert [[s.name for s in row] for row in grouped] == [[s.name for s in row] for row in whole]
-    for together, apart in zip(whole, grouped):
-        np.testing.assert_allclose([s.score for s in apart], [s.score for s in together], rtol=0, atol=1e-9)
+    assert_same_suggestions(*whole_and_grouped(float64_model(checkpoint), records, monkeypatch), bound=1e-9)
+
+
+def test_served_suggest_many_decodes_large_inputs_in_groups(trained, monkeypatch):
+    checkpoint, _, documents, split = trained
+    records = ordered_records(documents, split.train + split.validation + split.test)
+    whole, grouped = whole_and_grouped(checkpoint.to_model(), records, monkeypatch)
+    assert_same_suggestions(grouped, whole)
+    assert_same_suggestions(grouped, float64_model(checkpoint).suggest_many(records, 3))
 
 
 def test_suggest_many_prepares_each_group_just_before_decoding_it(cli_env, monkeypatch):
@@ -970,28 +1021,44 @@ def test_copy_gate_of_a_row_does_not_depend_on_the_other_rows(cli_env, width):
         assert np.array_equal(p_gen, full[rows]), f"records {subset}"
 
 
-def test_evaluate_makes_one_suggest_many_call_like_per_record_suggest(trained, monkeypatch):
-    checkpoint, _, documents, split = trained
-    model = checkpoint.to_model()
-    records = ordered_records(documents, split.validation + split.test)
+def assert_same_report(report, expected, bound):
+    """Equal rows and metrics, the same suggested names, and scores within bound."""
+    assert len(report.rows) == len(expected.rows)
+    for row, want in zip(report.rows, expected.rows):
+        assert (row.name, row.bleu4, row.fragment_accuracy, row.top1, row.top5) == (
+            want.name, want.bleu4, want.fragment_accuracy, want.top1, want.top5
+        )
+    assert_same_suggestions([row.suggestions for row in report.rows], [row.suggestions for row in expected.rows], bound)
+
+
+def evaluated_in_one_call(model, records, monkeypatch) -> tuple:
+    """evaluate's report at k = 3, which must make one suggest_many call, and the report of per-record suggest."""
     one_by_one = SimpleNamespace(
         lexicon=model.lexicon, suggest_many=lambda rs, k: [model.suggest(r, k) for r in rs]
     )
     expected = evaluate(one_by_one, records, k=3)
     calls = []
     batched = model.suggest_many
-    monkeypatch.setattr(model, "suggest_many", lambda rs, k: calls.append(len(rs)) or batched(rs, k))
-    report = evaluate(model, records, k=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "suggest_many", lambda rs, k: calls.append(len(rs)) or batched(rs, k))
+        report = evaluate(model, records, k=3)
     assert calls == [len(records)]
-    assert len(report.rows) == len(expected.rows) == len(records)
-    for row, want in zip(report.rows, expected.rows):
-        assert (row.name, row.bleu4, row.fragment_accuracy, row.top1, row.top5) == (
-            want.name, want.bleu4, want.fragment_accuracy, want.top1, want.top5
-        )
-        assert [s.name for s in row.suggestions] == [s.name for s in want.suggestions]
-        np.testing.assert_allclose(
-            [s.score for s in row.suggestions], [s.score for s in want.suggestions], rtol=0, atol=1e-9
-        )
+    assert len(report.rows) == len(records)
+    return report, expected
+
+
+def test_evaluate_makes_one_suggest_many_call_like_per_record_suggest(trained, monkeypatch):
+    checkpoint, _, documents, split = trained
+    records = ordered_records(documents, split.validation + split.test)
+    assert_same_report(*evaluated_in_one_call(float64_model(checkpoint), records, monkeypatch), bound=1e-9)
+
+
+def test_served_evaluate_makes_one_suggest_many_call_like_per_record_suggest(trained, monkeypatch):
+    checkpoint, _, documents, split = trained
+    records = ordered_records(documents, split.validation + split.test)
+    report, expected = evaluated_in_one_call(checkpoint.to_model(), records, monkeypatch)
+    assert_same_report(report, expected, SCORE_BOUND)
+    assert_same_report(report, evaluate(float64_model(checkpoint), records, k=3), SCORE_BOUND)
 
 
 def test_eos_biased_model_never_suggests_empty_name(trained):
@@ -1111,7 +1178,7 @@ def test_end_to_end_gradients(tiny_corpus):
     config = small_config(embed_dim=6, hidden_dim=8)
     hyper = TrainingConfig(epochs=0, seed=2)
     checkpoint, _ = train(documents, split, config, hyper)
-    model = checkpoint.to_model()
+    model = float64_model(checkpoint)
     rng = np.random.default_rng(11)
     finite_difference_check(model.parameters, lambda: model.loss(records), rng, n_coords=15)
 
@@ -1121,9 +1188,24 @@ def test_end_to_end_gradients_without_copy(tiny_corpus):
     records = ordered_records(documents, split.train)[:2]
     config = small_config(embed_dim=6, hidden_dim=8, use_copy=False)
     checkpoint, _ = train(documents, split, config, TrainingConfig(epochs=0, seed=2))
-    model = checkpoint.to_model()
+    model = float64_model(checkpoint)
     rng = np.random.default_rng(13)
     finite_difference_check(model.parameters, lambda: model.loss(records), rng, n_coords=12)
+
+
+@pytest.mark.parametrize("use_copy", [True, False], ids=["copy", "no-copy"])
+def test_served_end_to_end_gradients_are_close_to_float64(tiny_corpus, use_copy):
+    """The two gradient checks above, and criterion 1's full loss (the same model), on the float32 model.
+
+    Its loss and every gradient stay float32 and within served_model's
+    bounds of the float64 model's, which those checks hold to finite
+    differences.
+    """
+    documents, split = tiny_corpus
+    records = ordered_records(documents, split.train)[:2]
+    config = small_config(embed_dim=6, hidden_dim=8, use_copy=use_copy)
+    checkpoint, _ = train(documents, split, config, TrainingConfig(epochs=0, seed=2))
+    assert_close_gradients(checkpoint.to_model(), float64_model(checkpoint), lambda model: model.loss(records))
 
 
 # ----------------------------------------------------------------- checkpoint
@@ -1357,6 +1439,70 @@ def test_load_checkpoint_rejects_a_non_finite_block(bad, small_checkpoint_bytes,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [1e300, -1e300, 2.0 * float(np.finfo(np.float32).max)], ids=["1e300", "-1e300", "2max"])
+def test_load_checkpoint_rejects_a_block_beyond_float32(value, small_checkpoint_bytes, tmp_path):
+    data = bytearray(small_checkpoint_bytes)
+    struct.pack_into("<d", data, len(data) - 8, value)  # finite in float64, infinite as a served float32
+    path = tmp_path / "huge_value.ckpt"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptCheckpoint, match="unusable parameters: parameter out.w_c holds values outside float32's range"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_keeps_the_largest_float32(small_checkpoint_bytes, tmp_path):
+    data = bytearray(small_checkpoint_bytes)
+    largest = float(np.finfo(np.float32).max)
+    struct.pack_into("<d", data, len(data) - 8, -largest)
+    path = tmp_path / "largest.ckpt"
+    path.write_bytes(bytes(data))
+    assert load_checkpoint(path).to_model().parameters["out.w_c"].data.flat[-1] == -largest
+
+
+def test_served_model_computes_in_float32_and_training_in_float64(tiny_corpus, monkeypatch):
+    """to_model's parameters, its encoder and every step of its beam search are float32; train's model stays float64."""
+    documents, split = tiny_corpus
+    seen = []
+    encode, distribution = LemmaNameModel._encode, LemmaNameModel._distribution
+
+    def tracked_encode(self, prepared, keep_graph):
+        batch = encode(self, prepared, keep_graph)
+        seen.append(("encode", batch.hidden.data.dtype, batch.state.data.dtype))
+        return batch
+
+    def tracked_distribution(self, state, input_ids, batch):
+        step_state, probs = distribution(self, state, input_ids, batch)
+        seen.append(("step", state.data.dtype, step_state.data.dtype, probs.dtype))
+        return step_state, probs
+
+    monkeypatch.setattr(LemmaNameModel, "_encode", tracked_encode)
+    monkeypatch.setattr(LemmaNameModel, "_distribution", tracked_distribution)
+    checkpoint, _ = train(documents, split, small_config(), TrainingConfig(epochs=2, seed=3))
+    assert {kind for kind, *_ in seen} == {"encode", "step"}, "validation should run the beam search"
+    assert {dtype for _, *dtypes in seen for dtype in dtypes} == {np.dtype(np.float64)}
+    assert {block.dtype for block in checkpoint.parameter_state.values()} == {np.dtype(np.float64)}
+
+    seen.clear()
+    model = checkpoint.to_model()
+    assert {t.data.dtype for t in model.parameters.values()} == {np.dtype(np.float32)}
+    model.suggest_many(ordered_records(documents, split.test), 5)
+    assert {kind for kind, *_ in seen} == {"encode", "step"}
+    assert {dtype for _, *dtypes in seen for dtype in dtypes} == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("fixture", ["trained", "cli_env"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_served_suggestions_equal_the_float64_models(fixture, k, request):
+    """On both trained fixtures, float32 serving suggests the float64 model's names in its order."""
+    if fixture == "trained":
+        checkpoint, _, documents, _ = request.getfixturevalue(fixture)
+    else:
+        env = request.getfixturevalue(fixture)
+        checkpoint, documents = load_checkpoint(env.checkpoint_path), env.documents
+    records = ordered_records(documents, sorted(documents))
+    served = checkpoint.to_model().suggest_many(records, k)
+    assert_same_suggestions(served, float64_model(checkpoint).suggest_many(records, k))
+
+
 def test_to_model_draws_nothing(small_checkpoint_bytes, tmp_path, monkeypatch):
     path = tmp_path / "small.ckpt"
     path.write_bytes(small_checkpoint_bytes)
@@ -1370,7 +1516,9 @@ def test_to_model_draws_nothing(small_checkpoint_bytes, tmp_path, monkeypatch):
     model = checkpoint.to_model()
     assert model.parameters.keys() == checkpoint.parameter_state.keys()
     for name, value in checkpoint.parameter_state.items():
-        assert np.array_equal(model.parameters[name].data, value)
+        assert value.dtype == np.float64  # the checkpoint keeps its blocks
+        assert model.parameters[name].data.dtype == np.float32
+        assert np.array_equal(model.parameters[name].data, value.astype(np.float32))
         assert model.parameters[name].data.flags.writeable  # its own copy, not a view of the file
 
 

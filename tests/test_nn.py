@@ -14,6 +14,7 @@ from reference_gru import gru_cell, gru_params, reference_gru_sequence
 from lemname import model, nn
 from lemname.nn import (
     AdamState,
+    GruParams,
     NonFiniteValue,
     Rng,
     ShapeMismatch,
@@ -48,6 +49,14 @@ class TestForward:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0], [6.0]])
         assert np.array_equal(matmul(a, b).data, np.array([[17.0], [39.0]]))
+
+    def test_tensors_keep_float32_and_make_anything_else_float64(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        for value in (np.ones(2, dtype=np.float16), np.ones(2, dtype=bool), [1, 2], 3.0):
+            assert Tensor(value).data.dtype == np.float64
+        single = Tensor(np.full(3, 0.5, dtype=np.float32))
+        for result in (single + 1.0, 1.0 - single, single * 2, sigmoid(single), softmax(single)):
+            assert result.data.dtype == np.float32  # a Python number takes the tensor's dtype, as in numpy
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -477,9 +486,9 @@ class TestGruSequence:
                 for got, want in zip(grads[1:], rest):
                     assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("steps", [40, 1], ids=["sequence", "one-step"])
-    def test_saturated_gates_stay_finite_and_equal_the_reference(self, steps):
-        """Pre-activations of about ±1e4 from finite weights: the gates' clip keeps exp finite under checked()."""
+    @staticmethod
+    def saturated(steps):
+        """(x, h0, mask, cells) of both directions, weights scaled so pre-activations reach about ±1e4."""
         batch, width, hidden = 3, 5, 6
         rng = np.random.default_rng(7)
         cells = [gru_params({}, "g", Rng(d), input_dim=width, hidden_dim=hidden) for d in range(2)]
@@ -488,19 +497,60 @@ class TestGruSequence:
             cell.w_h.data *= 1e4
         x = Tensor(rng.normal(size=(batch, steps, width)))
         h0 = Tensor(rng.uniform(-1, 1, size=(batch, 2 * hidden)))
-        mask = np.ones((batch, steps))
         pre_activations = np.abs(x.data @ cells[0].w_x.data[:, : 2 * hidden])
         assert pre_activations.max() > 1e4 and np.all(np.isfinite(pre_activations))
+        return x, h0, np.ones((batch, steps)), cells
+
+    @pytest.mark.parametrize("steps", [40, 1], ids=["sequence", "one-step"])
+    def test_saturated_gates_stay_finite_and_equal_the_reference(self, steps):
+        """Pre-activations of about ±1e4 from finite weights: the gates' clip keeps exp finite under checked()."""
+        x, h0, mask, cells = self.saturated(steps)
         expected = reference_gru_sequence(x, mask, h0, cells)
         with nn.checked():
             result = gru_sequence(*_rows(x), mask, h0, cells)
         assert np.array_equal(result.data, expected.data)
+
+    @pytest.mark.parametrize("steps", [40, 1], ids=["sequence", "one-step"])
+    def test_saturated_float32_gates_stay_finite_and_near_the_reference(self, steps):
+        """The same weights cast to float32, whose exp overflows past 88: the float32 clip keeps it finite.
+
+        Each state stays within steps * EPS of the float64 reference on the
+        float64 weights. A state and a candidate lie in [-1, 1], and a step's
+        new state is a convex combination of them, so the error a step is
+        given passes on no larger, and a step adds a few roundings of at most
+        EPS / 2 each.
+        """
+        x, h0, mask, cells = self.saturated(steps)
+        expected = reference_gru_sequence(x, mask, h0, cells)
+
+        def single(tensor):
+            return Tensor(tensor.data.astype(np.float32))
+
+        cells = [GruParams(single(c.w_x), single(c.w_h), single(c.b)) for c in cells]
+        with nn.checked():
+            result = gru_sequence(*_rows(single(x)), mask, single(h0), cells)
+        assert result.data.dtype == np.float32
+        assert np.abs(result.data - expected.data).max() <= steps * np.finfo(np.float32).eps
 
     def test_out_must_match_the_result(self):
         _, cells, x, h0, mask, _ = self.make()
         for out in (np.empty((4, 7, 11)), np.empty((4, 7, 12), dtype=np.float32)):
             with pytest.raises(ShapeMismatch, match="out"):
                 gru_sequence(*_rows(x), mask, h0, cells, out=out)
+
+    def test_keeps_the_tables_dtype(self):
+        """A float32 table and weights give a float32 result and float32 gradients; out must then be float32."""
+        params, cells, x, h0, mask, weights = self.make()
+        single = {name: Tensor(t.data.astype(np.float32)) for name, t in params.items()}
+        cells = [GruParams(*(single[f"g{d}.{part}"] for part in ("w_x", "w_h", "b"))) for d in range(2)]
+        table, ids = _rows(single["x"])
+        with pytest.raises(ShapeMismatch, match="out"):
+            gru_sequence(table, ids, mask, single["h0"], cells, out=np.empty((4, 7, 12)))
+        out = np.empty((4, 7, 12), dtype=np.float32)
+        result = gru_sequence(table, ids, mask, single["h0"], cells, out=out)
+        assert result.data is out
+        backward(sum_(tanh(result * weights.data.astype(np.float32))), single)
+        assert {t.grad.dtype for t in single.values()} == {np.dtype(np.float32)}
 
     def test_keeps_four_hidden_values_per_step_and_row(self):
         """What backward reads: both gates, the candidate and its h @ w_h block; previous states are the output."""
